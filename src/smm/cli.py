@@ -325,17 +325,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.handler(args)
-    except SmmError as err:
+    except (SmmError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NotImplementedError as err:
         print(f"error: NOT_IMPLEMENTED: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -52,9 +52,3 @@ class NotPositiveDefiniteError(SmmError):
     def __init__(self, message: str):
         super().__init__(NOT_POSITIVE_DEFINITE, message)
 
-
-class ConvergenceError(SmmError):
-    """Raised when every optimization attempt for a fit fails outright."""
-
-    def __init__(self, message: str):
-        super().__init__(CONDITION_DEGENERATE, message)

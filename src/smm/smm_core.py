@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import (
     SmmError,
@@ -115,6 +114,27 @@ def equal_loading_mean(w: float, m: np.ndarray) -> float:
     return float(np.sum(m) / (p * w))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, tied values sharing the average of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts_group = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(starts_group)
+    sizes = np.diff(np.append(starts, x.size))
+    ranks = np.empty(x.size)
+    ranks[order] = (starts + (sizes + 1) / 2.0)[np.cumsum(starts_group) - 1]
+    return ranks
+
+
+def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks of a and b."""
+    ra = _average_ranks(np.asarray(a, dtype=float))
+    rb = _average_ranks(np.asarray(b, dtype=float))
+    ra -= ra.mean()
+    rb -= rb.mean()
+    return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+
+
 @dataclass(frozen=True)
 class ProportionalityReport:
     """Diagnostic for the proportionality implied by a zero-intercept mean structure.
@@ -182,7 +202,7 @@ def proportionality_report(
         rho = np.nan
         warnings_ = warnings_ + ("rank correlation undefined: constant input",)
     else:
-        rho = spearmanr(abs_lam, m).statistic
+        rho = rank_correlation(abs_lam, m)
     verdict = CONSISTENT if cv <= cv_threshold else INCONSISTENT
     return ProportionalityReport(
         ratios=ratios,

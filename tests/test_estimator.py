@@ -4,7 +4,6 @@ import pytest
 from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
     FitOptions,
-    central_difference,
     fit,
     fit_statistics,
     implied_moments,
@@ -14,9 +13,17 @@ from smm.estimator import (
     to_unconstrained,
 )
 from smm.fixtures import anchored_model_spec, reference_model_spec, reference_population
-from smm.model_spec import ModelSpec, ParameterCell, fixed, free, one_factor_spec
+from smm.model_spec import (
+    ModelSpec,
+    ParameterCell,
+    ParameterIndex,
+    fix_intercept_variant,
+    fixed,
+    free,
+    one_factor_spec,
+)
 from smm.moments import Dataset, SampleMoments, compute_moments
-from smm.simulate import Seed, draw_sample, population_moments
+from smm.simulate import Seed, draw_sample, population_moments, structured
 
 LOADINGS = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
 
@@ -135,23 +142,87 @@ def test_transform_rejects_nonpositive_variance():
         to_unconstrained(reference_model_spec(), values)
 
 
-def test_central_difference_quadratic():
-    grad = central_difference(lambda x: float(x[0] ** 2 + 3.0 * x[1] ** 2), np.array([1.0, 1.0]))
-    np.testing.assert_allclose(grad, [2.0, 6.0], rtol=1e-8)
+def two_factor_spec():
+    """Two correlated factors, three indicators each, anchored on x1 and x4.
+
+    Free cells in every block: loadings, the full factor covariance
+    (diagonal and off-diagonal), unique variances, intercepts and factor
+    means.
+    """
+    def row(k, anchor):
+        lam = [fixed(0.0), fixed(0.0)]
+        lam[k] = fixed(1.0) if anchor else free()
+        return tuple(lam)
+
+    return ModelSpec(
+        loadings=tuple(row(k, i == 0) for k in (0, 1) for i in range(3)),
+        intercepts=tuple(fixed(0.0) if i in (0, 3) else free() for i in range(6)),
+        factor_means=(free(), free()),
+        factor_cov=((free(), free()), (free(), free())),
+        unique_variances=tuple(free() for _ in range(6)),
+    )
 
 
-def test_numeric_gradient_matches_plain_central_difference():
-    spec = reference_model_spec()
-    sample = drawn_sample("model2", 300, 21)
-    values = np.concatenate([LOADINGS, np.ones(5) * 1.2, [8.0]])
+def two_factor_sample():
+    lam = np.array([[1.0, 0], [0.8, 0], [0.6, 0], [0, 1.0], [0, 0.7], [0, 0.9]])
+    pop = structured(
+        lam,
+        np.array([[1.0, 0.4], [0.4, 1.5]]),
+        np.full(6, 0.6),
+        nu=np.array([0.0, 1.0, -1.0, 0.0, 2.0, 0.5]),
+        theta=np.array([3.0, -2.0]),
+    )
+    return compute_moments(draw_sample(pop, 300, Seed(17)))
 
-    def f_of_z(z):
+
+def random_point(spec, generator):
+    """Raw free values with positive unique variances and a positive definite phi."""
+    draw = {
+        "lambda": lambda e: generator.uniform(-0.8, 0.8),
+        "phi": lambda e: (
+            generator.uniform(0.5, 2.0) if e.row == e.col else generator.uniform(-0.3, 0.3)
+        ),
+        "psi2": lambda e: generator.uniform(0.4, 2.5),
+        "nu": lambda e: generator.uniform(-2.0, 2.0),
+        "theta": lambda e: generator.uniform(5.0, 15.0),
+    }
+    return np.array([draw[e.matrix](e) for e in ParameterIndex(spec).entries])
+
+
+GRADIENT_CASES = {
+    "model2": lambda: (reference_model_spec(), drawn_sample("model2", 300, 21)),
+    "anchored_free_intercepts": lambda: (
+        fix_intercept_variant(reference_model_spec(), 2),
+        drawn_sample("model2", 300, 22),
+    ),
+    "two_factor_free_phi": lambda: (two_factor_spec(), two_factor_sample()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_gradient_matches_independent_differences(case):
+    # the same half-step differences and 1e-4 bound as acceptance item 8
+    spec, sample = GRADIENT_CASES[case]()
+    generator = np.random.default_rng(99)
+
+    def objective(z):
         return ml_discrepancy(sample, implied_moments(spec, to_raw(spec, z)))
 
-    z = to_unconstrained(spec, values)
-    batched = numeric_gradient(spec, values, sample)
-    looped = central_difference(f_of_z, z)
-    np.testing.assert_allclose(batched, looped, rtol=1e-6, atol=1e-10)
+    worst = 0.0
+    for _ in range(25):
+        raw = random_point(spec, generator)
+        analytic = numeric_gradient(spec, raw, sample)
+        z = to_unconstrained(spec, raw)
+        fd = np.empty_like(z)
+        for i in range(z.size):
+            step = 1e-5 * max(1.0, abs(z[i]))
+            up, down = z.copy(), z.copy()
+            up[i] += 0.5 * step
+            down[i] -= 0.5 * step
+            fd[i] = (objective(up) - objective(down)) / step
+        rel = np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3))
+        worst = max(worst, float(rel))
+    assert worst <= 1e-4
 
 
 def test_numeric_gradient_near_zero_at_truth():

@@ -148,7 +148,6 @@ def test_run_study_degenerate_condition():
         max_iterations=1,
         max_restarts=0,
         gradient_tolerance=1e-15,
-        f_decrease_tolerance=0.0,
     )
     with pytest.raises(SmmError, match="CONDITION_DEGENERATE"):
         run_study(small_config(replications=3, fit_options=crippled))

@@ -1,4 +1,8 @@
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from smm.smm_core import (
     factor_means_ls,
     hadamard_ratio,
     proportionality_report,
+    rank_correlation,
 )
 
 LOADINGS = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
@@ -182,3 +187,36 @@ def test_proportionality_cv_threshold_is_configurable():
     loose = proportionality_report(lam, m, cv_threshold=0.5)
     assert strict.verdict == "INCONSISTENT"
     assert loose.verdict == "CONSISTENT"
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_rank_correlation_matches_scipy_spearman(ties):
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        if ties:
+            a = rng.integers(0, 4, n).astype(float)
+            b = rng.integers(0, 4, n).astype(float)
+        else:
+            a, b = rng.normal(size=n), rng.normal(size=n)
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            continue
+        assert abs(rank_correlation(a, b) - spearmanr(a, b).statistic) <= 1e-12
+
+
+def test_import_smm_leaves_scipy_stats_and_optimize_unloaded():
+    import smm
+
+    src = str(Path(smm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, smm; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
