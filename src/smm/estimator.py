@@ -17,13 +17,25 @@ G = W - W (S + d d') W, each component is
 
 (Joreskog 1967 for the covariance part, Lee & Jennrich 1979 for the mean
 part). One evaluation builds the implied moments and factors Sigma once
-for both F and its gradient, so each BFGS line-search trial costs one
-evaluation. A fit of a bundled design takes 30-300 iterations and tens of
-milliseconds.
+for both F and its gradient.
+
+The minimizer is a quasi-Newton loop in numpy. Its inverse-Hessian
+approximation starts from the inverse of the Fisher information
+
+    H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l
+
+(Jennrich & Robinson 1969), is refreshed from it every few iterations and
+is corrected by BFGS updates in between; a backtracking Armijo search
+finishes each step. Starts are scaled to the sample (loadings at half a
+standard deviation, unique variances at half a variance), and free
+intercepts and factor means start at their least-squares values, which
+reproduce a saturated mean structure exactly. The median fit of a
+bundled design takes 15-40 iterations and 4-11 ms on a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +49,19 @@ from .errors import (
     InvalidModelError,
     NotPositiveDefiniteError,
 )
-from .model_spec import ModelSpec, ParameterIndex, ParameterMatrices, validate
+from .model_spec import DEFAULT_STARTS, ModelSpec, ParameterIndex, ParameterMatrices, validate
 from .moments import SampleMoments
 from .simulate import cholesky
 
 # The optimizer aims an order of magnitude past the convergence flag so
 # that "converged" results sit well inside the acceptance region.
 OPTIMIZER_GTOL = 1e-8
+# Iterations between refreshes of the inverse Hessian from the Fisher
+# information. Seeding only once leaves anchor_x1 at about 90 iterations;
+# pure Fisher scoring converges only linearly under misspecification.
+FISHER_REFRESH = 5
+# Sufficient-decrease constant of the Armijo condition.
+ARMIJO = 1e-4
 
 
 def _clamp_tiny_negative(f: float) -> float:
@@ -59,6 +77,16 @@ def _clamp_tiny_negative(f: float) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Settings of fit.
+
+    max_iterations caps the quasi-Newton steps of one attempt; a failed
+    attempt is retried up to max_restarts times from starts jittered by
+    up to jitter_fraction, drawn from seed. A fit counts as converged when
+    the largest gradient component is at most gradient_tolerance.
+    warm_start_factor_means starts every free intercept and factor mean at
+    its least-squares value given the starting loadings.
+    """
+
     max_iterations: int = 1000
     max_restarts: int = 3
     jitter_fraction: float = 0.2
@@ -97,15 +125,19 @@ class _Workspace:
     order, matrices row-major, with fixed values and starts in place. A
     raw free-parameter vector fills it through one scatter,
     full[slots] = values[src]; a free off-diagonal phi value fills both
-    of its cells. Every evaluation path (objective and gradient, public
-    implied_moments, ml_discrepancy and numeric_gradient) goes through
-    build and _discrepancy_terms, so they share one definition of the
-    implied moments, including the exact symmetrization of Sigma, and of F.
+    of its cells. Every evaluation path (objective and gradient, Fisher
+    information, public implied_moments, ml_discrepancy and
+    numeric_gradient) goes through build and _discrepancy_terms, so they
+    share one definition of the implied moments, including the exact
+    symmetrization of Sigma, and of F. A spec's workspace is made once
+    (see _workspace) and never modified afterwards.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
+        self.report = validate(spec)
         self.index = ParameterIndex(spec)
+        self.labels = self.index.labels()
         p, q = self.p, self.q = spec.p, spec.q
         base = self.index.base_matrices()
         blocks = (
@@ -125,15 +157,27 @@ class _Workspace:
                 src.append(k)
         self.slots = np.array(slots, dtype=int)
         self.src = np.array(src, dtype=int)
-        self.log_mask = np.array([e.matrix == "psi2" for e in self.index.entries], dtype=bool)
-        self.theta_pos = np.array(
-            [k for k, e in enumerate(self.index.entries) if e.matrix == "theta"], dtype=int
+        # the scatter as a matrix: parameter k collects the cells it fills
+        self.gather = np.zeros((self.t, self.template.size))
+        self.gather[self.src, self.slots] = 1.0
+
+        matrix = np.array([e.matrix for e in self.index.entries], dtype=object)
+        self.rows = np.array([e.row for e in self.index.entries], dtype=int)
+        self.log_mask = matrix == "psi2"
+        self.mean_pos = np.flatnonzero((matrix == "nu") | (matrix == "theta"))
+        self.theta_mask = matrix[self.mean_pos] == "theta"
+        # free loadings and unique variances that take the default start
+        no_start = np.array(
+            [_cell(spec, e).value is None for e in self.index.entries], dtype=bool
         )
-        self.theta_rows = np.array(
-            [e.row for e in self.index.entries if e.matrix == "theta"], dtype=int
-        )
+        self.default_lambda = no_start & (matrix == "lambda")
+        self.default_psi2 = no_start & self.log_mask
+        self.start_values = self.index.starting_values()
         self.lower = np.tri(p, dtype=bool)
         self.diag = np.diag_indices(p)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     @property
     def t(self) -> int:
@@ -170,6 +214,56 @@ class _Workspace:
         sigma[self.diag] += psi2
         mu = nu + lam @ theta
         return ParameterMatrices(lam, nu, theta, phi, psi2), sigma, mu
+
+    def fisher_information(self, values: np.ndarray) -> np.ndarray:
+        """Fisher information of F in unconstrained coordinates at raw values.
+
+        H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l, which is the
+        Hessian of F wherever the model fits the sample exactly. With
+        Sigma = L L' every derivative is whitened by U = L^-1, so H = M M'
+        where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k. The rows
+        are formed per layout cell, gathered to parameters, and carry the
+        chain rule psi2 = exp(z). Raises np.linalg.LinAlgError when Sigma
+        is not positive definite.
+        """
+        mats, sigma, _ = self.build(values)
+        p, q = self.p, self.q
+        u = np.linalg.inv(np.linalg.cholesky(sigma))
+        ul = u @ mats.loadings
+        ub = ul @ mats.factor_cov
+        cells = np.zeros((self.template.size, p * p + p))
+        d_sigma, d_mu = cells[:, : p * p], cells[:, p * p :]
+        lam, phi, psi2, nu, theta = self.slices
+        # dSigma/dlambda_ij = e_i (Lambda Phi)_j' + (Lambda Phi)_j e_i'
+        outer = u.T[:, None, :, None] * ub.T[None, :, None, :]
+        d_sigma[lam] = (outer + outer.transpose(0, 1, 3, 2)).reshape(p * q, p * p)
+        d_mu[lam] = (u.T[:, None, :] * mats.factor_means[None, :, None]).reshape(p * q, p)
+        # dSigma/dphi_ab = Lambda_a Lambda_b'; both cells of a free off-diagonal
+        # phi are gathered, so its whitened derivative is symmetric
+        d_sigma[phi] = (ul.T[:, None, :, None] * ul.T[None, :, None, :]).reshape(q * q, p * p)
+        d_sigma[psi2] = (u.T[:, :, None] * u.T[:, None, :]).reshape(p, p * p)
+        d_mu[nu] = u.T
+        d_mu[theta] = ul.T
+        d_mu *= np.sqrt(2.0)
+        m = self.gather @ cells
+        m[self.log_mask] *= values[self.log_mask, None]
+        return m @ m.T
+
+
+def _cell(spec: ModelSpec, entry):
+    """The spec cell behind one ParameterIndex entry."""
+    if entry.matrix == "lambda":
+        return spec.loadings[entry.row][entry.col]
+    if entry.matrix == "phi":
+        return spec.factor_cov[entry.row][entry.col]
+    block = {"psi2": spec.unique_variances, "nu": spec.intercepts, "theta": spec.factor_means}
+    return block[entry.matrix][entry.row]
+
+
+@functools.lru_cache(maxsize=64)
+def _workspace(spec: ModelSpec) -> _Workspace:
+    """The layout of spec, made once per spec (ModelSpec is frozen and hashable)."""
+    return _Workspace(spec)
 
 
 def _discrepancy_terms(
@@ -230,7 +324,7 @@ def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
     free_values is on the raw scale (actual variances, not logs) in
     ParameterIndex order.
     """
-    ws = _Workspace(spec)
+    ws = _workspace(spec)
     values = np.asarray(free_values, dtype=float)
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
@@ -262,12 +356,12 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
 
 def to_unconstrained(spec: ModelSpec, free_values: np.ndarray) -> np.ndarray:
     """Map raw free values to the optimizer's unconstrained coordinates."""
-    return _Workspace(spec).to_unconstrained(np.asarray(free_values, dtype=float))
+    return _workspace(spec).to_unconstrained(np.asarray(free_values, dtype=float))
 
 
 def to_raw(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
     """Inverse of to_unconstrained."""
-    return _Workspace(spec).to_raw(np.asarray(z, dtype=float))
+    return _workspace(spec).to_raw(np.asarray(z, dtype=float))
 
 
 def numeric_gradient(
@@ -281,7 +375,7 @@ def numeric_gradient(
     fit uses. A point whose implied covariance is not positive definite
     raises.
     """
-    ws = _Workspace(spec)
+    ws = _workspace(spec)
     values = np.asarray(free_values, dtype=float)
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
@@ -297,8 +391,7 @@ def fit_statistics(f_min: float, n: int, spec: ModelSpec) -> tuple[float, int]:
     """Chi-square statistic T = (n - 1) f_min and model degrees of freedom."""
     if n < 2:
         raise SmmError(BAD_INPUT, f"need n >= 2 for a test statistic, got {n}")
-    report = validate(spec)
-    return (n - 1) * f_min, report.df
+    return (n - 1) * f_min, _workspace(spec).report.df
 
 
 def _sign_convention(spec: ModelSpec, mats: ParameterMatrices):
@@ -336,63 +429,146 @@ def _sign_convention(spec: ModelSpec, mats: ParameterMatrices):
     return ParameterMatrices(lam, mats.intercepts, theta, phi, mats.unique_variances)
 
 
-def _warm_start_theta(ws: _Workspace, v0: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    """Start free factor means at their least-squares values.
+def _start_values(ws: _Workspace, sample: SampleMoments, warm_start_means: bool) -> np.ndarray:
+    """Raw starting values for the first attempt.
 
-    Uses the starting loadings and intercepts: theta0 solves
-    Lambda0 theta = xbar - nu0. Skipped when the starting loadings are
-    rank deficient, in which case the spec-supplied starts stand.
+    Free loadings and unique variances without a start of their own start
+    at the default times the sample standard deviation and variance of
+    their variable, so a fit of rescaled data starts at the rescaled
+    point. With warm_start_means, the free intercepts and factor means
+    then start at their least-squares values given the starting loadings:
+    mu = nu + Lambda theta is linear in them, so one solve removes the
+    part of xbar - mu they can reach, all of it when the mean structure is
+    saturated. A rank-deficient solve keeps the starts it had.
     """
-    base = ws.index.insert(v0)
-    theta_ls, _, rank, _ = np.linalg.lstsq(
-        base.loadings, xbar - base.intercepts, rcond=1e-10
-    )
-    if rank < ws.q:
+    v0 = ws.start_values.copy()
+    variances = np.diag(sample.cov)
+    v0[ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[ws.rows[ws.default_lambda]])
+    v0[ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[ws.rows[ws.default_psi2]]
+    if not (warm_start_means and ws.mean_pos.size):
         return v0
-    out = v0.copy()
-    out[ws.theta_pos] = theta_ls[ws.theta_rows]
-    return out
+    mats, _, mu = ws.build(v0)
+    rows = ws.rows[ws.mean_pos]
+    design = np.eye(ws.p)[:, rows]
+    design[:, ws.theta_mask] = mats.loadings[:, rows[ws.theta_mask]]
+    step, _, rank, _ = np.linalg.lstsq(design, sample.mean - mu, rcond=1e-10)
+    if rank == ws.mean_pos.size:
+        v0[ws.mean_pos] += step
+    return v0
 
 
 class _AttemptFailed(Exception):
     pass
 
 
-def _minimize_once(ws: _Workspace, z_start, sample_cov, xbar, lndet_s, options: FitOptions):
-    # imported here so that `import smm` does not pay for scipy.optimize
-    import scipy.optimize
+def _inverse_fisher(ws: _Workspace, z: np.ndarray) -> np.ndarray:
+    """Inverse Fisher information at z, or a scaled identity where it is singular."""
+    info = ws.fisher_information(ws.to_raw(z))
+    try:
+        inv_lower = np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError:
+        mean_curvature = np.trace(info) / ws.t
+        return np.eye(ws.t) / (mean_curvature if mean_curvature > 0 else 1.0)
+    return inv_lower.T @ inv_lower
 
-    def objective(z):
+
+def _minimize_once(ws: _Workspace, z, sample_cov, xbar, lndet_s, options: FitOptions):
+    """BFGS from z on F, its inverse Hessian seeded from the Fisher information.
+
+    The inverse Hessian is reset to the inverse Fisher information every
+    FISHER_REFRESH iterations and whenever a line search along the BFGS
+    direction fails. The loop stops when the largest gradient component
+    reaches OPTIMIZER_GTOL, at max_iterations, or when the line search
+    along a fresh Fisher direction accepts no trial.
+
+    The line search accepts a trial that lowers F strictly and meets the
+    Armijo condition. Near a minimum F stops resolving the decrease (on
+    anchor_x1 the curvature along one loading is near 1e3, so a gradient
+    of 1e-6 leaves about 1e-15 to gain), so it also accepts a trial whose
+    F is equal to rounding if its largest gradient component is at most
+    half the lowest so far. Each such step halves that record, so they
+    are few; accepting equal F without the condition can cycle until
+    max_iterations. A rejected trial shortens the step to the minimizer
+    of the quadratic through F, the slope and the trial, within [0.1, 0.5]
+    of the step; a trial whose Sigma is not positive definite, or whose F
+    or gradient is not finite, halves it, and its overflow warnings are
+    muted. After its first trial the search gives up once the decrease it
+    asks for is below the rounding of F, whose terms are of the size of p
+    and ln|S|.
+    """
+    f_rounding = np.finfo(float).eps * (xbar.size + abs(lndet_s))
+
+    def evaluate(z):
         try:
-            return _discrepancy_and_gradient(ws, z, sample_cov, xbar, lndet_s)
+            f, g = _discrepancy_and_gradient(ws, z, sample_cov, xbar, lndet_s)
         except np.linalg.LinAlgError:
-            raise _AttemptFailed("implied covariance left the positive definite cone") from None
+            return None
+        return (f, g) if np.isfinite(f) and np.all(np.isfinite(g)) else None
 
-    result = scipy.optimize.minimize(
-        objective,
-        z_start,
-        jac=True,
-        method="BFGS",
-        options={"maxiter": options.max_iterations, "gtol": OPTIMIZER_GTOL},
-    )
-    f_final = float(result.fun)
-    if not np.isfinite(f_final):
-        raise _AttemptFailed("non-finite discrepancy at the returned point")
-    grad_inf = float(np.max(np.abs(result.jac)))
-    converged = grad_inf <= options.gradient_tolerance
-    return result.x, f_final, grad_inf, int(result.nit), converged
+    def line_search(direction):
+        slope = g @ direction
+        if not (np.isfinite(slope) and slope < 0):
+            return None
+        alpha = 1.0
+        while True:
+            trial = evaluate(z + alpha * direction)
+            if trial is None:
+                alpha *= 0.5
+            elif (trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope) or (
+                trial[0] <= f + f_rounding and np.max(np.abs(trial[1])) <= 0.5 * g_low
+            ):
+                return z + alpha * direction, *trial
+            else:
+                shrink = -alpha * slope / (2.0 * (trial[0] - f - alpha * slope))
+                alpha *= min(max(shrink, 0.1), 0.5)
+            if -alpha * slope <= f_rounding:
+                return None
+
+    with np.errstate(all="ignore"):
+        start = evaluate(z)
+        if start is None:
+            raise _AttemptFailed("no finite discrepancy at the start")
+        f, g = start
+        iterations, h_inv, seeded_at = 0, None, -1
+        g_low = np.max(np.abs(g))
+        while np.max(np.abs(g)) > OPTIMIZER_GTOL and iterations < options.max_iterations:
+            if h_inv is None or (iterations % FISHER_REFRESH == 0 and seeded_at != iterations):
+                h_inv, seeded_at = _inverse_fisher(ws, z), iterations
+            step = line_search(-(h_inv @ g))
+            if step is None:
+                if seeded_at == iterations:
+                    break
+                h_inv = None
+                continue
+            z_new, f, g_new = step
+            s, y = z_new - z, g_new - g
+            sy = s @ y
+            if sy > 0:
+                hy = h_inv @ y
+                h_inv = (
+                    h_inv
+                    - np.multiply.outer(hy, s / sy)
+                    - np.multiply.outer(s / sy, hy)
+                    + ((sy + y @ hy) / sy**2) * np.multiply.outer(s, s)
+                )
+            z, g = z_new, g_new
+            g_low = min(g_low, np.max(np.abs(g)))
+            iterations += 1
+    grad_inf = float(np.max(np.abs(g)))
+    return z, f, grad_inf, iterations, grad_inf <= options.gradient_tolerance
 
 
 def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:
     """Minimize the ML discrepancy over the free parameters of spec.
 
-    Runs BFGS from the spec starting values (factor means warm-started
-    from the observed means), retrying from jittered starts when an
-    attempt fails to converge. The best attempt is always reported;
+    Runs the Fisher-seeded BFGS loop from starts scaled to the sample
+    (see _start_values), retrying from jittered starts when an attempt
+    fails to converge. The best attempt is always reported;
     converged=False survives into the result rather than raising, so
     Monte Carlo callers can count failures.
     """
-    report = validate(spec)
+    ws = _workspace(spec)
+    report = ws.report
     if not report.is_valid:
         raise InvalidModelError(report)
     if sample.p != spec.p:
@@ -401,11 +577,7 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
             f"sample has {sample.p} variables but the model expects {spec.p}",
         )
     lndet_s = _sample_lndet(sample)
-    ws = _Workspace(spec)
-
-    v0 = ws.index.starting_values()
-    if options.warm_start_factor_means and ws.theta_pos.size:
-        v0 = _warm_start_theta(ws, v0, sample.mean)
+    v0 = _start_values(ws, sample, options.warm_start_factor_means)
 
     if ws.t == 0:
         mats, sigma, mu = ws.build(np.empty(0))
@@ -423,7 +595,7 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
             grad_inf_norm=0.0,
             retries_used=0,
             free_values=np.empty(0),
-            labels=ws.index.labels(),
+            labels=ws.labels,
         )
 
     best = None
@@ -460,7 +632,7 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
 
     z_hat, f_hat, grad_inf, nit, converged = best
     f_hat = _clamp_tiny_negative(f_hat)
-    mats = _sign_convention(spec, ws.index.insert(ws.to_raw(z_hat)))
+    mats = _sign_convention(spec, ws.build(ws.to_raw(z_hat))[0])
     free_hat = ws.index.extract(mats)
     chi2 = (sample.n - 1) * f_hat
     return FitResult(
@@ -474,5 +646,5 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
         grad_inf_norm=grad_inf,
         retries_used=attempts - 1,
         free_values=free_hat,
-        labels=ws.index.labels(),
+        labels=ws.labels,
     )

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from smm import rng, serialize
 from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
     FitOptions,
+    _start_values,
+    _workspace,
     fit,
     fit_statistics,
     implied_moments,
@@ -12,7 +19,12 @@ from smm.estimator import (
     to_raw,
     to_unconstrained,
 )
-from smm.fixtures import anchored_model_spec, reference_model_spec, reference_population
+from smm.fixtures import (
+    anchored_model_spec,
+    reference_model_spec,
+    reference_population,
+    study_path,
+)
 from smm.model_spec import (
     ModelSpec,
     ParameterCell,
@@ -225,6 +237,47 @@ def test_gradient_matches_independent_differences(case):
     assert worst <= 1e-4
 
 
+FISHER_CASES = {
+    "model1": reference_model_spec,
+    "anchored_free_intercepts": lambda: fix_intercept_variant(reference_model_spec(), 2),
+    "two_factor_free_phi": two_factor_spec,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FISHER_CASES))
+def test_fisher_information_is_the_hessian_at_an_exact_fit(case):
+    # at S = Sigma(z), xbar = mu(z) the Hessian of F is the Fisher information;
+    # the Hessian here is a central difference of the exact gradient
+    spec = FISHER_CASES[case]()
+    generator = np.random.default_rng(7)
+    for _ in range(3):
+        raw = random_point(spec, generator)
+        implied = implied_moments(spec, raw)
+        sample = SampleMoments(n=500, mean=implied.mu_model, cov=implied.sigma)
+        z = to_unconstrained(spec, raw)
+        hessian = np.empty((z.size, z.size))
+        for i in range(z.size):
+            step = 1e-5 * max(1.0, abs(z[i]))
+            up, down = z.copy(), z.copy()
+            up[i] += step
+            down[i] -= step
+            hessian[:, i] = (
+                numeric_gradient(spec, to_raw(spec, up), sample)
+                - numeric_gradient(spec, to_raw(spec, down), sample)
+            ) / (2.0 * step)
+        fisher = _workspace(spec).fisher_information(raw)
+        assert np.max(np.abs(fisher - hessian)) <= 1e-6 * np.max(np.abs(fisher))
+
+
+@pytest.mark.parametrize("spec_of", [lambda: anchored_model_spec(0), two_factor_spec])
+def test_mean_warm_start_reproduces_xbar_on_a_saturated_mean_structure(spec_of):
+    spec = spec_of()
+    sample = two_factor_sample() if spec.q == 2 else drawn_sample("model2", 300, 23)
+    start = _start_values(_workspace(spec), sample, warm_start_means=True)
+    mu = implied_moments(spec, start).mu_model
+    np.testing.assert_allclose(mu, sample.mean, rtol=0, atol=1e-12)
+
+
 def test_numeric_gradient_near_zero_at_truth():
     sample = population_sample("model1")
     truth = np.concatenate([LOADINGS, np.ones(5), [10.0]])
@@ -303,9 +356,96 @@ def test_fit_saturated_mean_structure_reproduces_xbar():
 
 
 def test_fit_anchor_choice_does_not_move_f_min():
-    sample = drawn_sample("model2", 300, 71)
-    f_by_anchor = [fit(anchored_model_spec(a), sample).f_min for a in (0, 4)]
-    assert f_by_anchor[0] == pytest.approx(f_by_anchor[1], abs=1e-8)
+    for seed in range(71, 76):
+        sample = drawn_sample("model2", 300, seed)
+        f_by_anchor = [fit(anchored_model_spec(a), sample).f_min for a in (0, 4)]
+        assert f_by_anchor[0] == pytest.approx(f_by_anchor[1], abs=1e-10)
+
+
+def started_at(spec, estimates):
+    """Copy of spec whose free cells start at the given estimates."""
+    def put(cell, value):
+        return free(float(value)) if cell.is_free else cell
+
+    def grid(cells, values):
+        return tuple(tuple(put(c, v) for c, v in zip(row, vals)) for row, vals in zip(cells, values))
+
+    return replace(
+        spec,
+        loadings=grid(spec.loadings, estimates.loadings),
+        factor_cov=grid(spec.factor_cov, estimates.factor_cov),
+        intercepts=tuple(map(put, spec.intercepts, estimates.intercepts)),
+        factor_means=tuple(map(put, spec.factor_means, estimates.factor_means)),
+        unique_variances=tuple(map(put, spec.unique_variances, estimates.unique_variances)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, options",
+    [
+        # the least-squares mean start differs from the ML means when the
+        # mean structure is not saturated, so it is switched off there
+        (reference_model_spec(), FitOptions(warm_start_factor_means=False)),
+        (anchored_model_spec(0), FitOptions()),
+    ],
+    ids=["model2", "anchored"],
+)
+def test_fit_started_at_its_optimum_stops_at_once(spec, options):
+    sample = drawn_sample("model2", 300, 65)
+    first = fit(spec, sample)
+    again = fit(started_at(spec, first.estimates), sample, options)
+    assert again.converged
+    assert again.iterations <= 2
+    assert again.retries_used == 0
+    assert again.f_min == pytest.approx(first.f_min, abs=1e-12)
+
+
+SCALING_CASES = {
+    "model1": (reference_model_spec(), "model1"),
+    "model2": (reference_model_spec(), "model2"),
+    "anchored": (anchored_model_spec(0), "model2"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=60)
+@given(
+    case=st.sampled_from(sorted(SCALING_CASES)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=5, max_size=5),
+)
+# samples whose rescaled fit failed from fixed (unscaled) default starts
+@example(case="model1", seed=1936844259, log_scale=[-0.53, -1.22, 1.31, -0.4, -0.97])
+@example(case="model2", seed=3371899655, log_scale=[1.44, 1.04, -0.21, -0.92, 0.11])
+@example(case="anchored", seed=2123010491, log_scale=[-1.44, 0.17, -0.03, 0.29, 0.69])
+def test_rescaling_variables_rescales_the_estimates(case, seed, log_scale):
+    # x_j -> c_j x_j maps lambda_j -> c_j lambda_j, psi2_j -> c_j^2 psi2_j and
+    # nu_j -> c_j nu_j, and leaves F unchanged
+    spec, population = SCALING_CASES[case]
+    sample = drawn_sample(population, 300, seed)
+    c = np.exp(log_scale)
+    scaled = SampleMoments(n=sample.n, mean=c * sample.mean, cov=sample.cov * np.outer(c, c))
+    base, moved = fit(spec, sample), fit(spec, scaled)
+    assert base.converged and moved.converged
+    assert moved.f_min == pytest.approx(base.f_min, abs=1e-10)
+    expected = (
+        (moved.estimates.loadings, c[:, None] * base.estimates.loadings),
+        (moved.estimates.unique_variances, c**2 * base.estimates.unique_variances),
+        (moved.estimates.intercepts, c * base.estimates.intercepts),
+        (moved.estimates.factor_means, base.estimates.factor_means),
+    )
+    for got, want in expected:
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_overflowing_trials_quietly():
+    # replication 84 of the bundled table1_model2_n300 study: one trial step
+    # overflows exp(log psi2); the trial is rejected and no warning escapes
+    config = serialize.study_from_dict(serialize.load_json(study_path("table1_model2_n300")))
+    rep_seed = rng.derive_seed(config.seed.master, 0, 84)
+    sample = compute_moments(draw_sample(config.population, 300, Seed(rep_seed)))
+    assert fit(config.spec, sample).converged
 
 
 def test_fit_reports_nonconvergence_instead_of_raising():

@@ -214,9 +214,16 @@ def test_import_smm_leaves_scipy_stats_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, smm; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+        "from smm.fixtures import reference_model_spec, reference_population\n"
+        "pop, spec = reference_population('model1'), reference_model_spec()\n"
+        "smm.fit(spec, smm.compute_moments(smm.draw_sample(pop, 300, smm.Seed(1))))\n"
+        "smm.run_study(smm.StudyConfig(population=pop, spec=spec, sample_sizes=(300,),"
+        " replications=2, seed=smm.Seed(2), max_parallelism=1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    # import smm loads no scipy, and neither do a fit and a study
+    assert out.stdout.split() == ["[]", "[]"]
