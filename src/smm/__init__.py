@@ -18,6 +18,7 @@ from .estimator import (
     FitResult,
     ImpliedMoments,
     fit,
+    fit_many,
     fit_statistics,
     implied_moments,
     ml_discrepancy,
@@ -74,6 +75,7 @@ __all__ = [
     "FitResult",
     "ImpliedMoments",
     "fit",
+    "fit_many",
     "fit_statistics",
     "implied_moments",
     "ml_discrepancy",

@@ -30,7 +30,21 @@ finishes each step. Starts are scaled to the sample (loadings at half a
 standard deviation, unique variances at half a variance), and free
 intercepts and factor means start at their least-squares values, which
 reproduce a saturated mean structure exactly. The median fit of a
-bundled design takes 15-40 iterations and 4-11 ms on a 2-vCPU x86 VM.
+bundled design takes 15-40 iterations.
+
+Fits run in lockstep. fit_many steps the fits of many samples (a Monte
+Carlo condition's replications) together: each fit is the same
+sequential algorithm, written as a generator that asks for an evaluation
+of F and its gradient or for a Fisher information, and every round
+answers the pending requests of all unfinished fits with one stacked
+numpy call over a leading (R, ...) axis. A fit leaves the rounds when it
+finishes. Nearly all of an evaluation's cost on 5x5 matrices is numpy's
+per-call overhead, so a stacked round costs little more than a single
+one. fit is fit_many on one sample. Every stacked operation (matmul,
+cholesky, solve, inv, sums over trailing axes) gives each row the same
+bits as it would alone, so a result does not depend on the batch it was
+fitted in. On a 2-vCPU x86 VM a lone fit takes about 4-13 ms; in a batch
+of 500 the bundled designs cost about 1-6 ms per fit.
 """
 
 from __future__ import annotations
@@ -160,6 +174,10 @@ class _Workspace:
         # the scatter as a matrix: parameter k collects the cells it fills
         self.gather = np.zeros((self.t, self.template.size))
         self.gather[self.src, self.slots] = 1.0
+        # its adjoint restricted to the filled cells: the gradient of a
+        # parameter sums the derivatives of the (at most two) cells it fills
+        self.collect = np.zeros((self.slots.size, self.t))
+        self.collect[np.arange(self.slots.size), self.src] = 1.0
 
         matrix = np.array([e.matrix for e in self.index.entries], dtype=object)
         self.rows = np.array([e.row for e in self.index.entries], dtype=int)
@@ -174,7 +192,6 @@ class _Workspace:
         self.default_psi2 = no_start & self.log_mask
         self.start_values = self.index.starting_values()
         self.lower = np.tri(p, dtype=bool)
-        self.diag = np.diag_indices(p)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -199,24 +216,28 @@ class _Workspace:
         return v
 
     def build(self, values: np.ndarray) -> tuple[ParameterMatrices, np.ndarray, np.ndarray]:
-        """Parameter matrices and implied (sigma, mu) for one raw parameter vector.
+        """Parameter matrices and implied (sigma, mu) for raw parameter vectors.
 
+        values has shape (..., t) and every result keeps its leading axes.
         The matrices are views into one new array in layout order.
         """
-        full = self.template.copy()
-        full[self.slots] = values[self.src]
-        lam, phi, psi2, nu, theta = (full[s] for s in self.slices)
-        lam = lam.reshape(self.p, self.q)
-        phi = phi.reshape(self.q, self.q)
-        cross = lam @ phi @ lam.T
+        lead, p, q = values.shape[:-1], self.p, self.q
+        full = np.empty(lead + self.template.shape)
+        full[...] = self.template
+        flat = full.reshape(-1, self.template.size)
+        flat[:, self.slots] = values.reshape(flat.shape[0], self.t)[:, self.src]
+        lam, phi, psi2, nu, theta = (full[..., s] for s in self.slices)
+        lam = lam.reshape(lead + (p, q))
+        phi = phi.reshape(lead + (q, q))
+        cross = lam @ phi @ _mT(lam)
         # exactly symmetric: the upper triangle mirrors the lower one
-        sigma = np.where(self.lower, cross, cross.T)
-        sigma[self.diag] += psi2
-        mu = nu + lam @ theta
+        sigma = np.where(self.lower, cross, _mT(cross))
+        sigma.reshape(lead + (p * p,))[..., :: p + 1] += psi2
+        mu = nu + (lam @ theta[..., None])[..., 0]
         return ParameterMatrices(lam, nu, theta, phi, psi2), sigma, mu
 
     def fisher_information(self, values: np.ndarray) -> np.ndarray:
-        """Fisher information of F in unconstrained coordinates at raw values.
+        """Fisher information of F in unconstrained coordinates at raw values (..., t).
 
         H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l, which is the
         Hessian of F wherever the model fits the sample exactly. With
@@ -227,27 +248,43 @@ class _Workspace:
         is not positive definite.
         """
         mats, sigma, _ = self.build(values)
-        p, q = self.p, self.q
+        lead, p, q = values.shape[:-1], self.p, self.q
         u = np.linalg.inv(np.linalg.cholesky(sigma))
         ul = u @ mats.loadings
-        ub = ul @ mats.factor_cov
-        cells = np.zeros((self.template.size, p * p + p))
-        d_sigma, d_mu = cells[:, : p * p], cells[:, p * p :]
+        u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
+        cells = np.zeros(lead + (self.template.size, p * p + p))
+        d_sigma, d_mu = cells[..., : p * p], cells[..., p * p :]
         lam, phi, psi2, nu, theta = self.slices
         # dSigma/dlambda_ij = e_i (Lambda Phi)_j' + (Lambda Phi)_j e_i'
-        outer = u.T[:, None, :, None] * ub.T[None, :, None, :]
-        d_sigma[lam] = (outer + outer.transpose(0, 1, 3, 2)).reshape(p * q, p * p)
-        d_mu[lam] = (u.T[:, None, :] * mats.factor_means[None, :, None]).reshape(p * q, p)
+        outer = u_t[..., :, None, :, None] * ub_t[..., None, :, None, :]
+        d_sigma[..., lam, :] = (outer + _mT(outer)).reshape(lead + (p * q, p * p))
+        d_mu[..., lam, :] = (
+            u_t[..., :, None, :] * mats.factor_means[..., None, :, None]
+        ).reshape(lead + (p * q, p))
         # dSigma/dphi_ab = Lambda_a Lambda_b'; both cells of a free off-diagonal
         # phi are gathered, so its whitened derivative is symmetric
-        d_sigma[phi] = (ul.T[:, None, :, None] * ul.T[None, :, None, :]).reshape(q * q, p * p)
-        d_sigma[psi2] = (u.T[:, :, None] * u.T[:, None, :]).reshape(p, p * p)
-        d_mu[nu] = u.T
-        d_mu[theta] = ul.T
+        d_sigma[..., phi, :] = (
+            ul_t[..., :, None, :, None] * ul_t[..., None, :, None, :]
+        ).reshape(lead + (q * q, p * p))
+        d_sigma[..., psi2, :] = (u_t[..., :, :, None] * u_t[..., :, None, :]).reshape(lead + (p, p * p))
+        d_mu[..., nu, :] = u_t
+        d_mu[..., theta, :] = ul_t
         d_mu *= np.sqrt(2.0)
         m = self.gather @ cells
-        m[self.log_mask] *= values[self.log_mask, None]
-        return m @ m.T
+        m[..., self.log_mask, :] *= values[..., self.log_mask, None]
+        return m @ _mT(m)
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(p: int) -> np.ndarray:
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
 
 
 def _cell(spec: ModelSpec, entry):
@@ -271,47 +308,58 @@ def _discrepancy_terms(
     mu: np.ndarray,
     sample_cov: np.ndarray,
     xbar: np.ndarray,
-    lndet_s: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    lndet_s,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ML discrepancy from the Cholesky factor of Sigma, with W = Sigma^-1 and W d.
 
-    The gradient reuses W and W d, so F is computed one way on every path.
+    Every argument may carry the same leading axes. The gradient reuses W
+    and W d, so F is computed one way on every path.
     """
-    p = lower.shape[0]
-    diff = xbar - mu
-    y = np.linalg.solve(lower, np.concatenate([sample_cov, diff[:, None], np.eye(p)], axis=1))
-    y_s, y_d, y_i = y[:, :p], y[:, p], y[:, p + 1 :]
-    lndet = 2.0 * np.log(lower.diagonal()).sum()
-    f = lndet - lndet_s + (y_s * y_i).sum() - p + y_d @ y_d
-    return float(f), y_i.T @ y_i, y_i.T @ y_d
+    lead, p = lower.shape[:-2], lower.shape[-1]
+    rhs = np.empty(lead + (p, 2 * p + 1))
+    rhs[..., :p] = sample_cov
+    rhs[..., p] = xbar - mu
+    rhs[..., p + 1 :] = _identity(p)
+    y = np.linalg.solve(lower, rhs)
+    y_s, y_d, y_i = y[..., :p], y[..., p], y[..., p + 1 :]
+    lndet = 2.0 * np.log(lower.diagonal(0, -2, -1)).sum(axis=-1)
+    trace = (y_s * y_i).reshape(lead + (p * p,)).sum(axis=-1)
+    f = lndet - lndet_s + trace - p + (y_d * y_d).sum(axis=-1)
+    y_i_t = _mT(y_i)
+    return f, y_i_t @ y_i, (y_i_t @ y_d[..., None])[..., 0]
 
 
 def _discrepancy_and_gradient(
     ws: _Workspace, z: np.ndarray, sample_cov, xbar, lndet_s
-) -> tuple[float, np.ndarray]:
-    """F and its exact gradient in unconstrained coordinates at z.
+) -> tuple[np.ndarray, np.ndarray]:
+    """F (rows,) and its exact gradient (rows, t) in unconstrained coordinates.
 
-    Raises np.linalg.LinAlgError when the implied covariance is not
+    z is a stack of rows (rows, t), each with its own sample: sample_cov
+    (rows, p, p), xbar (rows, p) and lndet_s (rows,). Raises
+    np.linalg.LinAlgError when the implied covariance of any row is not
     positive definite.
     """
     mats, sigma, mu = ws.build(ws.to_raw(z))
     f, w, wd = _discrepancy_terms(np.linalg.cholesky(sigma), mu, sample_cov, xbar, lndet_s)
-    g = w - w @ sample_cov @ w - np.multiply.outer(wd, wd)
-    lam = mats.loadings
+    g = w - w @ sample_cov @ w - wd[:, :, None] * wd[:, None, :]
+    lam, lam_t, rows = mats.loadings, _mT(mats.loadings), z.shape[0]
     # dF/d(cell) for every cell of the layout; psi2 cells carry the chain
     # rule through psi2 = exp(z)
     d_full = np.concatenate(
         [
-            (2.0 * (g @ lam @ mats.factor_cov - np.multiply.outer(wd, mats.factor_means))).ravel(),
-            (lam.T @ g @ lam).ravel(),
-            g.diagonal() * mats.unique_variances,
+            (
+                2.0 * (g @ lam @ mats.factor_cov - wd[:, :, None] * mats.factor_means[:, None, :])
+            ).reshape(rows, -1),
+            (lam_t @ g @ lam).reshape(rows, -1),
+            g.diagonal(0, 1, 2) * mats.unique_variances,
             -2.0 * wd,
-            -2.0 * (lam.T @ wd),
-        ]
+            -2.0 * (lam_t @ wd[:, :, None])[:, :, 0],
+        ],
+        axis=1,
     )
     # adjoint of the scatter in build: a phi value that fills two cells
     # collects the derivative of both
-    return f, np.bincount(ws.src, weights=d_full[ws.slots], minlength=ws.t)
+    return f, d_full[:, ws.slots] @ ws.collect
 
 
 def _sample_lndet(sample: SampleMoments) -> float:
@@ -351,7 +399,7 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
     f, _, _ = _discrepancy_terms(
         cholesky(implied.sigma), implied.mu_model, sample.cov, sample.mean, lndet_s
     )
-    return _clamp_tiny_negative(f)
+    return _clamp_tiny_negative(float(f))
 
 
 def to_unconstrained(spec: ModelSpec, free_values: np.ndarray) -> np.ndarray:
@@ -380,11 +428,12 @@ def numeric_gradient(
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
     z = ws.to_unconstrained(values)
+    lndet_s = np.array([_sample_lndet(sample)])
     try:
-        _, grad = _discrepancy_and_gradient(ws, z, sample.cov, sample.mean, _sample_lndet(sample))
+        _, grad = _discrepancy_and_gradient(ws, z[None], sample.cov[None], sample.mean[None], lndet_s)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("implied covariance not positive definite") from None
-    return grad
+    return grad[0]
 
 
 def fit_statistics(f_min: float, n: int, spec: ModelSpec) -> tuple[float, int]:
@@ -461,19 +510,14 @@ class _AttemptFailed(Exception):
     pass
 
 
-def _inverse_fisher(ws: _Workspace, z: np.ndarray) -> np.ndarray:
-    """Inverse Fisher information at z, or a scaled identity where it is singular."""
-    info = ws.fisher_information(ws.to_raw(z))
-    try:
-        inv_lower = np.linalg.inv(np.linalg.cholesky(info))
-    except np.linalg.LinAlgError:
-        mean_curvature = np.trace(info) / ws.t
-        return np.eye(ws.t) / (mean_curvature if mean_curvature > 0 else 1.0)
-    return inv_lower.T @ inv_lower
-
-
-def _minimize_once(ws: _Workspace, z, sample_cov, xbar, lndet_s, options: FitOptions):
+def _minimize_once(z, f_rounding: float, options: FitOptions):
     """BFGS from z on F, its inverse Hessian seeded from the Fisher information.
+
+    A generator: it yields ("eval", z) to ask for F and its gradient at z,
+    answered with (F, gradient) or with None where Sigma is not positive
+    definite or either value is not finite, and ("fisher", z) to ask for
+    the inverse Fisher information at z. It returns
+    (z, F, largest gradient component, iterations, converged).
 
     The inverse Hessian is reset to the inverse Fisher information every
     FISHER_REFRESH iterations and whenever a line search along the BFGS
@@ -490,20 +534,10 @@ def _minimize_once(ws: _Workspace, z, sample_cov, xbar, lndet_s, options: FitOpt
     are few; accepting equal F without the condition can cycle until
     max_iterations. A rejected trial shortens the step to the minimizer
     of the quadratic through F, the slope and the trial, within [0.1, 0.5]
-    of the step; a trial whose Sigma is not positive definite, or whose F
-    or gradient is not finite, halves it, and its overflow warnings are
-    muted. After its first trial the search gives up once the decrease it
-    asks for is below the rounding of F, whose terms are of the size of p
-    and ln|S|.
+    of the step; a trial that is answered with None halves it. After its
+    first trial the search gives up once the decrease it asks for is below
+    f_rounding, the rounding of F.
     """
-    f_rounding = np.finfo(float).eps * (xbar.size + abs(lndet_s))
-
-    def evaluate(z):
-        try:
-            f, g = _discrepancy_and_gradient(ws, z, sample_cov, xbar, lndet_s)
-        except np.linalg.LinAlgError:
-            return None
-        return (f, g) if np.isfinite(f) and np.all(np.isfinite(g)) else None
 
     def line_search(direction):
         slope = g @ direction
@@ -511,11 +545,11 @@ def _minimize_once(ws: _Workspace, z, sample_cov, xbar, lndet_s, options: FitOpt
             return None
         alpha = 1.0
         while True:
-            trial = evaluate(z + alpha * direction)
+            trial = yield "eval", z + alpha * direction
             if trial is None:
                 alpha *= 0.5
             elif (trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope) or (
-                trial[0] <= f + f_rounding and np.max(np.abs(trial[1])) <= 0.5 * g_low
+                trial[0] <= f + f_rounding and np.abs(trial[1]).max() <= 0.5 * g_low
             ):
                 return z + alpha * direction, *trial
             else:
@@ -524,80 +558,51 @@ def _minimize_once(ws: _Workspace, z, sample_cov, xbar, lndet_s, options: FitOpt
             if -alpha * slope <= f_rounding:
                 return None
 
-    with np.errstate(all="ignore"):
-        start = evaluate(z)
-        if start is None:
-            raise _AttemptFailed("no finite discrepancy at the start")
-        f, g = start
-        iterations, h_inv, seeded_at = 0, None, -1
-        g_low = np.max(np.abs(g))
-        while np.max(np.abs(g)) > OPTIMIZER_GTOL and iterations < options.max_iterations:
-            if h_inv is None or (iterations % FISHER_REFRESH == 0 and seeded_at != iterations):
-                h_inv, seeded_at = _inverse_fisher(ws, z), iterations
-            step = line_search(-(h_inv @ g))
-            if step is None:
-                if seeded_at == iterations:
-                    break
-                h_inv = None
-                continue
-            z_new, f, g_new = step
-            s, y = z_new - z, g_new - g
-            sy = s @ y
-            if sy > 0:
-                hy = h_inv @ y
-                h_inv = (
-                    h_inv
-                    - np.multiply.outer(hy, s / sy)
-                    - np.multiply.outer(s / sy, hy)
-                    + ((sy + y @ hy) / sy**2) * np.multiply.outer(s, s)
-                )
-            z, g = z_new, g_new
-            g_low = min(g_low, np.max(np.abs(g)))
-            iterations += 1
-    grad_inf = float(np.max(np.abs(g)))
+    start = yield "eval", z
+    if start is None:
+        raise _AttemptFailed("no finite discrepancy at the start")
+    f, g = start
+    iterations, h_inv, seeded_at = 0, None, -1
+    g_inf = g_low = np.abs(g).max()
+    while g_inf > OPTIMIZER_GTOL and iterations < options.max_iterations:
+        if h_inv is None or (iterations % FISHER_REFRESH == 0 and seeded_at != iterations):
+            h_inv, seeded_at = (yield "fisher", z), iterations
+        step = yield from line_search(-(h_inv @ g))
+        if step is None:
+            if seeded_at == iterations:
+                break
+            h_inv = None
+            continue
+        z_new, f, g_new = step
+        s, y = z_new - z, g_new - g
+        sy = s @ y
+        if sy > 0:
+            hy = h_inv @ y
+            # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
+            cross = np.multiply.outer(hy, s / sy)
+            h_inv = h_inv - cross - cross.T + ((sy + y @ hy) / sy**2) * np.multiply.outer(s, s)
+        z, g = z_new, g_new
+        g_inf = np.abs(g).max()
+        g_low = min(g_low, g_inf)
+        iterations += 1
+    grad_inf = float(g_inf)
     return z, f, grad_inf, iterations, grad_inf <= options.gradient_tolerance
 
 
-def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:
-    """Minimize the ML discrepancy over the free parameters of spec.
+def _fit_steps(ws: _Workspace, sample: SampleMoments, lndet_s: float, options: FitOptions):
+    """The fit of one sample as a generator of _minimize_once's requests.
 
-    Runs the Fisher-seeded BFGS loop from starts scaled to the sample
-    (see _start_values), retrying from jittered starts when an attempt
-    fails to converge. The best attempt is always reported;
-    converged=False survives into the result rather than raising, so
-    Monte Carlo callers can count failures.
+    Runs the attempts of fit in turn and returns the FitResult; raises
+    NotPositiveDefiniteError when every attempt fails.
     """
-    ws = _workspace(spec)
-    report = ws.report
-    if not report.is_valid:
-        raise InvalidModelError(report)
-    if sample.p != spec.p:
-        raise SmmError(
-            DIMENSION_MISMATCH,
-            f"sample has {sample.p} variables but the model expects {spec.p}",
-        )
-    lndet_s = _sample_lndet(sample)
     v0 = _start_values(ws, sample, options.warm_start_factor_means)
-
     if ws.t == 0:
         mats, sigma, mu = ws.build(np.empty(0))
         f0, _, _ = _discrepancy_terms(cholesky(sigma), mu, sample.cov, sample.mean, lndet_s)
-        f0 = _clamp_tiny_negative(f0)
-        chi2, df = (sample.n - 1) * f0, report.df
-        return FitResult(
-            estimates=mats,
-            f_min=f0,
-            chi_square=chi2,
-            df=df,
-            n=sample.n,
-            converged=True,
-            iterations=0,
-            grad_inf_norm=0.0,
-            retries_used=0,
-            free_values=np.empty(0),
-            labels=ws.labels,
-        )
+        return _result(ws, sample, mats, float(f0), True, 0, 0.0, 0)
 
+    # the terms of F are of the size of p and ln|S|
+    f_rounding = np.finfo(float).eps * (sample.p + abs(lndet_s))
     best = None
     last_error: Exception | None = None
     attempts = 0
@@ -613,38 +618,173 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
             v_start = np.where(v0 != 0.0, v0 * (1.0 + noise), noise)
         try:
             z_start = ws.to_unconstrained(np.asarray(v_start, dtype=float))
-            z_hat, f_hat, grad_inf, nit, converged = _minimize_once(
-                ws, z_start, sample.cov, sample.mean, lndet_s, options
-            )
+            candidate = yield from _minimize_once(z_start, f_rounding, options)
         except (_AttemptFailed, SmmError) as err:
             last_error = err
             continue
-        candidate = (z_hat, f_hat, grad_inf, nit, converged)
-        if best is None or (converged, -f_hat) > (best[4], -best[1]):
+        if best is None or (candidate[4], -candidate[1]) > (best[4], -best[1]):
             best = candidate
-        if converged:
+        if candidate[4]:
             break
 
     if best is None:
         raise NotPositiveDefiniteError(
             f"every optimization attempt failed; last error: {last_error}"
         )
-
     z_hat, f_hat, grad_inf, nit, converged = best
-    f_hat = _clamp_tiny_negative(f_hat)
-    mats = _sign_convention(spec, ws.build(ws.to_raw(z_hat))[0])
-    free_hat = ws.index.extract(mats)
-    chi2 = (sample.n - 1) * f_hat
+    mats = _sign_convention(ws.spec, ws.build(ws.to_raw(z_hat))[0])
+    return _result(ws, sample, mats, f_hat, converged, nit, grad_inf, attempts - 1)
+
+
+def _result(ws, sample, mats, f, converged, iterations, grad_inf, retries) -> FitResult:
+    f = _clamp_tiny_negative(f)
     return FitResult(
         estimates=mats,
-        f_min=f_hat,
-        chi_square=chi2,
-        df=report.df,
+        f_min=f,
+        chi_square=(sample.n - 1) * f,
+        df=ws.report.df,
         n=sample.n,
         converged=converged,
-        iterations=nit,
+        iterations=iterations,
         grad_inf_norm=grad_inf,
-        retries_used=attempts - 1,
-        free_values=free_hat,
+        retries_used=retries,
+        free_values=ws.index.extract(mats),
         labels=ws.labels,
     )
+
+
+def _by_rows(batched, failed, *stacks) -> list:
+    """batched(*stacks), a list with one entry per row of the stacks.
+
+    np.linalg raises LinAlgError for a whole stack when one of its
+    matrices is not positive definite. Then each half of the stack runs
+    on its own, down to single rows, and failed(*row) stands in for a row
+    that raises; a few failing rows in a stack of R cost O(log R) extra
+    calls. A row's numbers do not depend on the stack it is in, so either
+    way it gets the same bits.
+    """
+    try:
+        return batched(*stacks)
+    except np.linalg.LinAlgError:
+        if len(stacks[0]) == 1:
+            return [failed(*stacks)]
+    half = len(stacks[0]) // 2
+    return _by_rows(batched, failed, *(s[:half] for s in stacks)) + _by_rows(
+        batched, failed, *(s[half:] for s in stacks)
+    )
+
+
+def _evaluations(ws: _Workspace, z, sample_cov, xbar, lndet_s) -> list:
+    """(F, gradient) per row, or None where either is not finite."""
+    f, g = _discrepancy_and_gradient(ws, z, sample_cov, xbar, lndet_s)
+    finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
+    return [(float(fi), gi) if ok else None for fi, gi, ok in zip(f, g, finite)]
+
+
+def _inverse_fisher(info: np.ndarray) -> list:
+    """Inverses of a stack of Fisher matrices, by their Cholesky factors."""
+    inv_lower = np.linalg.inv(np.linalg.cholesky(info))
+    return list(_mT(inv_lower) @ inv_lower)
+
+
+def _scaled_identity(info: np.ndarray) -> np.ndarray:
+    """Stand-in inverse for one Fisher matrix (1, t, t) that is not positive definite."""
+    t = info.shape[-1]
+    mean_curvature = np.trace(info[0]) / t
+    return np.eye(t) / (mean_curvature if mean_curvature > 0 else 1.0)
+
+
+def fit_many(spec: ModelSpec, samples, options) -> list:
+    """Fit spec to each sample, all samples in lockstep.
+
+    options holds one FitOptions per sample. Returns one entry per
+    sample: its FitResult, or the SmmError its fit raised. Each sample
+    runs the algorithm of fit on its own, but every round of the loop
+    gathers the pending requests of all unfinished fits into one stacked
+    evaluation of F and its gradient and one stacked Fisher information,
+    so numpy's per-call cost is paid once per round, not once per sample.
+    A fit leaves the rounds when it finishes, and its restarts run inside
+    them. The rounds run with numpy's floating-point warnings off: a
+    trial that overflows is rejected, not reported.
+    """
+    ws = _workspace(spec)
+    if not ws.report.is_valid:
+        raise InvalidModelError(ws.report)
+    if len(options) != len(samples):
+        raise SmmError(BAD_INPUT, f"{len(samples)} samples but {len(options)} FitOptions")
+    results: list = [None] * len(samples)
+    covs = np.zeros((len(samples), spec.p, spec.p))
+    means = np.zeros((len(samples), spec.p))
+    lndets = np.zeros(len(samples))
+    steps, requests = {}, {}
+
+    def advance(i, reply):
+        try:
+            requests[i] = steps[i].send(reply)
+            return
+        except StopIteration as done:
+            results[i] = done.value
+        except SmmError as err:
+            results[i] = err
+        del steps[i]
+        requests.pop(i, None)
+
+    for i, (sample, opts) in enumerate(zip(samples, options)):
+        try:
+            if sample.p != spec.p:
+                raise SmmError(
+                    DIMENSION_MISMATCH,
+                    f"sample has {sample.p} variables but the model expects {spec.p}",
+                )
+            lndets[i] = _sample_lndet(sample)
+        except SmmError as err:
+            results[i] = err
+            continue
+        covs[i], means[i] = sample.cov, sample.mean
+        steps[i] = _fit_steps(ws, sample, lndets[i], opts)
+
+    evaluate = functools.partial(_evaluations, ws)
+
+    def rejected(*row):
+        return None
+
+    # the samples of the last round's evaluations, stacked
+    stacked_for, stacked = None, None
+    with np.errstate(all="ignore"):
+        for i in list(steps):
+            advance(i, None)
+        while requests:
+            asked = {"eval": ([], []), "fisher": ([], [])}
+            for i, (kind, z) in requests.items():
+                asked[kind][0].append(i)
+                asked[kind][1].append(z)
+            replies = []
+            evals, z = asked["eval"]
+            if evals:
+                if evals != stacked_for:
+                    rows = np.array(evals)
+                    stacked_for, stacked = evals, (covs[rows], means[rows], lndets[rows])
+                replies += zip(evals, _by_rows(evaluate, rejected, np.array(z), *stacked))
+            fishers, z = asked["fisher"]
+            if fishers:
+                info = ws.fisher_information(ws.to_raw(np.array(z)))
+                replies += zip(fishers, _by_rows(_inverse_fisher, _scaled_identity, info))
+            for i, reply in replies:
+                advance(i, reply)
+    return results
+
+
+def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:
+    """Minimize the ML discrepancy over the free parameters of spec.
+
+    Runs the Fisher-seeded BFGS loop from starts scaled to the sample
+    (see _start_values), retrying from jittered starts when an attempt
+    fails to converge. The best attempt is always reported;
+    converged=False survives into the result rather than raising, so
+    Monte Carlo callers can count failures. This is fit_many on one
+    sample, and gives the same bits as that sample in any batch.
+    """
+    (result,) = fit_many(spec, [sample], [options])
+    if isinstance(result, SmmError):
+        raise result
+    return result

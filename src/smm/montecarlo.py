@@ -3,8 +3,14 @@
 run_study draws R samples per condition, fits the model to each, and
 aggregates the converged fits. Each replication owns a seed derived from
 (master, condition_index, replication), so the stream a replication sees
-does not depend on scheduling; summaries are byte-identical whether the
-study runs on one process or eight.
+does not depend on scheduling. A condition's replications are drawn in
+order and reduced to their sample moments (the datasets are not kept, so
+memory stays O(R p^2)), then fitted together by estimator.fit_many, which
+steps them in lockstep. With max_parallelism > 1 each worker process takes
+one contiguous block of replications and fits it the same way. A
+replication's result does not depend on the batch it was fitted in, so
+summaries are byte-identical whether the study runs on one process or
+eight.
 
 The embedded REFERENCE_TABLE holds benchmark Monte Carlo results (two
 population models at three sample sizes, 2,000 replications each) that
@@ -30,7 +36,7 @@ from .errors import (
     MISSING_REFERENCE_CONDITION,
     InvalidModelError,
 )
-from .estimator import FitOptions, FitResult, fit
+from .estimator import FitOptions, FitResult, fit_many
 from .model_spec import ModelSpec, validate
 from .moments import compute_moments
 from .simulate import PopulationModel, Seed, draw_sample
@@ -159,16 +165,20 @@ class ComparisonReport:
         return all(row.passed for row in self.rows if row.passed is not None)
 
 
-def _replicate_once(population, spec, fit_options, master, condition_index, n, rep):
-    """One replication: derive seed, draw, fit. Returns None on a hard error."""
-    rep_seed = rng.derive_seed(master, condition_index, rep)
-    data = draw_sample(population, n, Seed(rep_seed))
-    sample = compute_moments(data)
-    options = replace(fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER))
-    try:
-        return fit(spec, sample, options)
-    except SmmError:
-        return None
+def _replicate_block(population, spec, fit_options, master, condition_index, n, reps):
+    """Replications reps of one condition: derive seeds, draw, fit in lockstep.
+
+    Returns a FitResult per replication, or None where the fit raised.
+    """
+    samples, options = [], []
+    for rep in reps:
+        rep_seed = rng.derive_seed(master, condition_index, rep)
+        samples.append(compute_moments(draw_sample(population, n, Seed(rep_seed))))
+        options.append(replace(fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER)))
+    return [
+        None if isinstance(result, SmmError) else result
+        for result in fit_many(spec, samples, options)
+    ]
 
 
 _POOL_STATE: dict = {}
@@ -179,9 +189,8 @@ def _init_pool(population, spec, fit_options, master):
 
 
 def _pool_task(task):
-    condition_index, n, rep = task
-    population, spec, fit_options, master = _POOL_STATE["args"]
-    return _replicate_once(population, spec, fit_options, master, condition_index, n, rep)
+    condition_index, n, reps = task
+    return _replicate_block(*_POOL_STATE["args"], condition_index, n, reps)
 
 
 def aggregate(results: list, total_replications: int | None = None) -> ReplicationSummary:
@@ -219,10 +228,11 @@ def aggregate(results: list, total_replications: int | None = None) -> Replicati
 def run_study(config: StudyConfig) -> StudySummary:
     """Run all conditions of a study and summarize each.
 
-    Replications are independent given their derived seeds, so they are
-    farmed out to a process pool when max_parallelism > 1; results are
-    collected in replication order either way, which makes the summary
-    independent of scheduling.
+    Replications are independent given their derived seeds. A condition's
+    replications are fitted in lockstep (estimator.fit_many); when
+    max_parallelism > 1 they are split into one contiguous block per
+    worker of a process pool. Results are collected in replication order
+    either way, which makes the summary independent of scheduling.
     """
     report = validate(config.spec)
     if not report.is_valid:
@@ -251,17 +261,17 @@ def run_study(config: StudyConfig) -> StudySummary:
                 initargs=(config.population, config.spec, config.fit_options, master),
             )
         for condition_index, n in enumerate(config.sample_sizes):
-            tasks = [(condition_index, n, rep) for rep in range(config.replications)]
             if pool is None:
-                results = [
-                    _replicate_once(
-                        config.population, config.spec, config.fit_options, master, *task
-                    )
-                    for task in tasks
-                ]
+                results = _replicate_block(
+                    config.population, config.spec, config.fit_options, master,
+                    condition_index, n, range(config.replications),
+                )
             else:
-                chunk = max(1, config.replications // (4 * workers))
-                results = list(pool.map(_pool_task, tasks, chunksize=chunk))
+                bounds = [config.replications * k // workers for k in range(workers + 1)]
+                blocks = [
+                    (condition_index, n, range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b
+                ]
+                results = [r for block in pool.map(_pool_task, blocks) for r in block]
             fitted = [r for r in results if r is not None]
             if not any(r.converged for r in fitted):
                 raise SmmError(
@@ -281,9 +291,13 @@ def run_study(config: StudyConfig) -> StudySummary:
 
 
 def _mean_row(n, quantity, artifact, paper_mean, paper_sd, r_eff):
-    se = paper_sd / np.sqrt(r_eff) if paper_sd > 0 else 0.0
+    # The printed SD may understate the true one by up to the rounding (for
+    # lambda[x1] of model1 at n=900 it prints as 0.01 and measures 0.0134),
+    # which at small R made the gate about 3 true SEs wide. The SE uses the
+    # largest SD that prints as paper_sd.
+    se = (paper_sd + REFERENCE_ROUNDING) / np.sqrt(r_eff)
     deviation = artifact - paper_mean
-    z = deviation / se if se > 0 else None
+    z = deviation / se
     tolerance = max(4.0 * se, REFERENCE_ROUNDING)
     return ComparisonRow(
         n=n,
@@ -321,8 +335,10 @@ def compare_to_reference(
     """Compare a study summary against a reference block.
 
     Mean quantities are gated: a loading or factor-mean row passes when
-    its deviation is within max(4 * SD/sqrt(R), 0.005), the second term
-    being half an ulp of the reference's printed precision. Chi-square
+    its deviation is within max(4 * (SD + 0.005)/sqrt(R), 0.005), where
+    0.005 is half an ulp of the reference's printed precision: SD + 0.005
+    is the largest SD that prints as the reference's, and the floor is the
+    rounding of the reference mean itself. Its z-score uses the same SE. Chi-square
     means use max(4 * SD/sqrt(R), 1% of the reference value), absorbing
     the n vs n-1 statistic convention. SD rows carry z-scores (scaled by
     SD/sqrt(2R)) but no verdict. df must match exactly.

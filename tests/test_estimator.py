@@ -12,6 +12,7 @@ from smm.estimator import (
     _start_values,
     _workspace,
     fit,
+    fit_many,
     fit_statistics,
     implied_moments,
     ml_discrepancy,
@@ -21,6 +22,7 @@ from smm.estimator import (
 )
 from smm.fixtures import (
     anchored_model_spec,
+    bundled_studies,
     reference_model_spec,
     reference_population,
     study_path,
@@ -446,6 +448,71 @@ def test_fit_rejects_overflowing_trials_quietly():
     rep_seed = rng.derive_seed(config.seed.master, 0, 84)
     sample = compute_moments(draw_sample(config.population, 300, Seed(rep_seed)))
     assert fit(config.spec, sample).converged
+
+
+def bundled_replications(name, reps):
+    """Spec, samples and per-replication options of a bundled study, as run_study makes them."""
+    config = serialize.study_from_dict(serialize.load_json(study_path(name)))
+    samples, options = [], []
+    for rep in reps:
+        rep_seed = rng.derive_seed(config.seed.master, 0, rep)
+        data = draw_sample(config.population, config.sample_sizes[0], Seed(rep_seed))
+        samples.append(compute_moments(data))
+        options.append(replace(config.fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER)))
+    return config.spec, samples, options
+
+
+def fingerprint(result):
+    return (
+        result.f_min,
+        result.free_values.tobytes(),
+        result.iterations,
+        result.retries_used,
+        result.converged,
+    )
+
+
+def assert_rows_fit_alone_alike(spec, samples, options, batch):
+    for sample, opts, row in zip(samples, options, batch):
+        assert fingerprint(row) == fingerprint(fit(spec, sample, opts))
+
+
+@pytest.mark.parametrize("name", bundled_studies())
+def test_fit_many_matches_fit_bit_for_bit(name):
+    spec, samples, options = bundled_replications(name, range(40))
+    batch = fit_many(spec, samples, options)
+    assert len(batch) == 40
+    assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_many_rejects_an_overflowing_row_quietly():
+    # replication 84 overflows exp(log psi2) in a trial, so np.linalg raises
+    # for the whole stack and that round is evaluated row by row
+    spec, samples, options = bundled_replications("table1_model2_n300", range(78, 91))
+    batch = fit_many(spec, samples, options)
+    assert all(row.converged for row in batch)
+    assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+def test_fit_many_returns_the_error_of_a_failing_row():
+    spec, samples, options = bundled_replications("table1_model1_n900", range(4))
+    values = draw_sample(reference_population("model1"), 100, Seed(91)).values.copy()
+    values[:, 2] = 5.0
+    with pytest.warns(UserWarning):
+        singular = compute_moments(Dataset(values=values, variable_names=("x1", "x2", "x3", "x4", "x5")))
+    samples.insert(2, singular)
+    options.insert(2, FitOptions())
+    batch = fit_many(spec, samples, options)
+    assert isinstance(batch[2], NotPositiveDefiniteError)
+    del samples[2], options[2], batch[2]
+    assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+def test_fit_many_needs_options_for_every_sample():
+    spec, samples, options = bundled_replications("table1_model1_n900", range(2))
+    with pytest.raises(SmmError, match="BAD_INPUT"):
+        fit_many(spec, samples, options[:1])
 
 
 def test_fit_reports_nonconvergence_instead_of_raising():

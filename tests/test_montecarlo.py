@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from smm import serialize
 from smm.errors import SmmError
 from smm.estimator import FitOptions, FitResult
-from smm.fixtures import reference_model_spec, reference_population
+from smm.fixtures import reference_model_spec, reference_population, study_path
 from smm.model_spec import ParameterMatrices
 from smm.montecarlo import (
     REFERENCE_TABLE,
@@ -216,6 +219,31 @@ def test_compare_mean_gate_uses_rounding_floor():
     row = next(r for r in report.rows if r.quantity == "lambda[x1,F1] mean")
     assert row.tolerance == pytest.approx(0.005)
     assert row.passed
+
+
+@pytest.mark.parametrize("seed", [127, 305])
+def test_compare_passes_small_studies_that_the_printed_sd_failed(seed):
+    # lambda[x1] of model1 at n=900 prints its SD as 0.01 but measures 0.0134:
+    # gated on 0.01 these 5-replication studies failed at z = 4.01 and 4.09
+    config = serialize.study_from_dict(serialize.load_json(study_path("table1_model1_n900")))
+    summary = run_study(replace(config, seed=Seed(seed), replications=5))
+    report = compare_to_reference(summary)
+    assert report.all_pass, [r for r in report.rows if r.passed is False]
+
+
+def test_compare_fails_a_mean_six_true_ses_off():
+    measured_sd, r_eff = 0.0134, 5
+    biased = 0.30 + 6.0 * measured_sd / np.sqrt(r_eff)
+    summary = reference_like_summary()
+    cond = summary.conditions[0][1]
+    parameters = dict(cond.parameters, **{"lambda[x1,F1]": (biased, measured_sd)})
+    patched = replace(
+        summary,
+        conditions=((900, replace(cond, parameters=parameters, r_effective=r_eff)),),
+        replications=r_eff,
+    )
+    row = next(r for r in compare_to_reference(patched).rows if r.quantity == "lambda[x1,F1] mean")
+    assert not row.passed
 
 
 def test_compare_sd_rows_are_informational():

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from smm import rng
 from smm.errors import SmmError, NotPositiveDefiniteError
 from smm.fixtures import reference_population
 from smm.simulate import (
@@ -153,3 +156,25 @@ def test_seed_bounds():
     with pytest.raises(ValueError):
         Seed(2**64)
     assert Seed(2**64 - 1).master == 2**64 - 1
+
+
+# Golden SHA-256 digests of the float64 bytes. Every recorded study seed
+# depends on these streams; a change to either invalidates them all.
+PINNED_STREAMS = {
+    "rng.normals": (
+        lambda: rng.normals(99, (400, 5)),
+        "9191a8294232201088fa1bc433dd20f26175d0e3c123c9175e2549ea18b091d0",
+    ),
+    "draw_sample": (
+        lambda: draw_sample(one_factor_population(means_up=False), 400, Seed(99)).values,
+        "e758e228d3fc50dd6c89093a47de53ed288832fa3ceb3080b2304ba07f007bef",
+    ),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(PINNED_STREAMS))
+def test_sampling_stream_is_pinned(stream):
+    draw, digest = PINNED_STREAMS[stream]
+    values = draw()
+    assert values.dtype == np.float64 and values.shape == (400, 5)
+    assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest
