@@ -43,8 +43,8 @@ per-call overhead, so a stacked round costs little more than a single
 one. fit is fit_many on one sample. Every stacked operation (matmul,
 cholesky, solve, inv, sums over trailing axes) gives each row the same
 bits as it would alone, so a result does not depend on the batch it was
-fitted in. On a 2-vCPU x86 VM a lone fit takes about 4-13 ms; in a batch
-of 500 the bundled designs cost about 1-6 ms per fit.
+fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes about
+4-13 ms, and in a batch of 500 about 1-3 ms per fit.
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ class _Workspace:
         # the scatter as a matrix: parameter k collects the cells it fills
         self.gather = np.zeros((self.t, self.template.size))
         self.gather[self.src, self.slots] = 1.0
-        # its adjoint restricted to the filled cells: the gradient of a
-        # parameter sums the derivatives of the (at most two) cells it fills
-        self.collect = np.zeros((self.slots.size, self.t))
-        self.collect[np.arange(self.slots.size), self.src] = 1.0
+        # its adjoint on the filled cells: the gradient of a parameter sums
+        # the derivatives of the (at most two) cells it fills
+        self.collect = np.ascontiguousarray(self.gather[:, self.slots].T)
 
         matrix = np.array([e.matrix for e in self.index.entries], dtype=object)
         self.rows = np.array([e.row for e in self.index.entries], dtype=int)

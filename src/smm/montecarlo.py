@@ -36,7 +36,7 @@ from .errors import (
     MISSING_REFERENCE_CONDITION,
     InvalidModelError,
 )
-from .estimator import FitOptions, FitResult, fit_many
+from .estimator import FitOptions, fit_many
 from .model_spec import ModelSpec, validate
 from .moments import compute_moments
 from .simulate import PopulationModel, Seed, draw_sample
@@ -291,9 +291,9 @@ def run_study(config: StudyConfig) -> StudySummary:
 
 
 def _mean_row(n, quantity, artifact, paper_mean, paper_sd, r_eff):
-    # The printed SD may understate the true one by up to the rounding (for
-    # lambda[x1] of model1 at n=900 it prints as 0.01 and measures 0.0134),
-    # which at small R made the gate about 3 true SEs wide. The SE uses the
+    # The printed SD may understate the true one by up to the rounding
+    # (lambda[x1] of model1 at n=900 prints as 0.01 and measures 0.0134, so
+    # a gate of 4 printed SEs is about 3 true ones), so the SE uses the
     # largest SD that prints as paper_sd.
     se = (paper_sd + REFERENCE_ROUNDING) / np.sqrt(r_eff)
     deviation = artifact - paper_mean
