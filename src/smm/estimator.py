@@ -180,7 +180,8 @@ class _Workspace:
 
         matrix = np.array([e.matrix for e in self.index.entries], dtype=object)
         self.rows = np.array([e.row for e in self.index.entries], dtype=int)
-        self.log_mask = matrix == "psi2"
+        # unique variances, optimized as logs
+        self.log_pos = np.flatnonzero(matrix == "psi2")
         self.mean_pos = np.flatnonzero((matrix == "nu") | (matrix == "theta"))
         self.theta_mask = matrix[self.mean_pos] == "theta"
         # free loadings and unique variances that take the default start
@@ -188,7 +189,7 @@ class _Workspace:
             [_cell(spec, e).value is None for e in self.index.entries], dtype=bool
         )
         self.default_lambda = no_start & (matrix == "lambda")
-        self.default_psi2 = no_start & self.log_mask
+        self.default_psi2 = no_start & (matrix == "psi2")
         self.start_values = self.index.starting_values()
         self.lower = np.tri(p, dtype=bool)
         for array in vars(self).values():
@@ -201,17 +202,17 @@ class _Workspace:
 
     def to_unconstrained(self, values: np.ndarray) -> np.ndarray:
         z = np.array(values, dtype=float)
-        if np.any(z[self.log_mask] <= 0):
+        if np.any(z[self.log_pos] <= 0):
             raise SmmError(
                 NONPOSITIVE_UNIQUE_VARIANCE,
                 "unique variances must be > 0 on the raw scale",
             )
-        z[self.log_mask] = np.log(z[self.log_mask])
+        z[self.log_pos] = np.log(z[self.log_pos])
         return z
 
     def to_raw(self, z: np.ndarray) -> np.ndarray:
         v = np.array(z, dtype=float)
-        v[..., self.log_mask] = np.exp(v[..., self.log_mask])
+        v[..., self.log_pos] = np.exp(v[..., self.log_pos])
         return v
 
     def build(self, values: np.ndarray) -> tuple[ParameterMatrices, np.ndarray, np.ndarray]:
@@ -270,7 +271,7 @@ class _Workspace:
         d_mu[..., theta, :] = ul_t
         d_mu *= np.sqrt(2.0)
         m = self.gather @ cells
-        m[..., self.log_mask, :] *= values[..., self.log_mask, None]
+        m[..., self.log_pos, :] *= values[..., self.log_pos, None]
         return m @ _mT(m)
 
 
@@ -544,13 +545,14 @@ def _minimize_once(z, f_rounding: float, options: FitOptions):
             return None
         alpha = 1.0
         while True:
-            trial = yield "eval", z + alpha * direction
+            z_trial = z + alpha * direction
+            trial = yield "eval", z_trial
             if trial is None:
                 alpha *= 0.5
             elif (trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope) or (
                 trial[0] <= f + f_rounding and np.abs(trial[1]).max() <= 0.5 * g_low
             ):
-                return z + alpha * direction, *trial
+                return z_trial, *trial
             else:
                 shrink = -alpha * slope / (2.0 * (trial[0] - f - alpha * slope))
                 alpha *= min(max(shrink, 0.1), 0.5)
