@@ -28,7 +28,7 @@ import numpy as np
 from . import fixtures, serialize
 from .errors import SmmError, BAD_INPUT, DIVISION_BY_NEAR_ZERO_LOADING
 from .estimator import fit
-from .model_spec import DEFAULT_STARTS, fixed, free
+from .model_spec import ParameterIndex, fixed, free
 from .moments import compute_moments
 from .montecarlo import compare_to_reference, run_study
 from .simulate import Seed, draw_sample
@@ -48,30 +48,6 @@ EXIT_COMPARISON_FAILED = 3
 def _write_json(path: str | None, doc: dict) -> None:
     if path:
         Path(path).write_text(serialize.canonical_json(doc))
-
-
-def _numeric_loadings(spec):
-    """Loading values as plain numbers: fixed values, or starts for free cells."""
-    return np.array(
-        [
-            [
-                cell.value
-                if not cell.is_free
-                else cell.start(DEFAULT_STARTS["lambda"])
-                for cell in row
-            ]
-            for row in spec.loadings
-        ]
-    )
-
-
-def _numeric_intercepts(spec):
-    return np.array(
-        [
-            cell.value if not cell.is_free else cell.start(DEFAULT_STARTS["nu"])
-            for cell in spec.intercepts
-        ]
-    )
 
 
 def _print_fit(result) -> None:
@@ -102,8 +78,8 @@ def cmd_means(args) -> int:
     spec = serialize.model_from_dict(serialize.load_json(args.model))
     data = serialize.read_csv(args.data)
     sample = compute_moments(data)
-    lam = _numeric_loadings(spec)
-    nu = _numeric_intercepts(spec)
+    base = ParameterIndex(spec).base_matrices()
+    lam, nu = base.loadings, base.intercepts
     theta = factor_means_ls(lam, sample.mean, nu)
     print("least-squares factor means:")
     for name, value in zip(spec.factor_names, theta):

@@ -8,10 +8,20 @@ mean-and-covariance structure,
 which is zero exactly when the implied moments reproduce the sample
 moments, and (n - 1) F is the chi-square test statistic under the model.
 
+F is evaluated from the whitened residual. With Sigma = L L', U = L^-1,
+B = U (S - Sigma) U' and d = xbar - mu,
+
+    F = sum_i (b_i - log1p(b_i)) + |U d|^2
+
+over the eigenvalues b_i of B. Each term is nonnegative and B is formed
+from S - Sigma, so near a minimum F keeps a relative precision instead
+of being a difference of terms of the size of p and ln|S|: its error is
+about eps * sum|b_i|, and S = Sigma gives F = 0 exactly.
+
 Unique variances are optimized as logs so positivity never needs explicit
 constraints; everything else is optimized on its natural scale. The
-gradient is exact: with W = Sigma^-1, d = xbar - mu and
-G = W - W (S + d d') W, each component is
+gradient is exact: with W = Sigma^-1 = U'U and
+G = dF/dSigma = -U' B U - (W d)(W d)', each component is
 
     dF/dp_k = tr(G dSigma/dp_k) - 2 d' W dmu/dp_k
 
@@ -76,17 +86,10 @@ OPTIMIZER_GTOL = 1e-8
 FISHER_REFRESH = 5
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
-
-
-def _clamp_tiny_negative(f: float) -> float:
-    """Zero out rounding noise in a mathematically nonnegative discrepancy.
-
-    At an exact fit the formula evaluates to 0 plus accumulated rounding
-    of order machine epsilon, either sign. Only that noise band is
-    clamped; a substantially negative value would mean a broken formula
-    and is passed through for tests to catch.
-    """
-    return 0.0 if -1e-10 < f < 0.0 else f
+# The rounding of F: its error is about eps * sum|b_i| over the eigenvalues
+# b_i of the whitened residual, and at the minima of the bundled designs
+# sum|b_i| is at most 1.8. A line search gives up once it asks for less.
+F_ROUNDING = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -305,43 +308,44 @@ def _workspace(spec: ModelSpec) -> _Workspace:
 
 def _discrepancy_terms(
     lower: np.ndarray,
+    sigma: np.ndarray,
     mu: np.ndarray,
     sample_cov: np.ndarray,
     xbar: np.ndarray,
-    lndet_s,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ML discrepancy from the Cholesky factor of Sigma, with W = Sigma^-1 and W d.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F from the whitened residuals, with U = L^-1, B = U (S - Sigma) U' and U d.
 
-    Every argument may carry the same leading axes. The gradient reuses W
-    and W d, so F is computed one way on every path.
+    lower is the Cholesky factor L of sigma. Every argument may carry the
+    same leading axes. The gradient reuses U, B and U d, so F is computed
+    one way on every path.
     """
     lead, p = lower.shape[:-2], lower.shape[-1]
     rhs = np.empty(lead + (p, 2 * p + 1))
-    rhs[..., :p] = sample_cov
+    rhs[..., :p] = sample_cov - sigma
     rhs[..., p] = xbar - mu
     rhs[..., p + 1 :] = _identity(p)
     y = np.linalg.solve(lower, rhs)
-    y_s, y_d, y_i = y[..., :p], y[..., p], y[..., p + 1 :]
-    lndet = 2.0 * np.log(lower.diagonal(0, -2, -1)).sum(axis=-1)
-    trace = (y_s * y_i).reshape(lead + (p * p,)).sum(axis=-1)
-    f = lndet - lndet_s + trace - p + (y_d * y_d).sum(axis=-1)
-    y_i_t = _mT(y_i)
-    return f, y_i_t @ y_i, (y_i_t @ y_d[..., None])[..., 0]
+    u, ud = y[..., p + 1 :], y[..., p]
+    b = y[..., :p] @ _mT(u)
+    eig = np.linalg.eigvalsh(b)
+    f = (eig - np.log1p(eig)).sum(axis=-1) + (ud * ud).sum(axis=-1)
+    return f, u, b, ud
 
 
 def _discrepancy_and_gradient(
-    ws: _Workspace, z: np.ndarray, sample_cov, xbar, lndet_s
+    ws: _Workspace, z: np.ndarray, sample_cov, xbar
 ) -> tuple[np.ndarray, np.ndarray]:
     """F (rows,) and its exact gradient (rows, t) in unconstrained coordinates.
 
     z is a stack of rows (rows, t), each with its own sample: sample_cov
-    (rows, p, p), xbar (rows, p) and lndet_s (rows,). Raises
-    np.linalg.LinAlgError when the implied covariance of any row is not
-    positive definite.
+    (rows, p, p) and xbar (rows, p). Raises np.linalg.LinAlgError when the
+    implied covariance of any row is not positive definite.
     """
     mats, sigma, mu = ws.build(ws.to_raw(z))
-    f, w, wd = _discrepancy_terms(np.linalg.cholesky(sigma), mu, sample_cov, xbar, lndet_s)
-    g = w - w @ sample_cov @ w - wd[:, :, None] * wd[:, None, :]
+    f, u, b, ud = _discrepancy_terms(np.linalg.cholesky(sigma), sigma, mu, sample_cov, xbar)
+    u_t = _mT(u)
+    wd = (u_t @ ud[..., None])[..., 0]
+    g = -(u_t @ b @ u) - wd[:, :, None] * wd[:, None, :]
     lam, lam_t, rows = mats.loadings, _mT(mats.loadings), z.shape[0]
     # dF/d(cell) for every cell of the layout; psi2 cells carry the chain
     # rule through psi2 = exp(z)
@@ -360,10 +364,6 @@ def _discrepancy_and_gradient(
     # adjoint of the scatter in build: a phi value that fills two cells
     # collects the derivative of both
     return f, d_full[:, ws.slots] @ ws.collect
-
-
-def _sample_lndet(sample: SampleMoments) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(cholesky(sample.cov)))))
 
 
 def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
@@ -395,11 +395,10 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
     """
     if implied.sigma.shape[0] != sample.p:
         raise SmmError(DIMENSION_MISMATCH, "implied moments and sample have different p")
-    lndet_s = _sample_lndet(sample)
-    f, _, _ = _discrepancy_terms(
-        cholesky(implied.sigma), implied.mu_model, sample.cov, sample.mean, lndet_s
-    )
-    return _clamp_tiny_negative(float(f))
+    cholesky(sample.cov)
+    lower = cholesky(implied.sigma)
+    f = _discrepancy_terms(lower, implied.sigma, implied.mu_model, sample.cov, sample.mean)[0]
+    return float(f)
 
 
 def to_unconstrained(spec: ModelSpec, free_values: np.ndarray) -> np.ndarray:
@@ -428,9 +427,9 @@ def numeric_gradient(
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
     z = ws.to_unconstrained(values)
-    lndet_s = np.array([_sample_lndet(sample)])
+    cholesky(sample.cov)  # raises unless the sample covariance is positive definite
     try:
-        _, grad = _discrepancy_and_gradient(ws, z[None], sample.cov[None], sample.mean[None], lndet_s)
+        _, grad = _discrepancy_and_gradient(ws, z[None], sample.cov[None], sample.mean[None])
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("implied covariance not positive definite") from None
     return grad[0]
@@ -510,7 +509,7 @@ class _AttemptFailed(Exception):
     pass
 
 
-def _minimize_once(z, f_rounding: float, options: FitOptions):
+def _minimize_once(z, options: FitOptions):
     """BFGS from z on F, its inverse Hessian seeded from the Fisher information.
 
     A generator: it yields ("eval", z) to ask for F and its gradient at z,
@@ -526,17 +525,11 @@ def _minimize_once(z, f_rounding: float, options: FitOptions):
     along a fresh Fisher direction accepts no trial.
 
     The line search accepts a trial that lowers F strictly and meets the
-    Armijo condition. Near a minimum F stops resolving the decrease (on
-    anchor_x1 the curvature along one loading is near 1e3, so a gradient
-    of 1e-6 leaves about 1e-15 to gain), so it also accepts a trial whose
-    F is equal to rounding if its largest gradient component is at most
-    half the lowest so far. Each such step halves that record, so they
-    are few; accepting equal F without the condition can cycle until
-    max_iterations. A rejected trial shortens the step to the minimizer
+    Armijo condition. A rejected trial shortens the step to the minimizer
     of the quadratic through F, the slope and the trial, within [0.1, 0.5]
-    of the step; a trial that is answered with None halves it. After its
-    first trial the search gives up once the decrease it asks for is below
-    f_rounding, the rounding of F.
+    of the step, and one answered with None halves it. After its first
+    trial the search gives up once the decrease it asks for is below
+    F_ROUNDING.
     """
 
     def line_search(direction):
@@ -549,14 +542,12 @@ def _minimize_once(z, f_rounding: float, options: FitOptions):
             trial = yield "eval", z_trial
             if trial is None:
                 alpha *= 0.5
-            elif (trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope) or (
-                trial[0] <= f + f_rounding and np.abs(trial[1]).max() <= 0.5 * g_low
-            ):
+            elif trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope:
                 return z_trial, *trial
             else:
                 shrink = -alpha * slope / (2.0 * (trial[0] - f - alpha * slope))
                 alpha *= min(max(shrink, 0.1), 0.5)
-            if -alpha * slope <= f_rounding:
+            if -alpha * slope <= F_ROUNDING:
                 return None
 
     start = yield "eval", z
@@ -564,7 +555,7 @@ def _minimize_once(z, f_rounding: float, options: FitOptions):
         raise _AttemptFailed("no finite discrepancy at the start")
     f, g = start
     iterations, h_inv, seeded_at = 0, None, -1
-    g_inf = g_low = np.abs(g).max()
+    g_inf = np.abs(g).max()
     while g_inf > OPTIMIZER_GTOL and iterations < options.max_iterations:
         if h_inv is None or (iterations % FISHER_REFRESH == 0 and seeded_at != iterations):
             h_inv, seeded_at = (yield "fisher", z), iterations
@@ -584,13 +575,12 @@ def _minimize_once(z, f_rounding: float, options: FitOptions):
             h_inv = h_inv - cross - cross.T + ((sy + y @ hy) / sy**2) * np.multiply.outer(s, s)
         z, g = z_new, g_new
         g_inf = np.abs(g).max()
-        g_low = min(g_low, g_inf)
         iterations += 1
     grad_inf = float(g_inf)
     return z, f, grad_inf, iterations, grad_inf <= options.gradient_tolerance
 
 
-def _fit_steps(ws: _Workspace, sample: SampleMoments, lndet_s: float, options: FitOptions):
+def _fit_steps(ws: _Workspace, sample: SampleMoments, options: FitOptions):
     """The fit of one sample as a generator of _minimize_once's requests.
 
     Runs the attempts of fit in turn and returns the FitResult; raises
@@ -599,11 +589,9 @@ def _fit_steps(ws: _Workspace, sample: SampleMoments, lndet_s: float, options: F
     v0 = _start_values(ws, sample, options.warm_start_factor_means)
     if ws.t == 0:
         mats, sigma, mu = ws.build(np.empty(0))
-        f0, _, _ = _discrepancy_terms(cholesky(sigma), mu, sample.cov, sample.mean, lndet_s)
+        f0 = _discrepancy_terms(cholesky(sigma), sigma, mu, sample.cov, sample.mean)[0]
         return _result(ws, sample, mats, float(f0), True, 0, 0.0, 0)
 
-    # the terms of F are of the size of p and ln|S|
-    f_rounding = np.finfo(float).eps * (sample.p + abs(lndet_s))
     best = None
     last_error: Exception | None = None
     attempts = 0
@@ -619,7 +607,7 @@ def _fit_steps(ws: _Workspace, sample: SampleMoments, lndet_s: float, options: F
             v_start = np.where(v0 != 0.0, v0 * (1.0 + noise), noise)
         try:
             z_start = ws.to_unconstrained(np.asarray(v_start, dtype=float))
-            candidate = yield from _minimize_once(z_start, f_rounding, options)
+            candidate = yield from _minimize_once(z_start, options)
         except (_AttemptFailed, SmmError) as err:
             last_error = err
             continue
@@ -638,7 +626,6 @@ def _fit_steps(ws: _Workspace, sample: SampleMoments, lndet_s: float, options: F
 
 
 def _result(ws, sample, mats, f, converged, iterations, grad_inf, retries) -> FitResult:
-    f = _clamp_tiny_negative(f)
     return FitResult(
         estimates=mats,
         f_min=f,
@@ -675,9 +662,9 @@ def _by_rows(batched, failed, *stacks) -> list:
     )
 
 
-def _evaluations(ws: _Workspace, z, sample_cov, xbar, lndet_s) -> list:
+def _evaluations(ws: _Workspace, z, sample_cov, xbar) -> list:
     """(F, gradient) per row, or None where either is not finite."""
-    f, g = _discrepancy_and_gradient(ws, z, sample_cov, xbar, lndet_s)
+    f, g = _discrepancy_and_gradient(ws, z, sample_cov, xbar)
     finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
     return [(float(fi), gi) if ok else None for fi, gi, ok in zip(f, g, finite)]
 
@@ -716,7 +703,6 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
     results: list = [None] * len(samples)
     covs = np.zeros((len(samples), spec.p, spec.p))
     means = np.zeros((len(samples), spec.p))
-    lndets = np.zeros(len(samples))
     steps, requests = {}, {}
 
     def advance(i, reply):
@@ -737,12 +723,13 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                     DIMENSION_MISMATCH,
                     f"sample has {sample.p} variables but the model expects {spec.p}",
                 )
-            lndets[i] = _sample_lndet(sample)
+            # a sample covariance that is not positive definite fails its row
+            cholesky(sample.cov)
         except SmmError as err:
             results[i] = err
             continue
         covs[i], means[i] = sample.cov, sample.mean
-        steps[i] = _fit_steps(ws, sample, lndets[i], opts)
+        steps[i] = _fit_steps(ws, sample, opts)
 
     evaluate = functools.partial(_evaluations, ws)
 
@@ -764,7 +751,7 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
             if evals:
                 if evals != stacked_for:
                     rows = np.array(evals)
-                    stacked_for, stacked = evals, (covs[rows], means[rows], lndets[rows])
+                    stacked_for, stacked = evals, (covs[rows], means[rows])
                 replies += zip(evals, _by_rows(evaluate, rejected, np.array(z), *stacked))
             fishers, z = asked["fisher"]
             if fishers:

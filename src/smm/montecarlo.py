@@ -6,8 +6,9 @@ aggregates the converged fits. Each replication owns a seed derived from
 does not depend on scheduling. A condition's replications are drawn in
 order and reduced to their sample moments (the datasets are not kept, so
 memory stays O(R p^2)), then fitted together by estimator.fit_many, which
-steps them in lockstep. With max_parallelism > 1 each worker process takes
-one contiguous block of replications and fits it the same way. A
+steps them in lockstep. With max_parallelism > 1 and enough replications
+(at least MIN_BLOCK per worker) each worker process takes one contiguous
+block of replications and fits it the same way. A
 replication's result does not depend on the batch it was fitted in, so
 summaries are byte-identical whether the study runs on one process or
 eight.
@@ -40,6 +41,13 @@ from .estimator import FitOptions, fit_many
 from .model_spec import ModelSpec, validate
 from .moments import compute_moments
 from .simulate import PopulationModel, Seed, draw_sample
+
+# Fewest replications a pool worker is given. A lockstep block is cheap,
+# so a pool pays only for large blocks. On a 2-vCPU VM (table1_model1_n900,
+# table1_model2_n150 and anchor_x1; medians of 7-9 alternated runs),
+# parallelism 2 against 1 ran at 0.65-1.17x at R = 25-32, 0.99-1.35x at
+# R = 48-50, 1.10-1.34x at R = 64 and 1.31-1.40x at R = 100.
+MIN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -231,8 +239,10 @@ def run_study(config: StudyConfig) -> StudySummary:
     Replications are independent given their derived seeds. A condition's
     replications are fitted in lockstep (estimator.fit_many); when
     max_parallelism > 1 they are split into one contiguous block per
-    worker of a process pool. Results are collected in replication order
-    either way, which makes the summary independent of scheduling.
+    worker of a process pool of min(max_parallelism, R // MIN_BLOCK)
+    workers, and no pool runs when that is 1. Results are collected in
+    replication order either way, which makes the summary independent of
+    scheduling.
     """
     report = validate(config.spec)
     if not report.is_valid:
@@ -250,7 +260,7 @@ def run_study(config: StudyConfig) -> StudySummary:
         raise SmmError(BAD_INPUT, "every sample size must be >= 2")
 
     master = config.seed.master
-    workers = max(1, int(config.max_parallelism))
+    workers = min(int(config.max_parallelism), config.replications // MIN_BLOCK)
     conditions = []
     pool = None
     try:

@@ -1,14 +1,16 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smm import rng, serialize
+from smm import estimator, rng, serialize
 from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
     FitOptions,
+    ImpliedMoments,
     _start_values,
     _workspace,
     fit,
@@ -133,6 +135,15 @@ def test_discrepancy_nonnegative_at_random_points():
         assert ml_discrepancy(sample, implied) >= 0.0
 
 
+def test_discrepancy_resolves_near_an_exact_fit():
+    # S = Sigma + diag(delta): F = sum(delta - log1p(delta)), about 2.75e-17,
+    # far below the rounding of ln|Sigma| - ln|S| + tr(S W) - p
+    delta = 1e-9 * np.arange(1.0, 6.0)
+    sample = SampleMoments(n=10, mean=np.zeros(5), cov=np.diag(1.0 + delta))
+    f = ml_discrepancy(sample, ImpliedMoments(sigma=np.eye(5), mu_model=np.zeros(5)))
+    assert f == pytest.approx(np.sum(delta - np.log1p(delta)), rel=1e-6, abs=0)
+
+
 def test_discrepancy_dimension_mismatch():
     sample = SampleMoments(n=10, mean=np.zeros(2), cov=np.eye(2))
     implied = implied_moments(scalar_spec(), np.empty(0))
@@ -213,30 +224,54 @@ GRADIENT_CASES = {
 }
 
 
+def central_differences(spec, sample, z, relative_step):
+    """Half-step central differences of ml_discrepancy in unconstrained coordinates."""
+
+    def objective(z):
+        return ml_discrepancy(sample, implied_moments(spec, to_raw(spec, z)))
+
+    fd = np.empty_like(z)
+    for i in range(z.size):
+        step = relative_step * max(1.0, abs(z[i]))
+        up, down = z.copy(), z.copy()
+        up[i] += 0.5 * step
+        down[i] -= 0.5 * step
+        fd[i] = (objective(up) - objective(down)) / step
+    return fd
+
+
 @pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
 def test_gradient_matches_independent_differences(case):
     # the same half-step differences and 1e-4 bound as acceptance item 8
     spec, sample = GRADIENT_CASES[case]()
     generator = np.random.default_rng(99)
-
-    def objective(z):
-        return ml_discrepancy(sample, implied_moments(spec, to_raw(spec, z)))
-
     worst = 0.0
     for _ in range(25):
         raw = random_point(spec, generator)
         analytic = numeric_gradient(spec, raw, sample)
-        z = to_unconstrained(spec, raw)
-        fd = np.empty_like(z)
-        for i in range(z.size):
-            step = 1e-5 * max(1.0, abs(z[i]))
-            up, down = z.copy(), z.copy()
-            up[i] += 0.5 * step
-            down[i] -= 0.5 * step
-            fd[i] = (objective(up) - objective(down)) / step
+        fd = central_differences(spec, sample, to_unconstrained(spec, raw), 1e-5)
         rel = np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3))
         worst = max(worst, float(rel))
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_gradient_matches_differences_near_an_exact_fit(case):
+    # moments 1e-6 off an exact fit: the gradient is about 1e-6, and steps
+    # of 1e-7 keep truncation small, so the differences resolve it only
+    # where F itself does (measured 4e-9 relative; F with ln|S| gave 2.6e-4)
+    spec, _ = GRADIENT_CASES[case]()
+    generator = np.random.default_rng(5)
+    for _ in range(3):
+        raw = random_point(spec, generator)
+        implied = implied_moments(spec, raw)
+        k = np.arange(1.0, spec.p + 1.0)
+        sample = SampleMoments(
+            n=500, mean=implied.mu_model + 1e-6 * k, cov=implied.sigma + 1e-6 * np.diag(k)
+        )
+        analytic = numeric_gradient(spec, raw, sample)
+        fd = central_differences(spec, sample, to_unconstrained(spec, raw), 1e-7)
+        assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(analytic))
 
 
 FISHER_CASES = {
@@ -507,6 +542,12 @@ def test_fit_many_returns_the_error_of_a_failing_row():
     assert isinstance(batch[2], NotPositiveDefiniteError)
     del samples[2], options[2], batch[2]
     assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+def test_estimator_uses_no_einsum():
+    # fit_many's rows must get the same bits in any stack; einsum may pick a
+    # contraction order by operand shape, so the estimator keeps to matmul
+    assert "einsum" not in Path(estimator.__file__).read_text()
 
 
 def test_fit_many_needs_options_for_every_sample():

@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smm import serialize
+from smm import montecarlo, serialize
 from smm.errors import SmmError
 from smm.estimator import FitOptions, FitResult
 from smm.fixtures import reference_model_spec, reference_population, study_path
 from smm.model_spec import ParameterMatrices
 from smm.montecarlo import (
+    MIN_BLOCK,
     REFERENCE_TABLE,
     ReplicationSummary,
     StudyConfig,
@@ -105,10 +106,25 @@ def test_run_study_produces_sane_summary():
 
 
 def test_run_study_is_deterministic_across_parallelism():
-    base = small_config(replications=6)
+    base = small_config(replications=2 * MIN_BLOCK)
     serial = run_study(base)
-    parallel = run_study(small_config(replications=6, max_parallelism=2))
+    parallel = run_study(small_config(replications=2 * MIN_BLOCK, max_parallelism=2))
     assert canonical_json(summary_to_dict(serial)) == canonical_json(summary_to_dict(parallel))
+
+
+def test_run_study_gives_each_worker_at_least_min_block_replications(monkeypatch):
+    started = []
+
+    def no_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        raise RuntimeError("pool started")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    run_study(small_config(replications=2 * MIN_BLOCK - 1, max_parallelism=8))
+    assert started == []
+    with pytest.raises(RuntimeError, match="pool started"):
+        run_study(small_config(replications=3 * MIN_BLOCK, max_parallelism=8))
+    assert started == [3]
 
 
 def test_run_study_repeats_identically():
