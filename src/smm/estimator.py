@@ -36,11 +36,12 @@ approximation starts from the inverse of the Fisher information
 
 (Jennrich & Robinson 1969), is refreshed from it every few iterations and
 is corrected by BFGS updates in between; a backtracking Armijo search
-finishes each step. Starts are scaled to the sample (loadings at half a
-standard deviation, unique variances at half a variance), and free
-intercepts and factor means start at their least-squares values, which
-reproduce a saturated mean structure exactly. The median fit of a
-bundled design takes 15-40 iterations.
+finishes each step. A free cell with a start of its own keeps it. The
+other starts are scaled to the sample (loadings at half a standard
+deviation, unique variances at half a variance), and free intercepts and
+factor means start at their least-squares values, which reproduce a
+saturated mean structure exactly. The median fit of a bundled design
+takes 15-40 iterations.
 
 Fits run in lockstep. fit_many steps the fits of many samples (a Monte
 Carlo condition's replications) together: each fit is the same
@@ -100,8 +101,6 @@ class FitOptions:
     attempt is retried up to max_restarts times from starts jittered by
     up to jitter_fraction, drawn from seed. A fit counts as converged when
     the largest gradient component is at most gradient_tolerance.
-    warm_start_factor_means starts every free intercept and factor mean at
-    its least-squares value given the starting loadings.
     """
 
     max_iterations: int = 1000
@@ -109,7 +108,6 @@ class FitOptions:
     jitter_fraction: float = 0.2
     seed: int = 0
     gradient_tolerance: float = 1e-6
-    warm_start_factor_means: bool = True
 
 
 @dataclass(frozen=True)
@@ -136,65 +134,41 @@ class FitResult:
 
 
 class _Workspace:
-    """One flat layout of every parameter cell of a spec.
+    """The estimator's view of a spec's parameter layout (ParameterIndex).
 
-    The layout holds the blocks loadings, phi, psi2, nu and theta in that
-    order, matrices row-major, with fixed values and starts in place. A
-    raw free-parameter vector fills it through one scatter,
-    full[slots] = values[src]; a free off-diagonal phi value fills both
-    of its cells. Every evaluation path (objective and gradient, Fisher
-    information, public implied_moments, ml_discrepancy and
-    numeric_gradient) goes through build and _discrepancy_terms, so they
-    share one definition of the implied moments, including the exact
-    symmetrization of Sigma, and of F. A spec's workspace is made once
-    (see _workspace) and never modified afterwards.
+    Every evaluation path (objective and gradient, Fisher information,
+    public implied_moments, ml_discrepancy and numeric_gradient) goes
+    through build and _discrepancy_terms, so they share one definition of
+    the implied moments, including the exact symmetrization of Sigma, and
+    of F. A spec's workspace is made once (see _workspace) and never
+    modified afterwards.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.report = validate(spec)
-        self.index = ParameterIndex(spec)
-        self.labels = self.index.labels()
-        p, q = self.p, self.q = spec.p, spec.q
-        base = self.index.base_matrices()
-        blocks = (
-            base.loadings, base.factor_cov, base.unique_variances, base.intercepts, base.factor_means
-        )
-        self.template = np.concatenate([b.ravel() for b in blocks])
-        bounds = np.cumsum([0] + [b.size for b in blocks])
-        self.slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        start = dict(zip(("lambda", "phi", "psi2", "nu", "theta"), bounds))
-
-        slots, src = [], []
-        for k, e in enumerate(self.index.entries):
-            width = q if e.matrix in ("lambda", "phi") else 1
-            cells = {(e.row, e.col), (e.col, e.row)} if e.matrix == "phi" else {(e.row, e.col)}
-            for row, col in sorted(cells):
-                slots.append(start[e.matrix] + row * width + col)
-                src.append(k)
-        self.slots = np.array(slots, dtype=int)
-        self.src = np.array(src, dtype=int)
-        # the scatter as a matrix: parameter k collects the cells it fills
-        self.gather = np.zeros((self.t, self.template.size))
-        self.gather[self.src, self.slots] = 1.0
+        self.index = index = ParameterIndex(spec)
+        self.labels = index.labels()
+        self.p, self.q = spec.p, spec.q
+        # the scatter of ParameterIndex.insert as a matrix: parameter k
+        # collects the cells it fills
+        self.gather = np.zeros((self.t, index.template.size))
+        self.gather[index.src, index.slots] = 1.0
         # its adjoint on the filled cells: the gradient of a parameter sums
         # the derivatives of the (at most two) cells it fills
-        self.collect = np.ascontiguousarray(self.gather[:, self.slots].T)
+        self.collect = np.ascontiguousarray(self.gather[:, index.slots].T)
 
-        matrix = np.array([e.matrix for e in self.index.entries], dtype=object)
-        self.rows = np.array([e.row for e in self.index.entries], dtype=int)
+        matrix = np.array([e.matrix for e in index.entries], dtype=object)
+        self.rows = np.array([e.row for e in index.entries], dtype=int)
         # unique variances, optimized as logs
         self.log_pos = np.flatnonzero(matrix == "psi2")
-        self.mean_pos = np.flatnonzero((matrix == "nu") | (matrix == "theta"))
-        self.theta_mask = matrix[self.mean_pos] == "theta"
-        # free loadings and unique variances that take the default start
-        no_start = np.array(
-            [_cell(spec, e).value is None for e in self.index.entries], dtype=bool
-        )
-        self.default_lambda = no_start & (matrix == "lambda")
-        self.default_psi2 = no_start & (matrix == "psi2")
-        self.start_values = self.index.starting_values()
-        self.lower = np.tri(p, dtype=bool)
+        # free cells without a start of their own take one from the sample
+        default = ~index.own_start
+        self.default_lambda = default & (matrix == "lambda")
+        self.default_psi2 = default & (matrix == "psi2")
+        self.default_means = np.flatnonzero(default & ((matrix == "nu") | (matrix == "theta")))
+        self.theta_mask = matrix[self.default_means] == "theta"
+        self.lower = np.tri(self.p, dtype=bool)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -224,20 +198,14 @@ class _Workspace:
         values has shape (..., t) and every result keeps its leading axes.
         The matrices are views into one new array in layout order.
         """
-        lead, p, q = values.shape[:-1], self.p, self.q
-        full = np.empty(lead + self.template.shape)
-        full[...] = self.template
-        flat = full.reshape(-1, self.template.size)
-        flat[:, self.slots] = values.reshape(flat.shape[0], self.t)[:, self.src]
-        lam, phi, psi2, nu, theta = (full[..., s] for s in self.slices)
-        lam = lam.reshape(lead + (p, q))
-        phi = phi.reshape(lead + (q, q))
-        cross = lam @ phi @ _mT(lam)
+        mats = self.index.insert(values)
+        lam, p = mats.loadings, self.p
+        cross = lam @ mats.factor_cov @ _mT(lam)
         # exactly symmetric: the upper triangle mirrors the lower one
         sigma = np.where(self.lower, cross, _mT(cross))
-        sigma.reshape(lead + (p * p,))[..., :: p + 1] += psi2
-        mu = nu + (lam @ theta[..., None])[..., 0]
-        return ParameterMatrices(lam, nu, theta, phi, psi2), sigma, mu
+        sigma.reshape(sigma.shape[:-2] + (p * p,))[..., :: p + 1] += mats.unique_variances
+        mu = mats.intercepts + (lam @ mats.factor_means[..., None])[..., 0]
+        return mats, sigma, mu
 
     def fisher_information(self, values: np.ndarray) -> np.ndarray:
         """Fisher information of F in unconstrained coordinates at raw values (..., t).
@@ -255,9 +223,9 @@ class _Workspace:
         u = np.linalg.inv(np.linalg.cholesky(sigma))
         ul = u @ mats.loadings
         u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
-        cells = np.zeros(lead + (self.template.size, p * p + p))
+        cells = np.zeros(lead + (self.index.template.size, p * p + p))
         d_sigma, d_mu = cells[..., : p * p], cells[..., p * p :]
-        lam, phi, psi2, nu, theta = self.slices
+        lam, phi, psi2, nu, theta = self.index.slices
         # dSigma/dlambda_ij = e_i (Lambda Phi)_j' + (Lambda Phi)_j e_i'
         outer = u_t[..., :, None, :, None] * ub_t[..., None, :, None, :]
         d_sigma[..., lam, :] = (outer + _mT(outer)).reshape(lead + (p * q, p * p))
@@ -288,16 +256,6 @@ def _identity(p: int) -> np.ndarray:
     eye = np.eye(p)
     eye.flags.writeable = False
     return eye
-
-
-def _cell(spec: ModelSpec, entry):
-    """The spec cell behind one ParameterIndex entry."""
-    if entry.matrix == "lambda":
-        return spec.loadings[entry.row][entry.col]
-    if entry.matrix == "phi":
-        return spec.factor_cov[entry.row][entry.col]
-    block = {"psi2": spec.unique_variances, "nu": spec.intercepts, "theta": spec.factor_means}
-    return block[entry.matrix][entry.row]
 
 
 @functools.lru_cache(maxsize=64)
@@ -361,9 +319,9 @@ def _discrepancy_and_gradient(
         ],
         axis=1,
     )
-    # adjoint of the scatter in build: a phi value that fills two cells
-    # collects the derivative of both
-    return f, d_full[:, ws.slots] @ ws.collect
+    # adjoint of the scatter in ParameterIndex.insert: a phi value that
+    # fills two cells collects the derivative of both
+    return f, d_full[:, ws.index.slots] @ ws.collect
 
 
 def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
@@ -477,31 +435,31 @@ def _sign_convention(spec: ModelSpec, mats: ParameterMatrices):
     return ParameterMatrices(lam, mats.intercepts, theta, phi, mats.unique_variances)
 
 
-def _start_values(ws: _Workspace, sample: SampleMoments, warm_start_means: bool) -> np.ndarray:
+def _start_values(ws: _Workspace, sample: SampleMoments) -> np.ndarray:
     """Raw starting values for the first attempt.
 
-    Free loadings and unique variances without a start of their own start
-    at the default times the sample standard deviation and variance of
-    their variable, so a fit of rescaled data starts at the rescaled
-    point. With warm_start_means, the free intercepts and factor means
-    then start at their least-squares values given the starting loadings:
+    A free cell with a start of its own keeps it. Free loadings and unique
+    variances without one start at the default times the sample standard
+    deviation and variance of their variable, so a fit of rescaled data
+    starts at the rescaled point. Free intercepts and factor means without
+    one then start at their least-squares values given the other starts:
     mu = nu + Lambda theta is linear in them, so one solve removes the
     part of xbar - mu they can reach, all of it when the mean structure is
-    saturated. A rank-deficient solve keeps the starts it had.
+    saturated. A rank-deficient solve keeps the default starts.
     """
-    v0 = ws.start_values.copy()
+    v0 = ws.index.starting_values()
     variances = np.diag(sample.cov)
     v0[ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[ws.rows[ws.default_lambda]])
     v0[ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[ws.rows[ws.default_psi2]]
-    if not (warm_start_means and ws.mean_pos.size):
+    if not ws.default_means.size:
         return v0
     mats, _, mu = ws.build(v0)
-    rows = ws.rows[ws.mean_pos]
+    rows = ws.rows[ws.default_means]
     design = np.eye(ws.p)[:, rows]
     design[:, ws.theta_mask] = mats.loadings[:, rows[ws.theta_mask]]
     step, _, rank, _ = np.linalg.lstsq(design, sample.mean - mu, rcond=1e-10)
-    if rank == ws.mean_pos.size:
-        v0[ws.mean_pos] += step
+    if rank == ws.default_means.size:
+        v0[ws.default_means] += step
     return v0
 
 
@@ -586,7 +544,7 @@ def _fit_steps(ws: _Workspace, sample: SampleMoments, options: FitOptions):
     Runs the attempts of fit in turn and returns the FitResult; raises
     NotPositiveDefiniteError when every attempt fails.
     """
-    v0 = _start_values(ws, sample, options.warm_start_factor_means)
+    v0 = _start_values(ws, sample)
     if ws.t == 0:
         mats, sigma, mu = ws.build(np.empty(0))
         f0 = _discrepancy_terms(cholesky(sigma), sigma, mu, sample.cov, sample.mean)[0]

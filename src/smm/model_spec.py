@@ -11,12 +11,15 @@ A model is described by five parameter blocks:
 Every cell is either fixed at a numeric value or free with an optional
 starting value. The flat free-parameter vector used by the estimator is
 defined by ParameterIndex, which fixes a deterministic ordering so that
-results serialize identically across runs.
+results serialize identically across runs, and which owns the one layout
+that maps that vector onto the matrices: insert is its scatter and
+extract its gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -271,29 +274,76 @@ class ParameterIndex:
     variances, then intercepts, then factor means. The ordering is part of
     the package's serialization contract; changing it would silently
     reorder every saved result.
+
+    The index is one flat layout of every cell of the spec, built in a
+    single pass over the cells in that order. The layout (template) holds
+    the blocks lambda, phi, psi2, nu and theta in that order (slices),
+    matrices row-major, with fixed values and starts in place. A vector of
+    free values fills it through one scatter, full[slots] = values[src]; a
+    free off-diagonal phi fills both of its cells and is read back from
+    the lower one (read). own_start flags the free cells that carry a
+    starting value of their own.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        entries = []
-        for j in range(spec.q):
-            for i in range(spec.p):
-                if spec.loadings[i][j].is_free:
-                    entries.append(IndexEntry("lambda", i, j))
-        for i in range(spec.q):
-            for j in range(i + 1):
-                if spec.factor_cov[i][j].is_free:
-                    entries.append(IndexEntry("phi", i, j))
-        for i in range(spec.p):
-            if spec.unique_variances[i].is_free:
-                entries.append(IndexEntry("psi2", i, 0))
-        for i in range(spec.p):
-            if spec.intercepts[i].is_free:
-                entries.append(IndexEntry("nu", i, 0))
-        for i in range(spec.q):
-            if spec.factor_means[i].is_free:
-                entries.append(IndexEntry("theta", i, 0))
+        p, q = spec.p, spec.q
+        xs, fs = spec.variable_names, spec.factor_names
+        bounds = list(accumulate((0, p * q, q * q, p, p, q)))
+        self.slices = tuple(map(slice, bounds[:-1], bounds[1:]))
+        lam, phi, psi2, nu, theta = bounds[:-1]
+        # every cell in contract order: its entry, the cell, its layout
+        # positions, its default start and its label
+        cells = [
+            (IndexEntry("lambda", i, j), spec.loadings[i][j], [lam + i * q + j], "lambda",
+             f"lambda[{xs[i]},{fs[j]}]")
+            for j in range(q)
+            for i in range(p)
+        ]
+        # sorted positions put the lower cell of an off-diagonal phi last
+        cells += [
+            (IndexEntry("phi", i, j), spec.factor_cov[i][j],
+             sorted({phi + i * q + j, phi + j * q + i}),
+             "phi_diag" if i == j else "phi_offdiag", f"phi[{fs[i]},{fs[j]}]")
+            for i in range(q)
+            for j in range(i + 1)
+        ]
+        for block, at, vector, names in (
+            ("psi2", psi2, spec.unique_variances, xs),
+            ("nu", nu, spec.intercepts, xs),
+            ("theta", theta, spec.factor_means, fs),
+        ):
+            cells += [
+                (IndexEntry(block, i, 0), cell, [at + i], block, f"{block}[{names[i]}]")
+                for i, cell in enumerate(vector)
+            ]
+
+        positions, values = [], []
+        entries, labels, starts, own_start, slots, src, read = [], [], [], [], [], [], []
+        for entry, cell, where, default, label in cells:
+            value = cell.start(DEFAULT_STARTS[default]) if cell.is_free else cell.value
+            positions += where
+            values += [value] * len(where)
+            if cell.is_free:
+                src += [len(entries)] * len(where)
+                slots += where
+                read.append(where[-1])
+                entries.append(entry)
+                labels.append(label)
+                starts.append(value)
+                own_start.append(cell.value is not None)
+        self.template = np.empty(len(positions))
+        self.template[positions] = values
         self.entries = tuple(entries)
+        self._labels = tuple(labels)
+        self.start = np.array(starts, dtype=float)
+        self.own_start = np.array(own_start, dtype=bool)
+        self.slots = np.array(slots, dtype=int)
+        self.src = np.array(src, dtype=int)
+        self.read = np.array(read, dtype=int)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     @property
     def t(self) -> int:
@@ -301,114 +351,47 @@ class ParameterIndex:
 
     def labels(self) -> tuple:
         """Human-readable names, aligned with the flat vector."""
-        spec = self.spec
-        out = []
-        for e in self.entries:
-            if e.matrix == "lambda":
-                out.append(f"lambda[{spec.variable_names[e.row]},{spec.factor_names[e.col]}]")
-            elif e.matrix == "phi":
-                out.append(f"phi[{spec.factor_names[e.row]},{spec.factor_names[e.col]}]")
-            elif e.matrix == "psi2":
-                out.append(f"psi2[{spec.variable_names[e.row]}]")
-            elif e.matrix == "nu":
-                out.append(f"nu[{spec.variable_names[e.row]}]")
-            else:
-                out.append(f"theta[{spec.factor_names[e.row]}]")
-        return tuple(out)
+        return self._labels
 
     def starting_values(self) -> np.ndarray:
         """Flat vector of starting values, applying per-matrix defaults."""
-        spec = self.spec
-        out = np.empty(self.t)
-        for k, e in enumerate(self.entries):
-            if e.matrix == "lambda":
-                out[k] = spec.loadings[e.row][e.col].start(DEFAULT_STARTS["lambda"])
-            elif e.matrix == "phi":
-                default = DEFAULT_STARTS["phi_diag"] if e.row == e.col else DEFAULT_STARTS["phi_offdiag"]
-                out[k] = spec.factor_cov[e.row][e.col].start(default)
-            elif e.matrix == "psi2":
-                out[k] = spec.unique_variances[e.row].start(DEFAULT_STARTS["psi2"])
-            elif e.matrix == "nu":
-                out[k] = spec.intercepts[e.row].start(DEFAULT_STARTS["nu"])
-            else:
-                out[k] = spec.factor_means[e.row].start(DEFAULT_STARTS["theta"])
-        return out
+        return self.start.copy()
 
     def base_matrices(self) -> ParameterMatrices:
         """Numeric matrices with fixed values in place and starts elsewhere."""
-        spec = self.spec
-        lam = np.empty((spec.p, spec.q))
-        for i in range(spec.p):
-            for j in range(spec.q):
-                cell = spec.loadings[i][j]
-                lam[i, j] = cell.start(DEFAULT_STARTS["lambda"]) if cell.is_free else cell.value
-        nu = np.array(
-            [c.start(DEFAULT_STARTS["nu"]) if c.is_free else c.value for c in spec.intercepts]
-        )
-        theta = np.array(
-            [c.start(DEFAULT_STARTS["theta"]) if c.is_free else c.value for c in spec.factor_means]
-        )
-        phi = np.empty((spec.q, spec.q))
-        for i in range(spec.q):
-            for j in range(spec.q):
-                cell = spec.factor_cov[i][j]
-                if cell.is_free:
-                    default = DEFAULT_STARTS["phi_diag"] if i == j else DEFAULT_STARTS["phi_offdiag"]
-                    phi[i, j] = cell.start(default)
-                else:
-                    phi[i, j] = cell.value
-        psi2 = np.array(
-            [
-                c.start(DEFAULT_STARTS["psi2"]) if c.is_free else c.value
-                for c in spec.unique_variances
-            ]
-        )
-        return ParameterMatrices(lam, nu, theta, phi, psi2)
+        return self.insert(self.start)
 
     def insert(self, values: np.ndarray) -> ParameterMatrices:
-        """Build full numeric matrices from a flat free-parameter vector."""
+        """Full numeric matrices from flat free-parameter vectors (..., t).
+
+        Every matrix keeps the leading axes of values; the matrices are
+        views into one new array in layout order.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.t,):
+        if values.shape[-1:] != (self.t,):
             raise SmmError(
                 DIMENSION_MISMATCH,
                 f"expected {self.t} free values, got shape {values.shape}",
             )
-        base = self.base_matrices()
-        lam = base.loadings.copy()
-        nu = base.intercepts.copy()
-        theta = base.factor_means.copy()
-        phi = base.factor_cov.copy()
-        psi2 = base.unique_variances.copy()
-        for k, e in enumerate(self.entries):
-            v = values[k]
-            if e.matrix == "lambda":
-                lam[e.row, e.col] = v
-            elif e.matrix == "phi":
-                phi[e.row, e.col] = v
-                phi[e.col, e.row] = v
-            elif e.matrix == "psi2":
-                psi2[e.row] = v
-            elif e.matrix == "nu":
-                nu[e.row] = v
-            else:
-                theta[e.row] = v
-        return ParameterMatrices(lam, nu, theta, phi, psi2)
+        lead, p, q = values.shape[:-1], self.spec.p, self.spec.q
+        full = np.empty(lead + self.template.shape)
+        full[...] = self.template
+        full[..., self.slots] = values[..., self.src]
+        lam, phi, psi2, nu, theta = (full[..., s] for s in self.slices)
+        return ParameterMatrices(
+            lam.reshape(lead + (p, q)), nu, theta, phi.reshape(lead + (q, q)), psi2
+        )
 
     def extract(self, matrices: ParameterMatrices) -> np.ndarray:
         """Read the free cells back out of full matrices (inverse of insert)."""
-        out = np.empty(self.t)
-        for k, e in enumerate(self.entries):
-            if e.matrix == "lambda":
-                out[k] = matrices.loadings[e.row, e.col]
-            elif e.matrix == "phi":
-                out[k] = matrices.factor_cov[e.row, e.col]
-            elif e.matrix == "psi2":
-                out[k] = matrices.unique_variances[e.row]
-            elif e.matrix == "nu":
-                out[k] = matrices.intercepts[e.row]
-            else:
-                out[k] = matrices.factor_means[e.row]
-        return out
+        blocks = (
+            matrices.loadings,
+            matrices.factor_cov,
+            matrices.unique_variances,
+            matrices.intercepts,
+            matrices.factor_means,
+        )
+        return np.concatenate([np.ravel(b) for b in blocks])[self.read]
 
 
 def parameter_index(spec: ModelSpec) -> ParameterIndex:

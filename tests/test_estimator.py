@@ -310,9 +310,29 @@ def test_fisher_information_is_the_hessian_at_an_exact_fit(case):
 def test_mean_warm_start_reproduces_xbar_on_a_saturated_mean_structure(spec_of):
     spec = spec_of()
     sample = two_factor_sample() if spec.q == 2 else drawn_sample("model2", 300, 23)
-    start = _start_values(_workspace(spec), sample, warm_start_means=True)
+    start = _start_values(_workspace(spec), sample)
     mu = implied_moments(spec, start).mu_model
     np.testing.assert_allclose(mu, sample.mean, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "own, value, reproduced", [("theta[F1]", 7.0, [1, 2, 3, 4]), ("nu[x3]", 2.0, [1, 3, 4])]
+)
+def test_own_mean_start_survives_the_least_squares_start(own, value, reproduced):
+    # anchored on x1: the intercepts of x2..x5 and the factor mean are free
+    spec = anchored_model_spec(0)
+    if own == "theta[F1]":
+        spec = replace(spec, factor_means=(free(value),))
+    else:
+        spec = replace(spec, intercepts=spec.intercepts[:2] + (free(value),) + spec.intercepts[3:])
+    sample = drawn_sample("model2", 300, 23)
+    ws = _workspace(spec)
+    start = _start_values(ws, sample)
+    assert start[ws.labels.index(own)] == value
+    # the variables whose intercept takes the least-squares start still
+    # have their means reproduced
+    mu = implied_moments(spec, start).mu_model
+    np.testing.assert_allclose(mu[reproduced], sample.mean[reproduced], rtol=0, atol=1e-12)
 
 
 def test_numeric_gradient_near_zero_at_truth():
@@ -359,7 +379,7 @@ def test_fit_never_worse_than_start():
     sample = drawn_sample("model2", 150, 31)
     start = to_raw(spec, to_unconstrained(spec, np.concatenate([np.full(5, 0.5), np.full(5, 0.5), [0.0]])))
     f_start = ml_discrepancy(sample, implied_moments(spec, start))
-    result = fit(spec, sample, FitOptions(warm_start_factor_means=False))
+    result = fit(spec, sample)
     assert result.f_min <= f_start
     assert result.f_min >= 0.0
 
@@ -417,20 +437,16 @@ def started_at(spec, estimates):
     )
 
 
+# every free cell of a started_at spec has a start of its own, so the
+# least-squares mean start, which differs from the ML means when the mean
+# structure is not saturated, leaves them alone
 @pytest.mark.parametrize(
-    "spec, options",
-    [
-        # the least-squares mean start differs from the ML means when the
-        # mean structure is not saturated, so it is switched off there
-        (reference_model_spec(), FitOptions(warm_start_factor_means=False)),
-        (anchored_model_spec(0), FitOptions()),
-    ],
-    ids=["model2", "anchored"],
+    "spec", [reference_model_spec(), anchored_model_spec(0)], ids=["model2", "anchored"]
 )
-def test_fit_started_at_its_optimum_stops_at_once(spec, options):
+def test_fit_started_at_its_optimum_stops_at_once(spec):
     sample = drawn_sample("model2", 300, 65)
     first = fit(spec, sample)
-    again = fit(started_at(spec, first.estimates), sample, options)
+    again = fit(started_at(spec, first.estimates), sample)
     assert again.converged
     assert again.iterations <= 2
     assert again.retries_used == 0
@@ -469,6 +485,41 @@ def test_rescaling_variables_rescales_the_estimates(case, seed, log_scale):
         (moved.estimates.loadings, c[:, None] * base.estimates.loadings),
         (moved.estimates.unique_variances, c**2 * base.estimates.unique_variances),
         (moved.estimates.intercepts, c * base.estimates.intercepts),
+        (moved.estimates.factor_means, base.estimates.factor_means),
+    )
+    for got, want in expected:
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=60)
+@given(
+    population=st.sampled_from(["model1", "model2"]),
+    anchor=st.sampled_from([None, 0, 1, 2, 3, 4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    order=st.permutations(range(5)),
+)
+def test_permuting_variables_permutes_the_estimates(population, anchor, seed, order):
+    # x -> x[order] reorders the rows of lambda, psi2 and nu and leaves F
+    # and the factor mean unchanged; an anchored intercept moves with its
+    # variable, to position argsort(order)[anchor]
+    order = np.array(order)
+    sample = drawn_sample(population, 300, seed)
+    permuted = SampleMoments(
+        n=sample.n, mean=sample.mean[order], cov=sample.cov[np.ix_(order, order)]
+    )
+    if anchor is None:
+        spec = moved_spec = reference_model_spec()
+    else:
+        spec = anchored_model_spec(anchor)
+        moved_spec = anchored_model_spec(int(np.argsort(order)[anchor]))
+    base, moved = fit(spec, sample), fit(moved_spec, permuted)
+    assert base.converged and moved.converged
+    assert moved.f_min == pytest.approx(base.f_min, abs=1e-10)
+    expected = (
+        (moved.estimates.loadings, base.estimates.loadings[order]),
+        (moved.estimates.unique_variances, base.estimates.unique_variances[order]),
+        (moved.estimates.intercepts, base.estimates.intercepts[order]),
         (moved.estimates.factor_means, base.estimates.factor_means),
     )
     for got, want in expected:

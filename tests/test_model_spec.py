@@ -235,3 +235,88 @@ def test_fix_intercept_variant_errors():
     )
     with pytest.raises(NotImplementedError):
         fix_intercept_variant(two_factor, 0)
+
+
+def layout_spec():
+    """Two factors with every kind of cell: a free off-diagonal phi, own
+    starts in every block, fixed nonzero and fixed zero cells, free
+    intercepts and factor means."""
+    return ModelSpec(
+        loadings=(
+            (fixed(1.0), fixed(0.0)),
+            (free(0.8), fixed(0.0)),
+            (free(), free(0.3)),
+            (fixed(0.0), fixed(1.0)),
+            (fixed(0.0), free()),
+        ),
+        intercepts=(fixed(0.0), free(), free(1.5), fixed(2.0), free()),
+        factor_means=(free(), free(-1.0)),
+        factor_cov=((free(), free(0.25)), (free(0.25), fixed(1.5))),
+        unique_variances=(free(), free(0.4), fixed(0.6), free(), free()),
+    )
+
+
+def test_layout_labels_starts_and_base_matrices():
+    index = parameter_index(layout_spec())
+    assert index.labels() == (
+        "lambda[x2,F1]",
+        "lambda[x3,F1]",
+        "lambda[x3,F2]",
+        "lambda[x5,F2]",
+        "phi[F1,F1]",
+        "phi[F2,F1]",
+        "psi2[x1]",
+        "psi2[x2]",
+        "psi2[x4]",
+        "psi2[x5]",
+        "nu[x2]",
+        "nu[x3]",
+        "nu[x5]",
+        "theta[F1]",
+        "theta[F2]",
+    )
+    np.testing.assert_array_equal(
+        index.starting_values(),
+        [0.8, 0.5, 0.3, 0.5, 1.0, 0.25, 0.5, 0.4, 0.5, 0.5, 0.0, 1.5, 0.0, 0.0, -1.0],
+    )
+    base = index.base_matrices()
+    np.testing.assert_array_equal(
+        base.loadings, [[1.0, 0.0], [0.8, 0.0], [0.5, 0.3], [0.0, 1.0], [0.0, 0.5]]
+    )
+    np.testing.assert_array_equal(base.factor_cov, [[1.0, 0.25], [0.25, 1.5]])
+    np.testing.assert_array_equal(base.unique_variances, [0.5, 0.4, 0.6, 0.5, 0.5])
+    np.testing.assert_array_equal(base.intercepts, [0.0, 0.0, 1.5, 2.0, 0.0])
+    np.testing.assert_array_equal(base.factor_means, [0.0, -1.0])
+
+
+def test_layout_insert_extract_round_trip():
+    index = parameter_index(layout_spec())
+    values = np.arange(1.0, 16.0) / 8.0
+    mats = index.insert(values)
+    np.testing.assert_array_equal(
+        mats.loadings, [[1.0, 0.0], [0.125, 0.0], [0.25, 0.375], [0.0, 1.0], [0.0, 0.5]]
+    )
+    np.testing.assert_array_equal(mats.factor_cov, [[0.625, 0.75], [0.75, 1.5]])
+    np.testing.assert_array_equal(mats.unique_variances, [0.875, 1.0, 0.6, 1.125, 1.25])
+    np.testing.assert_array_equal(mats.intercepts, [0.0, 1.375, 1.5, 2.0, 1.625])
+    np.testing.assert_array_equal(mats.factor_means, [1.75, 1.875])
+    np.testing.assert_array_equal(index.extract(mats), values)
+
+
+def test_layout_stacked_insert_matches_row_by_row():
+    index = parameter_index(layout_spec())
+    stack = np.random.default_rng(3).normal(size=(2, 4, index.t))
+    stacked = index.insert(stack)
+    for fields in np.ndindex(stack.shape[:-1]):
+        one = index.insert(stack[fields])
+        for name in ("loadings", "intercepts", "factor_means", "factor_cov", "unique_variances"):
+            got = getattr(stacked, name)[fields]
+            assert got.tobytes() == getattr(one, name).tobytes()
+
+
+def test_insert_rejects_wrong_length():
+    index = parameter_index(layout_spec())
+    with pytest.raises(SmmError, match="DIMENSION_MISMATCH"):
+        index.insert(np.ones(index.t - 1))
+    with pytest.raises(SmmError, match="DIMENSION_MISMATCH"):
+        index.insert(np.ones((3, index.t + 1)))
