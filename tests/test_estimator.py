@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
     FitOptions,
     ImpliedMoments,
-    _start_values,
+    _by_rows,
+    _evaluations,
     _workspace,
     fit,
     fit_many,
@@ -306,33 +308,86 @@ def test_fisher_information_is_the_hessian_at_an_exact_fit(case):
         assert np.max(np.abs(fisher - hessian)) <= 1e-6 * np.max(np.abs(fisher))
 
 
+def concentrated_gradient(ws, z, sample):
+    """Gradient of the concentrated F over the covariance parameters z, as fit sees it."""
+    (reply,) = _evaluations(ws, z[None], sample.cov[None], sample.mean[None])
+    return reply[1]
+
+
+@pytest.mark.parametrize("case", sorted(FISHER_CASES))
+def test_concentrated_information_is_the_hessian_of_the_concentrated_f(case):
+    # at an exact fit the Schur complement of the joint information on its
+    # mean block is the Hessian of F with the mean parameters concentrated
+    # out; the Hessian here is a central difference of its exact gradient
+    spec = FISHER_CASES[case]()
+    ws = _workspace(spec)
+    generator = np.random.default_rng(7)
+    for _ in range(3):
+        raw = random_point(spec, generator)
+        implied = implied_moments(spec, raw)
+        sample = SampleMoments(n=500, mean=implied.mu_model, cov=implied.sigma)
+        z = to_unconstrained(spec, raw)[: ws.tc]
+        hessian = np.empty((z.size, z.size))
+        for i in range(z.size):
+            step = 1e-5 * max(1.0, abs(z[i]))
+            up, down = z.copy(), z.copy()
+            up[i] += step
+            down[i] -= step
+            hessian[:, i] = (
+                concentrated_gradient(ws, up, sample) - concentrated_gradient(ws, down, sample)
+            ) / (2.0 * step)
+        reduced = ws.concentrated_information(raw)
+        assert reduced.shape == (ws.tc, ws.tc)
+        assert np.max(np.abs(reduced - hessian)) <= 1e-6 * np.max(np.abs(reduced))
+
+
 @pytest.mark.parametrize("spec_of", [lambda: anchored_model_spec(0), two_factor_spec])
-def test_mean_warm_start_reproduces_xbar_on_a_saturated_mean_structure(spec_of):
+def test_saturated_mean_structure_leaves_no_whitened_mean_residual(spec_of):
+    # p free intercepts and factor means: the GLS step fits every mean, so
+    # U d = L^-1 (xbar - mu) vanishes at any covariance point
     spec = spec_of()
+    ws = _workspace(spec)
     sample = two_factor_sample() if spec.q == 2 else drawn_sample("model2", 300, 23)
-    start = _start_values(_workspace(spec), sample)
-    mu = implied_moments(spec, start).mu_model
-    np.testing.assert_allclose(mu, sample.mean, rtol=0, atol=1e-12)
+    generator = np.random.default_rng(3)
+    for _ in range(10):
+        z = to_unconstrained(spec, random_point(spec, generator))[: ws.tc]
+        (reply,) = _evaluations(ws, z[None], sample.cov[None], sample.mean[None])
+        implied = implied_moments(spec, reply[2])
+        ud = np.linalg.solve(np.linalg.cholesky(implied.sigma), sample.mean - implied.mu_model)
+        assert np.max(np.abs(ud)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "own, value, reproduced", [("theta[F1]", 7.0, [1, 2, 3, 4]), ("nu[x3]", 2.0, [1, 3, 4])]
-)
-def test_own_mean_start_survives_the_least_squares_start(own, value, reproduced):
-    # anchored on x1: the intercepts of x2..x5 and the factor mean are free
+@pytest.mark.parametrize("own, value", [("theta[F1]", 7.0), ("nu[x3]", 2.0)])
+def test_own_mean_start_leaves_the_fit_unchanged(own, value):
+    # anchored on x1: the intercepts of x2..x5 and the factor mean are free,
+    # and every evaluation sets them to their GLS optimum, so their starts
+    # are never read
     spec = anchored_model_spec(0)
     if own == "theta[F1]":
-        spec = replace(spec, factor_means=(free(value),))
+        started = replace(spec, factor_means=(free(value),))
     else:
-        spec = replace(spec, intercepts=spec.intercepts[:2] + (free(value),) + spec.intercepts[3:])
+        started = replace(spec, intercepts=spec.intercepts[:2] + (free(value),) + spec.intercepts[3:])
+    index = ParameterIndex(started)
+    assert index.starting_values()[index.labels().index(own)] == value
     sample = drawn_sample("model2", 300, 23)
+    assert fingerprint(fit(started, sample)) == fingerprint(fit(spec, sample))
+
+
+def test_singular_mean_design_rejects_its_row_only():
+    # with every loading zero the factor mean does not move mu: the normal
+    # equations are singular and that row's evaluation is rejected
+    spec, samples, _ = bundled_replications("table1_model1_n900", range(2))
     ws = _workspace(spec)
-    start = _start_values(ws, sample)
-    assert start[ws.labels.index(own)] == value
-    # the variables whose intercept takes the least-squares start still
-    # have their means reproduced
-    mu = implied_moments(spec, start).mu_model
-    np.testing.assert_allclose(mu[reproduced], sample.mean[reproduced], rtol=0, atol=1e-12)
+    z = np.tile(to_unconstrained(spec, np.concatenate([LOADINGS, np.ones(5), [0.0]]))[: ws.tc], (2, 1))
+    z[1, :5] = 0.0
+    covs = np.array([s.cov for s in samples])
+    means = np.array([s.mean for s in samples])
+    with pytest.raises(np.linalg.LinAlgError):
+        _evaluations(ws, z, covs, means)
+    evaluate = functools.partial(_evaluations, ws)
+    first, second = _by_rows(evaluate, lambda *row: None, z, covs, means)
+    assert second is None
+    assert first[0] == _evaluations(ws, z[:1], covs[:1], means[:1])[0][0]
 
 
 def test_numeric_gradient_near_zero_at_truth():
@@ -569,6 +624,27 @@ def test_fit_many_matches_fit_bit_for_bit(name):
     batch = fit_many(spec, samples, options)
     assert len(batch) == 40
     assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+@pytest.mark.parametrize("name", bundled_studies())
+def test_converged_fits_have_a_small_joint_gradient(name):
+    # the public gradient covers every free parameter, the concentrated
+    # intercepts and factor means included, and must support converged
+    spec, samples, options = bundled_replications(name, range(40))
+    for sample, opts, row in zip(samples, options, fit_many(spec, samples, options)):
+        assert row.converged
+        joint = np.max(np.abs(numeric_gradient(spec, row.free_values, sample)))
+        assert joint <= opts.gradient_tolerance
+        # the mean block vanishes at the GLS optimum, so the largest joint
+        # component is the one fit reports, up to rounding (measured 1.7e-13)
+        assert abs(joint - row.grad_inf_norm) <= 1e-11
+
+
+def test_concentrated_fit_of_anchor_x1_takes_few_iterations():
+    # walking lambda[x1] and theta jointly took a median of 40 iterations
+    spec, samples, options = bundled_replications("anchor_x1_model2_n900", range(40))
+    iterations = [row.iterations for row in fit_many(spec, samples, options)]
+    assert np.median(iterations) <= 15
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
