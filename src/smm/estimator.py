@@ -39,10 +39,9 @@ evaluation appends A to the triangular solve that whitens S - Sigma and
 d0, sets beta to that optimum and returns the concentrated F with its
 gradient over the covariance parameters, which the envelope theorem
 makes exact: the mean block of the joint gradient vanishes at beta. The
-bilinear lambda theta no longer bends the optimizer's path, so the
-median fit of a bundled design takes 9-19 iterations (anchor_x1: 9,
-against 40 when beta was walked jointly; the slowest of 500 takes 11,
-against 88).
+bilinear lambda theta no longer bends the optimizer's path (anchor_x1:
+a median of 9 iterations over 500 fits, the slowest 11, against 40 and
+88 when beta was walked jointly).
 
 The minimizer is a quasi-Newton loop in numpy over the covariance
 parameters. Its inverse-Hessian approximation starts from the inverse of
@@ -56,7 +55,12 @@ is corrected by BFGS updates in between; a backtracking Armijo search
 finishes each step. A free cell with a start of its own keeps it. The
 other starts are scaled to the sample (loadings at half a standard
 deviation, unique variances at half a variance); intercepts and factor
-means need none.
+means need none. In one-factor models with a free factor mean and fixed
+intercepts the loadings start along the observed mean residuals
+instead, to which the structured-means model makes them proportional
+(see _start_values). The median fit of a Table 1 design then takes 4-7 iterations
+(the slowest of 500: 5-10), where loadings at half a standard deviation
+took 13-19 (22-29), and the anchored designs take 9 (11).
 
 Fits run in lockstep. fit_many steps the fits of many samples (a Monte
 Carlo condition's replications) together: each fit is the same
@@ -70,7 +74,7 @@ one. fit is fit_many on one sample. Every stacked operation (matmul,
 cholesky, solve, inv, sums over trailing axes) gives each row the same
 bits as it would alone, so a result does not depend on the batch it was
 fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes about
-4-10 ms, and in a batch of 500 about 0.7-1.6 ms per fit.
+2-4 ms, and in a batch of 500 about 0.4-0.7 ms per fit.
 """
 
 from __future__ import annotations
@@ -199,6 +203,22 @@ class _Workspace:
         default = ~index.own_start
         self.default_lambda = default & (matrix == "lambda")
         self.default_psi2 = default & (matrix == "psi2")
+        # with one factor and a free factor mean, the default loadings of the
+        # variables J whose intercept is fixed start from the sample's means
+        # as well as its correlations (see _start_values); at least two are
+        # needed to fix the scale of the loadings
+        fixed_nu = np.array([not cell.is_free for cell in spec.intercepts])
+        from_means = np.flatnonzero(self.default_lambda & fixed_nu[self.rows])
+        if spec.q > 1 or not spec.factor_means[0].is_free or from_means.size < 2:
+            from_means = from_means[:0]
+        self.means_lambda = from_means
+        self.means_rows = self.rows[from_means]
+        self.means_psi2 = np.flatnonzero(self.default_psi2 & np.isin(self.rows, self.means_rows))
+        self.means_psi2_of = np.searchsorted(self.means_rows, self.rows[self.means_psi2])
+        self.means_nu = index.template[index.slices[3]][self.means_rows]
+        # the factor variance, or its start
+        self.means_phi = float(index.template[index.slices[1].start])
+        self.means_pairs_i, self.means_pairs_j = np.triu_indices(self.means_rows.size, 1)
         self.lower = np.tri(self.p, dtype=bool)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
@@ -528,13 +548,45 @@ def _start_values(ws: _Workspace, sample: SampleMoments) -> np.ndarray:
     the free intercepts and factor means to their GLS optimum, so their
     starts are never read. A free cell with a start of its own keeps it.
     Free loadings and unique variances without one start at the default
-    times the sample standard deviation and variance of their variable, so
-    a fit of rescaled data starts at the rescaled point.
+    times the sample standard deviation and variance of their variable.
+
+    One-factor specs with a free factor mean do better on the variables J
+    whose loading has no start of its own and whose intercept nu_j is
+    fixed, when there are at least two. With zero unique-factor means, as
+    the structured-means model has them, the mean residuals
+    xbar - nu = theta lambda are proportional to the loadings, and
+    S + (xbar - nu)(xbar - nu)' = (phi + theta^2) lambda lambda' + Psi is
+    itself a one-factor structure. On J, with
+    standardized mean residuals m_j = (xbar_j - nu_j) / sd_j, correlations
+    R and the factor variance (or its start) phi0, the start is
+    lambda_j = c v_j sd_j along the leading eigenvector v of R + m m'
+    (column sum nonnegative), c^2 = sum_{i<j} r_ij v_i v_j /
+    (phi0 sum_{i<j} (v_i v_j)^2) the least-squares fit of the
+    correlations, and psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj). With
+    means near nu this is a principal-axis start. Where c^2 is not
+    positive and finite the default starts stay. Either way a fit of
+    rescaled or permuted data starts at the rescaled or permuted point.
     """
     v0 = ws.index.starting_values()
     variances = np.diag(sample.cov)
     v0[ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[ws.rows[ws.default_lambda]])
     v0[ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[ws.rows[ws.default_psi2]]
+    rows = ws.means_rows
+    if rows.size:
+        sd = np.sqrt(variances[rows])
+        corr = sample.cov[np.ix_(rows, rows)] / np.multiply.outer(sd, sd)
+        m = (sample.mean[rows] - ws.means_nu) / sd
+        v = np.linalg.eigh(corr + np.multiply.outer(m, m))[1][:, -1]
+        if v.sum() < 0:
+            v = -v
+        i, j = ws.means_pairs_i, ws.means_pairs_j
+        vv = v[i] * v[j]
+        c2 = (corr[i, j] @ vv) / (ws.means_phi * (vv @ vv))
+        if np.isfinite(c2) and c2 > 0:
+            lam = np.sqrt(c2) * v * sd
+            psi2 = np.maximum(variances[rows] - ws.means_phi * lam**2, 0.1 * variances[rows])
+            v0[ws.means_lambda] = lam
+            v0[ws.means_psi2] = psi2[ws.means_psi2_of]
     return v0[: ws.tc]
 
 

@@ -22,7 +22,6 @@ compare_to_reference.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -265,6 +264,9 @@ def run_study(config: StudyConfig) -> StudySummary:
     pool = None
     try:
         if workers > 1:
+            # imported here: multiprocessing costs every `import smm` about 20 ms
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_pool,

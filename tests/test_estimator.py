@@ -14,6 +14,7 @@ from smm.estimator import (
     ImpliedMoments,
     _by_rows,
     _evaluations,
+    _start_values,
     _workspace,
     fit,
     fit_many,
@@ -25,6 +26,7 @@ from smm.estimator import (
     to_unconstrained,
 )
 from smm.fixtures import (
+    REFERENCE_LOADINGS,
     anchored_model_spec,
     bundled_studies,
     reference_model_spec,
@@ -41,7 +43,7 @@ from smm.model_spec import (
     one_factor_spec,
 )
 from smm.moments import Dataset, SampleMoments, compute_moments
-from smm.simulate import Seed, draw_sample, population_moments, structured
+from smm.simulate import Seed, draw_sample, explicit, population_moments, structured
 
 LOADINGS = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
 
@@ -492,9 +494,8 @@ def started_at(spec, estimates):
     )
 
 
-# every free cell of a started_at spec has a start of its own, so the
-# least-squares mean start, which differs from the ML means when the mean
-# structure is not saturated, leaves them alone
+# every free cell of a started_at spec has a start of its own, so no
+# start is taken from the sample
 @pytest.mark.parametrize(
     "spec", [reference_model_spec(), anchored_model_spec(0)], ids=["model2", "anchored"]
 )
@@ -645,6 +646,135 @@ def test_concentrated_fit_of_anchor_x1_takes_few_iterations():
     spec, samples, options = bundled_replications("anchor_x1_model2_n900", range(40))
     iterations = [row.iterations for row in fit_many(spec, samples, options)]
     assert np.median(iterations) <= 15
+
+
+@pytest.mark.parametrize("name, most", [("table1_model1_n900", 6), ("table1_model2_n150", 10)])
+def test_start_along_the_means_takes_few_iterations(name, most):
+    # from loadings of half a standard deviation the median fit took 13 and
+    # 19 iterations, most of them turning the loadings toward the means
+    spec, samples, options = bundled_replications(name, range(40))
+    iterations = [row.iterations for row in fit_many(spec, samples, options)]
+    assert np.median(iterations) <= most
+
+
+def default_starts(ws, sample):
+    """The covariance starts without the rule along the means: half a standard deviation, half a variance."""
+    v0 = ws.index.starting_values()
+    variances = np.diag(sample.cov)
+    v0[ws.default_lambda] = 0.5 * np.sqrt(variances[ws.rows[ws.default_lambda]])
+    v0[ws.default_psi2] = 0.5 * variances[ws.rows[ws.default_psi2]]
+    return v0[: ws.tc]
+
+
+@pytest.mark.parametrize("population", ["model1", "model2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_start_along_the_means_follows_rescaled_and_permuted_variables(population, seed):
+    ws = _workspace(reference_model_spec())
+    sample = drawn_sample(population, 150, seed)
+    start = _start_values(ws, sample)
+    assert not np.allclose(start, default_starts(ws, sample))
+    lam, psi2 = start[:5], start[5:]
+    generator = np.random.default_rng(seed)
+    c, order = np.exp(generator.uniform(-1.5, 1.5, 5)), generator.permutation(5)
+    scaled = SampleMoments(n=sample.n, mean=c * sample.mean, cov=sample.cov * np.outer(c, c))
+    np.testing.assert_allclose(_start_values(ws, scaled), np.r_[c * lam, c**2 * psi2], rtol=1e-12)
+    permuted = SampleMoments(
+        n=sample.n, mean=sample.mean[order], cov=sample.cov[np.ix_(order, order)]
+    )
+    np.testing.assert_allclose(_start_values(ws, permuted), np.r_[lam[order], psi2[order]], rtol=1e-12)
+
+
+def test_start_along_the_means_scales_with_the_factor_variance():
+    # the sample sees lambda phi lambda': fixing phi at 4 halves the loadings
+    spec = reference_model_spec()
+    wide = replace(spec, factor_cov=((fixed(4.0),),))
+    sample = drawn_sample("model1", 300, 5)
+    start = _start_values(_workspace(spec), sample)
+    np.testing.assert_allclose(
+        _start_values(_workspace(wide), sample), np.r_[start[:5] / 2, start[5:]], rtol=1e-12
+    )
+
+
+def test_start_along_the_means_leaves_each_unique_variance_a_tenth():
+    # x5 is nearly the factor itself: its variance less the loading's share
+    # leaves 2%, 6% and -0.3% of it on these samples
+    lam = np.array([[0.3], [0.4], [0.5], [0.6], [5.0]])
+    population = structured(lam, np.eye(1), np.ones(5), nu=np.zeros(5), theta=np.array([10.0]))
+    ws = _workspace(reference_model_spec())
+    for sample in samples_of(population):
+        variances = np.diag(sample.cov)
+        psi2 = _start_values(ws, sample)[5:]
+        assert np.all(psi2 >= 0.1 * variances)
+        assert psi2[4] == 0.1 * variances[4]
+
+
+def samples_of(population, n=300, seeds=range(3)):
+    return [compute_moments(draw_sample(population, n, Seed(seed))) for seed in seeds]
+
+
+def reference_loadings_with_means(means):
+    """The reference loadings, unit variances and an explicit mean vector."""
+    return explicit(np.array(REFERENCE_LOADINGS)[:, None], np.eye(1), np.ones(5), np.array(means, dtype=float))
+
+
+DEFAULT_START_CASES = {
+    "anchored_x1": lambda: (anchored_model_spec(0), samples_of(reference_population("model2"))),
+    "anchored_x5": lambda: (anchored_model_spec(4), samples_of(reference_population("model2"))),
+    "own_loading_starts": lambda: (
+        one_factor_spec(5, loading_starts=LOADINGS),
+        samples_of(reference_population("model2")),
+    ),
+    "one_loading_without_a_start": lambda: (
+        one_factor_spec(5, loading_starts=[None, 0.4, 0.5, 0.6, 0.7]),
+        samples_of(reference_population("model2")),
+    ),
+    "fixed_factor_mean": lambda: (
+        replace(reference_model_spec(), factor_means=(fixed(10.0),)),
+        samples_of(reference_population("model1")),
+    ),
+    "two_factors": lambda: (two_factor_spec(), [two_factor_sample()]),
+    # means whose signs disagree with the positive correlations lead R + m m',
+    # and the fit of the correlations along that direction gives c^2 < 0
+    "signs_against_the_covariances": lambda: (
+        reference_model_spec(),
+        samples_of(reference_loadings_with_means([3, -2, 1, 4, -5])),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_START_CASES))
+def test_start_outside_the_rule_keeps_the_default_starts(case):
+    spec, samples = DEFAULT_START_CASES[case]()
+    ws = _workspace(spec)
+    for sample in samples:
+        assert _start_values(ws, sample).tobytes() == default_starts(ws, sample).tobytes()
+
+
+def test_own_starts_win_over_the_start_along_the_means():
+    spec = one_factor_spec(5, loading_starts=[0.9, None, None, None, 0.2])
+    spec = replace(spec, unique_variances=(free(), free(0.7), free(), free(), free()))
+    ws = _workspace(spec)
+    sample = drawn_sample("model2", 300, 3)
+    start = dict(zip(ws.labels, _start_values(ws, sample)))
+    default = dict(zip(ws.labels, default_starts(ws, sample)))
+    assert (start["lambda[x1,F1]"], start["lambda[x5,F1]"], start["psi2[x2]"]) == (0.9, 0.2, 0.7)
+    for label in ("lambda[x2,F1]", "lambda[x3,F1]", "lambda[x4,F1]", "psi2[x3]"):
+        assert start[label] != default[label]
+
+
+@pytest.mark.parametrize("n", [150, 900])
+def test_start_along_uninformative_means_reaches_the_same_minimum(n):
+    # means equal to the fixed intercepts carry no direction, and the rule
+    # becomes a principal-axis start; a spec whose loadings start where the
+    # default rule puts them gives the minimum to compare with
+    spec = reference_model_spec()
+    ws = _workspace(spec)
+    samples = samples_of(reference_loadings_with_means(np.zeros(5)), n, range(50))
+    for sample, row in zip(samples, fit_many(spec, samples, [FitOptions()] * len(samples))):
+        assert not np.allclose(_start_values(ws, sample), default_starts(ws, sample))
+        default = fit(one_factor_spec(5, loading_starts=0.5 * np.sqrt(np.diag(sample.cov))), sample)
+        assert row.converged and default.converged
+        assert row.f_min == pytest.approx(default.f_min, abs=1e-10)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

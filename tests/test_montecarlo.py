@@ -1,9 +1,10 @@
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from smm import montecarlo, serialize
+from smm import serialize
 from smm.errors import SmmError
 from smm.estimator import FitOptions, FitResult
 from smm.fixtures import reference_model_spec, reference_population, study_path
@@ -119,7 +120,8 @@ def test_run_study_gives_each_worker_at_least_min_block_replications(monkeypatch
         started.append(max_workers)
         raise RuntimeError("pool started")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    # run_study imports the pool class where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     run_study(small_config(replications=2 * MIN_BLOCK - 1, max_parallelism=8))
     assert started == []
     with pytest.raises(RuntimeError, match="pool started"):

@@ -206,12 +206,20 @@ def test_rank_correlation_matches_scipy_spearman(ties):
         assert abs(rank_correlation(a, b) - spearmanr(a, b).statistic) <= 1e-12
 
 
-def test_import_smm_leaves_scipy_stats_and_optimize_unloaded():
+def run_python(code):
+    """Standard output of a fresh interpreter that runs code with this smm importable."""
     import smm
 
     src = str(Path(smm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout
+
+
+def test_import_smm_leaves_scipy_stats_and_optimize_unloaded():
     code = (
         "import sys, smm; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
@@ -222,8 +230,11 @@ def test_import_smm_leaves_scipy_stats_and_optimize_unloaded():
         " replications=2, seed=smm.Seed(2), max_parallelism=1))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
     # import smm loads no scipy, and neither do a fit and a study
-    assert out.stdout.split() == ["[]", "[]"]
+    assert run_python(code).split() == ["[]", "[]"]
+
+
+def test_import_smm_leaves_multiprocessing_unloaded():
+    # only run_study with a pool of two or more workers needs it
+    code = "import sys, smm; print(sorted(m for m in ('multiprocessing', 'socket', 'subprocess') if m in sys.modules))"
+    assert run_python(code).split() == ["[]"]
