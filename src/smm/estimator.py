@@ -68,19 +68,21 @@ sequential algorithm, written as a generator that asks for an evaluation
 of F and its gradient or for a Fisher information, and every round
 answers the pending requests of all unfinished fits with one stacked
 numpy call over a leading (R, ...) axis. A fit leaves the rounds when it
-finishes. Nearly all of an evaluation's cost on 5x5 matrices is numpy's
-per-call overhead, so a stacked round costs little more than a single
-one. fit is fit_many on one sample. Every stacked operation (matmul,
-cholesky, solve, inv, sums over trailing axes) gives each row the same
-bits as it would alone, so a result does not depend on the batch it was
-fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes about
-2-4 ms, and in a batch of 500 about 0.4-0.7 ms per fit.
+finishes. The set-up before the rounds (sample checks, starts) and the
+wrap-up after them (result matrices, sign convention) are stacked too.
+Nearly all of the cost on 5x5 matrices is numpy's per-call overhead, so
+a stacked call costs little more than a single one. fit is fit_many on
+one sample. Every stacked operation (matmul over contiguous rows,
+cholesky, eigh, solve, inv, sums over trailing axes) gives each row the
+same bits as it would alone, so a result does not depend on the batch it
+was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes
+about 2-3 ms, and in a batch of 500 about 0.3-0.6 ms per fit.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,6 +221,10 @@ class _Workspace:
         # the factor variance, or its start
         self.means_phi = float(index.template[index.slices[1].start])
         self.means_pairs_i, self.means_pairs_j = np.triu_indices(self.means_rows.size, 1)
+        # the factors whose sign may flip: each cell the flip touches is free or 0
+        touched = [[row[k] for row in spec.loadings] + [spec.factor_means[k]]
+                   + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
+        self.flippable = np.array([all(c.is_free or c.value == 0.0 for c in t) for t in touched])
         self.lower = np.tri(self.p, dtype=bool)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
@@ -230,12 +236,12 @@ class _Workspace:
 
     def to_unconstrained(self, values: np.ndarray) -> np.ndarray:
         z = np.array(values, dtype=float)
-        if np.any(z[self.log_pos] <= 0):
+        if np.any(z[..., self.log_pos] <= 0):
             raise SmmError(
                 NONPOSITIVE_UNIQUE_VARIANCE,
                 "unique variances must be > 0 on the raw scale",
             )
-        z[self.log_pos] = np.log(z[self.log_pos])
+        z[..., self.log_pos] = np.log(z[..., self.log_pos])
         return z
 
     def to_raw(self, z: np.ndarray) -> np.ndarray:
@@ -506,48 +512,39 @@ def fit_statistics(f_min: float, n: int, spec: ModelSpec) -> tuple[float, int]:
     return (n - 1) * f_min, _workspace(spec).report.df
 
 
-def _sign_convention(spec: ModelSpec, mats: ParameterMatrices):
+def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatrices:
     """Flip loading columns whose sum is negative, where the flip is free.
 
     Flipping column k together with theta_k and the off-diagonal phi
     entries of factor k leaves the implied moments unchanged, so this is a
-    pure reporting convention. A column is only flipped when every cell it
-    would touch is free or fixed at zero; otherwise it is left alone.
+    pure reporting convention. Only the columns of ws.flippable, whose
+    cells are all free or fixed at zero, may flip. mats may carry leading
+    axes: the flip is a masked sign over the columns of each row.
     """
-    lam = mats.loadings.copy()
-    theta = mats.factor_means.copy()
-    phi = mats.factor_cov.copy()
-    q = spec.q
-    for k in range(q):
-        if np.sum(lam[:, k]) >= 0:
-            continue
-
-        def movable(cell, current):
-            return cell.is_free or current == 0.0
-
-        ok = all(movable(spec.loadings[i][k], lam[i, k]) for i in range(spec.p))
-        ok = ok and movable(spec.factor_means[k], theta[k])
-        ok = ok and all(
-            movable(spec.factor_cov[k][j], phi[k, j]) for j in range(q) if j != k
-        )
-        if not ok:
-            continue
-        lam[:, k] = -lam[:, k]
-        theta[k] = -theta[k]
-        for j in range(q):
-            if j != k:
-                phi[k, j] = -phi[k, j]
-                phi[j, k] = -phi[j, k]
-    return ParameterMatrices(lam, mats.intercepts, theta, phi, mats.unique_variances)
+    flip = ws.flippable & (mats.loadings.sum(axis=-2) < 0)
+    sign = np.where(flip, -1.0, 1.0)
+    cross = sign[..., :, None] * sign[..., None, :]
+    return replace(mats, loadings=mats.loadings * sign[..., None, :],
+                   factor_means=mats.factor_means * sign, factor_cov=mats.factor_cov * cross)
 
 
-def _start_values(ws: _Workspace, sample: SampleMoments) -> np.ndarray:
-    """Raw starting values of the covariance parameters for the first attempt.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axes, each row with the bits of the 1-D a @ b.
 
-    The optimizer walks only lambda, phi and psi2: every evaluation sets
-    the free intercepts and factor means to their GLS optimum, so their
-    starts are never read. A free cell with a start of its own keeps it.
-    Free loadings and unique variances without one start at the default
+    Strided rows, or a product summed over the last axis, round otherwise.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Raw starts of the covariance parameters for the first attempt, one row per sample.
+
+    cov (..., p, p) and mean (..., p) are sample moments; the starts
+    (..., tc) keep their leading axes, and each row gets the bits it gets
+    alone. Intercepts and factor means need none: every evaluation sets
+    them to their GLS optimum. A free cell with a start of its own keeps
+    it. Other free loadings and unique variances start at the default
     times the sample standard deviation and variance of their variable.
 
     One-factor specs with a free factor mean do better on the variables J
@@ -563,31 +560,31 @@ def _start_values(ws: _Workspace, sample: SampleMoments) -> np.ndarray:
     (column sum nonnegative), c^2 = sum_{i<j} r_ij v_i v_j /
     (phi0 sum_{i<j} (v_i v_j)^2) the least-squares fit of the
     correlations, and psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj). With
-    means near nu this is a principal-axis start. Where c^2 is not
-    positive and finite the default starts stay. Either way a fit of
+    means near nu this is a principal-axis start. Rows where c^2 is not
+    positive and finite keep the default starts. Either way a fit of
     rescaled or permuted data starts at the rescaled or permuted point.
     """
-    v0 = ws.index.starting_values()
-    variances = np.diag(sample.cov)
-    v0[ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[ws.rows[ws.default_lambda]])
-    v0[ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[ws.rows[ws.default_psi2]]
+    v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
+    variances = cov.diagonal(0, -2, -1)
+    lam_rows, psi2_rows = ws.rows[ws.default_lambda], ws.rows[ws.default_psi2]
+    v0[..., ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[..., lam_rows])
+    v0[..., ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[..., psi2_rows]
     rows = ws.means_rows
     if rows.size:
-        sd = np.sqrt(variances[rows])
-        corr = sample.cov[np.ix_(rows, rows)] / np.multiply.outer(sd, sd)
-        m = (sample.mean[rows] - ws.means_nu) / sd
-        v = np.linalg.eigh(corr + np.multiply.outer(m, m))[1][:, -1]
-        if v.sum() < 0:
-            v = -v
+        sd = np.sqrt(variances[..., rows])
+        corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
+        m = (mean[..., rows] - ws.means_nu) / sd
+        v = np.linalg.eigh(corr + m[..., :, None] * m[..., None, :])[1][..., -1]
+        v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
         i, j = ws.means_pairs_i, ws.means_pairs_j
-        vv = v[i] * v[j]
-        c2 = (corr[i, j] @ vv) / (ws.means_phi * (vv @ vv))
-        if np.isfinite(c2) and c2 > 0:
-            lam = np.sqrt(c2) * v * sd
-            psi2 = np.maximum(variances[rows] - ws.means_phi * lam**2, 0.1 * variances[rows])
-            v0[ws.means_lambda] = lam
-            v0[ws.means_psi2] = psi2[ws.means_psi2_of]
-    return v0[: ws.tc]
+        vv = v[..., i] * v[..., j]
+        c2 = (_dot(corr[..., i, j], vv) / (ws.means_phi * _dot(vv, vv)))[..., None]
+        ok = np.isfinite(c2) & (c2 > 0)
+        lam = np.sqrt(np.where(ok, c2, 0.0)) * v * sd
+        psi2 = np.maximum(variances[..., rows] - ws.means_phi * lam**2, 0.1 * variances[..., rows])
+        v0[..., ws.means_lambda] = np.where(ok, lam, v0[..., ws.means_lambda])
+        v0[..., ws.means_psi2] = np.where(ok, psi2[..., ws.means_psi2_of], v0[..., ws.means_psi2])
+    return v0[..., : ws.tc]
 
 
 class _AttemptFailed(Exception):
@@ -675,30 +672,32 @@ def _minimize_once(z, options: FitOptions):
     return point, f, grad_inf, iterations, grad_inf <= options.gradient_tolerance
 
 
-def _fit_steps(ws: _Workspace, sample: SampleMoments, options: FitOptions):
+def _fit_steps(ws: _Workspace, v0: np.ndarray, z0, options: FitOptions):
     """The fit of one sample as a generator of _minimize_once's requests.
 
-    Runs the attempts of fit in turn and returns the FitResult; raises
+    v0 is the raw start of the first attempt and z0 its unconstrained
+    form, or None where that is still to be taken. Runs the attempts of
+    fit in turn and returns the best as (joint point, F, largest gradient
+    component, iterations, converged, restarts used); raises
     NotPositiveDefiniteError when every attempt fails. Without free
     covariance parameters there is nothing to restart: the one evaluation
     of the first attempt gives the result.
     """
-    v0 = _start_values(ws, sample)
     best = None
     last_error: Exception | None = None
     attempts = 0
     for attempt in range(options.max_restarts + 1 if ws.tc else 1):
         attempts = attempt + 1
-        if attempt == 0:
-            v_start = v0
-        else:
+        v_start, z_start = v0, z0
+        if attempt:
             jitter_seed = rng.derive_seed(options.seed, rng.STREAM_JITTER, attempt)
             noise = rng.uniform(
                 jitter_seed, (ws.t,), -options.jitter_fraction, options.jitter_fraction
             )[: ws.tc]
-            v_start = np.where(v0 != 0.0, v0 * (1.0 + noise), noise)
+            v_start, z_start = np.where(v0 != 0.0, v0 * (1.0 + noise), noise), None
         try:
-            z_start = ws.to_unconstrained(v_start)
+            if z_start is None:
+                z_start = ws.to_unconstrained(v_start)
             candidate = yield from _minimize_once(z_start, options)
         except (_AttemptFailed, SmmError) as err:
             last_error = err
@@ -712,42 +711,24 @@ def _fit_steps(ws: _Workspace, sample: SampleMoments, options: FitOptions):
         raise NotPositiveDefiniteError(
             f"every optimization attempt failed; last error: {last_error}"
         )
-    point, f_hat, grad_inf, nit, converged = best
-    mats = _sign_convention(ws.spec, ws.build(point)[0])
-    return _result(ws, sample, mats, f_hat, converged, nit, grad_inf, attempts - 1)
-
-
-def _result(ws, sample, mats, f, converged, iterations, grad_inf, retries) -> FitResult:
-    return FitResult(
-        estimates=mats,
-        f_min=f,
-        chi_square=(sample.n - 1) * f,
-        df=ws.report.df,
-        n=sample.n,
-        converged=converged,
-        iterations=iterations,
-        grad_inf_norm=grad_inf,
-        retries_used=retries,
-        free_values=ws.index.extract(mats),
-        labels=ws.labels,
-    )
+    return best + (attempts - 1,)
 
 
 def _by_rows(batched, failed, *stacks) -> list:
     """batched(*stacks), a list with one entry per row of the stacks.
 
-    np.linalg raises LinAlgError for a whole stack when one of its
-    matrices is not positive definite. Then each half of the stack runs
-    on its own, down to single rows, and failed(*row) stands in for a row
-    that raises; a few failing rows in a stack of R cost O(log R) extra
-    calls. A row's numbers do not depend on the stack it is in, so either
-    way it gets the same bits.
+    np.linalg raises LinAlgError, and simulate.cholesky an SmmError, for
+    a whole stack when one of its matrices fails. Then each half of the
+    stack runs on its own, down to single rows, and failed(error, *row)
+    stands in for a row that raises; a few failing rows in a stack of R
+    cost O(log R) extra calls. A row's numbers do not depend on the stack
+    it is in, so either way it gets the same bits.
     """
     try:
         return batched(*stacks)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, SmmError) as error:
         if len(stacks[0]) == 1:
-            return [failed(*stacks)]
+            return [failed(error, *stacks)]
     half = len(stacks[0]) // 2
     return _by_rows(batched, failed, *(s[:half] for s in stacks)) + _by_rows(
         batched, failed, *(s[half:] for s in stacks)
@@ -773,8 +754,8 @@ def _inverse_information(ws: _Workspace, values: np.ndarray) -> list:
     return list(_mT(inv_lower) @ inv_lower)
 
 
-def _scaled_identity(ws: _Workspace, values: np.ndarray) -> np.ndarray:
-    """Stand-in inverse at one joint point (1, t) whose concentrated information fails.
+def _scaled_identity(ws: _Workspace, error: Exception, values: np.ndarray) -> np.ndarray:
+    """Stand-in inverse at one joint point (1, t) whose concentrated information failed with error.
 
     The identity over the mean curvature of the covariance block of the
     joint information.
@@ -789,13 +770,17 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
 
     options holds one FitOptions per sample. Returns one entry per
     sample: its FitResult, or the SmmError its fit raised. Each sample
-    runs the algorithm of fit on its own, but every round of the loop
-    gathers the pending requests of all unfinished fits into one stacked
-    evaluation of F and its gradient and one stacked Fisher information,
-    so numpy's per-call cost is paid once per round, not once per sample.
-    A fit leaves the rounds when it finishes, and its restarts run inside
-    them. The rounds run with numpy's floating-point warnings off: a
-    trial that overflows is rejected, not reported.
+    runs the algorithm of fit on its own, but numpy's per-call cost is
+    paid once per batch or round, not once per sample. The set-up checks
+    every sample covariance (symmetry, one stacked Cholesky, the pivot
+    floor) and forms every start in one pass. Every round gathers the
+    pending requests of all unfinished fits into one stacked evaluation of
+    F and its gradient and one stacked Fisher information. A fit leaves
+    the rounds when it finishes, and its restarts run inside them. The
+    wrap-up forms the matrices, sign convention and free values of every
+    best point at once. The set-up and the rounds run with numpy's
+    floating-point warnings off: a trial that overflows is rejected, not
+    reported.
     """
     ws = _workspace(spec)
     if not ws.report.is_valid:
@@ -805,6 +790,20 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
     results: list = [None] * len(samples)
     covs = np.zeros((len(samples), spec.p, spec.p))
     means = np.zeros((len(samples), spec.p))
+    for i, sample in enumerate(samples):
+        if sample.p == spec.p:
+            covs[i], means[i] = sample.cov, sample.mean
+        else:
+            results[i] = SmmError(
+                DIMENSION_MISMATCH,
+                f"sample has {sample.p} variables but the model expects {spec.p}",
+            )
+    # a sample covariance that simulate.cholesky rejects fails its row
+    rows = [i for i, result in enumerate(results) if result is None]
+    checks = _by_rows(lambda c: list(cholesky(c)), lambda error, c: error, covs[rows])
+    for i, check in zip(rows, checks):
+        results[i] = check if isinstance(check, SmmError) else None
+    rows = [i for i in rows if results[i] is None]
     steps, requests = {}, {}
 
     def advance(i, reply):
@@ -818,32 +817,19 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
         del steps[i]
         requests.pop(i, None)
 
-    for i, (sample, opts) in enumerate(zip(samples, options)):
-        try:
-            if sample.p != spec.p:
-                raise SmmError(
-                    DIMENSION_MISMATCH,
-                    f"sample has {sample.p} variables but the model expects {spec.p}",
-                )
-            # a sample covariance that is not positive definite fails its row
-            cholesky(sample.cov)
-        except SmmError as err:
-            results[i] = err
-            continue
-        covs[i], means[i] = sample.cov, sample.mean
-        steps[i] = _fit_steps(ws, sample, opts)
-
     evaluate = functools.partial(_evaluations, ws)
-    inverse_information = functools.partial(_inverse_information, ws)
-    scaled_identity = functools.partial(_scaled_identity, ws)
-
-    def rejected(*row):
-        return None
-
+    invert = functools.partial(_inverse_information, ws)
+    fallback = functools.partial(_scaled_identity, ws)
     # the samples of the last round's evaluations, stacked
     stacked_for, stacked = None, None
     with np.errstate(all="ignore"):
-        for i in list(steps):
+        v0 = _start_values(ws, covs[rows], means[rows])
+        try:
+            z0 = ws.to_unconstrained(v0)
+        except SmmError:  # a start of the spec's own is not positive: each row fails it alone
+            z0 = [None] * len(rows)
+        for i, v, z in zip(rows, v0, z0):
+            steps[i] = _fit_steps(ws, v, z, options[i])
             advance(i, None)
         while requests:
             asked = {"eval": ([], []), "fisher": ([], [])}
@@ -854,16 +840,28 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
             evals, z = asked["eval"]
             if evals:
                 if evals != stacked_for:
-                    rows = np.array(evals)
-                    stacked_for, stacked = evals, (covs[rows], means[rows])
-                replies += zip(evals, _by_rows(evaluate, rejected, np.array(z), *stacked))
+                    stacked_for, stacked = evals, (covs[evals], means[evals])
+                # a row whose evaluation raises gets None: its trial is rejected
+                replies += zip(evals, _by_rows(evaluate, lambda *row: None, np.array(z), *stacked))
             fishers, points = asked["fisher"]
             if fishers:
-                replies += zip(
-                    fishers, _by_rows(inverse_information, scaled_identity, np.array(points))
-                )
+                replies += zip(fishers, _by_rows(invert, fallback, np.array(points)))
             for i, reply in replies:
                 advance(i, reply)
+
+    done = [i for i in rows if not isinstance(results[i], SmmError)]
+    if done:
+        mats = _sign_convention(ws, ws.index.insert(np.array([results[i][0] for i in done])))
+        free_values = ws.index.extract(mats)
+        for k, i in enumerate(done):
+            _, f, grad_inf, iterations, converged, retries = results[i]
+            n = samples[i].n
+            results[i] = FitResult(
+                estimates=ParameterMatrices(*(block[k] for block in vars(mats).values())),
+                f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=converged,
+                iterations=iterations, grad_inf_norm=grad_inf, retries_used=retries,
+                free_values=free_values[k], labels=ws.labels,
+            )
     return results
 
 

@@ -383,7 +383,11 @@ class ParameterIndex:
         )
 
     def extract(self, matrices: ParameterMatrices) -> np.ndarray:
-        """Read the free cells back out of full matrices (inverse of insert)."""
+        """Read the free cells back out of full matrices (inverse of insert).
+
+        The matrices may carry the same leading axes, which the result keeps.
+        """
+        lead = np.shape(matrices.factor_means)[:-1]
         blocks = (
             matrices.loadings,
             matrices.factor_cov,
@@ -391,7 +395,7 @@ class ParameterIndex:
             matrices.intercepts,
             matrices.factor_means,
         )
-        return np.concatenate([np.ravel(b) for b in blocks])[self.read]
+        return np.concatenate([np.reshape(b, lead + (-1,)) for b in blocks], axis=-1)[..., self.read]
 
 
 def parameter_index(spec: ModelSpec) -> ParameterIndex:

@@ -4,14 +4,14 @@ run_study draws R samples per condition, fits the model to each, and
 aggregates the converged fits. Each replication owns a seed derived from
 (master, condition_index, replication), so the stream a replication sees
 does not depend on scheduling. A condition's replications are drawn in
-order and reduced to their sample moments (the datasets are not kept, so
-memory stays O(R p^2)), then fitted together by estimator.fit_many, which
-steps them in lockstep. With max_parallelism > 1 and enough replications
-(at least MIN_BLOCK per worker) each worker process takes one contiguous
-block of replications and fits it the same way. A
-replication's result does not depend on the batch it was fitted in, so
-summaries are byte-identical whether the study runs on one process or
-eight.
+order from one factorization of the population and reduced to their
+sample moments (the datasets are not kept, so memory stays O(R p^2)),
+then fitted together by estimator.fit_many, which steps them in
+lockstep. With max_parallelism > 1 and enough replications (at least
+MIN_BLOCK per worker) each worker process takes one contiguous block of
+replications and fits it the same way. A replication's result does not
+depend on the batch it was fitted in, so summaries are byte-identical
+whether the study runs on one process or eight.
 
 The embedded REFERENCE_TABLE holds benchmark Monte Carlo results (two
 population models at three sample sizes, 2,000 replications each) that
@@ -38,8 +38,7 @@ from .errors import (
 )
 from .estimator import FitOptions, fit_many
 from .model_spec import ModelSpec, validate
-from .moments import compute_moments
-from .simulate import PopulationModel, Seed, draw_sample
+from .simulate import PopulationModel, Seed, draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
 # so a pool pays only for large blocks. On a 2-vCPU VM (table1_model1_n900,
@@ -175,13 +174,16 @@ class ComparisonReport:
 def _replicate_block(population, spec, fit_options, master, condition_index, n, reps):
     """Replications reps of one condition: derive seeds, draw, fit in lockstep.
 
+    The population is factored once for the block (simulate.draw_moments),
+    and each replication's sample is the one its own seed gives alone.
     Returns a FitResult per replication, or None where the fit raised.
     """
-    samples, options = [], []
-    for rep in reps:
-        rep_seed = rng.derive_seed(master, condition_index, rep)
-        samples.append(compute_moments(draw_sample(population, n, Seed(rep_seed))))
-        options.append(replace(fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER)))
+    rep_seeds = [rng.derive_seed(master, condition_index, rep) for rep in reps]
+    samples = draw_moments(population, n, [Seed(rep_seed) for rep_seed in rep_seeds])
+    options = [
+        replace(fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER))
+        for rep_seed in rep_seeds
+    ]
     return [
         None if isinstance(result, SmmError) else result
         for result in fit_many(spec, samples, options)

@@ -5,7 +5,9 @@ follows the mean structure (nu + Lambda theta) or is given explicitly;
 the explicit form exists precisely so that populations violating the
 structure can be simulated. Sampling is x = m + L z with L the Cholesky
 factor of the population covariance and z standard normal from the
-deterministic generator in the rng module.
+deterministic generator in the rng module. A draw of many seeds from one
+population (draw_moments, a Monte Carlo condition) factors it once;
+draw_sample is the draw of one seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     INVALID_SAMPLE_SIZE,
     NotPositiveDefiniteError,
 )
-from .moments import Dataset
+from .moments import Dataset, SampleMoments, compute_moments
 
 STRUCTURED = "structured"
 EXPLICIT = "explicit"
@@ -146,27 +148,40 @@ def population_moments(pop: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L L' = sigma.
+    """Lower-triangular factor L with L L' = sigma, of one matrix or a stack (..., p, p).
 
     Rejects asymmetric input outright and reports non-positive-definite
     matrices, including the nearly singular case where a pivot falls at or
-    below PIVOT_FLOOR.
+    below PIVOT_FLOOR. A stack is checked in one step and raises if any of
+    its matrices fails.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape[0] != sigma.shape[1]:
+    if sigma.shape[-1] != sigma.shape[-2]:
         raise SmmError(DIMENSION_MISMATCH, "matrix must be square")
-    scale = np.max(np.abs(sigma)) or 1.0
-    if np.max(np.abs(sigma - sigma.T)) > 1e-8 * scale:
+    scale = np.abs(sigma).max(axis=(-2, -1))
+    asymmetry = np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(asymmetry > 1e-8 * np.where(scale == 0.0, 1.0, scale)):
         raise SmmError(ASYMMETRIC_MATRIX, "matrix is not symmetric")
     try:
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    if np.any(np.diag(lower) ** 2 <= PIVOT_FLOOR):
+    if np.any(lower.diagonal(0, -2, -1) ** 2 <= PIVOT_FLOOR):
         raise NotPositiveDefiniteError(
             f"matrix is numerically singular (pivot below {PIVOT_FLOOR:g})"
         )
     return lower
+
+
+def _draws(pop: PopulationModel, n: int, seeds):
+    """The samples draw_sample gives for each seed in turn, the population factored once."""
+    if n < 1:
+        raise SmmError(INVALID_SAMPLE_SIZE, f"sample size must be >= 1, got {n}")
+    m, sigma = population_moments(pop)
+    lower_t = cholesky(sigma).T
+    for seed in seeds:
+        z = rng.normals(seed.master, (n, pop.p))
+        yield Dataset(values=m + z @ lower_t, variable_names=pop.variable_names)
 
 
 def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
@@ -177,10 +192,14 @@ def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
     (pop, n, seed) always give byte-identical data regardless of platform
     or how many other samples were drawn before this one.
     """
-    if n < 1:
-        raise SmmError(INVALID_SAMPLE_SIZE, f"sample size must be >= 1, got {n}")
-    m, sigma = population_moments(pop)
-    lower = cholesky(sigma)
-    z = rng.normals(seed.master, (n, pop.p))
-    values = m + z @ lower.T
-    return Dataset(values=values, variable_names=pop.variable_names)
+    (data,) = _draws(pop, n, (seed,))
+    return data
+
+
+def draw_moments(pop: PopulationModel, n: int, seeds) -> list[SampleMoments]:
+    """The sample moments of n rows drawn for each seed, the population factored once.
+
+    Each sample is the one draw_sample gives for its seed; only its
+    moments are kept, so memory stays O(len(seeds) p^2).
+    """
+    return [compute_moments(data) for data in _draws(pop, n, seeds)]

@@ -33,8 +33,8 @@ from smm.fixtures import (
     study_path,
 )
 from smm.moments import SampleMoments, compute_moments
-from smm.montecarlo import StudyConfig, run_study
-from smm.simulate import Seed, draw_sample, population_moments
+from smm.montecarlo import REFERENCE_TABLE, StudyConfig, run_study
+from smm.simulate import Seed, draw_sample, explicit, population_moments
 from smm.smm_core import equal_loading_mean, expected_means, factor_means_ls
 
 VARIABLES = ("x1", "x2", "x3", "x4", "x5")
@@ -95,6 +95,23 @@ def test_2_model2_n900_pseudo_true_values(summaries):
     chi_tol = max(3.5, 0.01 * 126.82)
     checks.append(_within("mean chi-square", rep.chi_square_mean, 126.82, chi_tol))
     _report("acceptance 2 (model 2, N=900, R=500)", checks)
+
+
+def test_2_exact_moments_give_the_pseudo_true_values():
+    # the fit of the model 2 population's own moments is the pseudo-true
+    # point the Monte Carlo means above estimate, without sampling error
+    # (measured: loadings 0.5632 ... 0.2427, factor mean 12.4176 and
+    # 899 f_min + 9 = 126.92, in 7 iterations)
+    mean, sigma = population_moments(reference_population("model2"))
+    result = fit(reference_model_spec(), SampleMoments(n=900, mean=mean, cov=sigma))
+    values = dict(zip(result.labels, result.free_values))
+    table = REFERENCE_TABLE.blocks["model2"][900]
+    checks = [("fit converged", result.converged)]
+    for name, (center, sd) in zip(VARIABLES, table.loadings):
+        checks.append(_within(f"loading {name}", values[f"lambda[{name},F1]"], center, sd))
+    checks.append(_within("factor mean", values["theta[F1]"], *table.factor_mean))
+    checks.append(_within("899 f_min + df", result.chi_square + table.df, *table.chi_square))
+    _report("acceptance 2 (model 2 pseudo-true values from exact moments)", checks)
 
 
 def test_3_misfit_scaling_with_n(summaries):
@@ -165,6 +182,35 @@ def test_6_equal_loading_divergence():
         )
     )
     _report("acceptance 6 (equal-loading divergence)", checks)
+
+
+def _factor_mean_of_population(loadings, means):
+    population = explicit(np.asarray(loadings)[:, None], np.eye(1), np.ones(5), means)
+    mean, sigma = population_moments(population)
+    result = fit(reference_model_spec(), SampleMoments(n=900, mean=mean, cov=sigma))
+    return result.converged, dict(zip(result.labels, result.free_values))["theta[F1]"]
+
+
+def test_6_smaller_loadings_give_larger_factor_means():
+    # the paper's second result on full ML fits of exact moments: the same
+    # observed means with loadings shrunk by w give a factor mean grown by
+    # 1 / w. rtol 1e-6 is what the default gradient_tolerance resolves: at
+    # w = 0.1 theta = 100 after one iteration, off by 1.4e-6 absolute
+    base = np.array(REFERENCE_LOADINGS)
+    checks = []
+    for w in (1.0, 0.5, 0.25, 0.1):
+        converged, theta = _factor_mean_of_population(w * base, 10.0 * base)
+        checks.append((f"converged at w={w}", converged))
+        checks.append((f"theta * w = {theta * w:.9f} at w={w}", theta * w == pytest.approx(10.0, rel=1e-6)))
+        # equal loadings with means proportional to them: the closed form
+        means = np.full(5, 5.0)
+        converged, theta = _factor_mean_of_population(np.full(5, 0.5 * w), means)
+        closed = equal_loading_mean(0.5 * w, means)
+        checks.append((f"converged with equal loadings at w={w}", converged))
+        checks.append(
+            (f"theta = {theta:.9f} vs closed form {closed} at w={w}", theta == pytest.approx(closed, rel=1e-6))
+        )
+    _report("acceptance 6 (smaller loadings, larger factor means)", checks)
 
 
 def test_7_factor_mean_round_trip_batch():

@@ -13,7 +13,9 @@ from smm.estimator import (
     FitOptions,
     ImpliedMoments,
     _by_rows,
+    _dot,
     _evaluations,
+    _sign_convention,
     _start_values,
     _workspace,
     fit,
@@ -43,7 +45,7 @@ from smm.model_spec import (
     one_factor_spec,
 )
 from smm.moments import Dataset, SampleMoments, compute_moments
-from smm.simulate import Seed, draw_sample, explicit, population_moments, structured
+from smm.simulate import Seed, cholesky, draw_moments, draw_sample, explicit, population_moments, structured
 
 LOADINGS = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
 
@@ -671,17 +673,21 @@ def default_starts(ws, sample):
 def test_start_along_the_means_follows_rescaled_and_permuted_variables(population, seed):
     ws = _workspace(reference_model_spec())
     sample = drawn_sample(population, 150, seed)
-    start = _start_values(ws, sample)
+    start = _start_values(ws, sample.cov, sample.mean)
     assert not np.allclose(start, default_starts(ws, sample))
     lam, psi2 = start[:5], start[5:]
     generator = np.random.default_rng(seed)
     c, order = np.exp(generator.uniform(-1.5, 1.5, 5)), generator.permutation(5)
     scaled = SampleMoments(n=sample.n, mean=c * sample.mean, cov=sample.cov * np.outer(c, c))
-    np.testing.assert_allclose(_start_values(ws, scaled), np.r_[c * lam, c**2 * psi2], rtol=1e-12)
+    np.testing.assert_allclose(
+        _start_values(ws, scaled.cov, scaled.mean), np.r_[c * lam, c**2 * psi2], rtol=1e-12
+    )
     permuted = SampleMoments(
         n=sample.n, mean=sample.mean[order], cov=sample.cov[np.ix_(order, order)]
     )
-    np.testing.assert_allclose(_start_values(ws, permuted), np.r_[lam[order], psi2[order]], rtol=1e-12)
+    np.testing.assert_allclose(
+        _start_values(ws, permuted.cov, permuted.mean), np.r_[lam[order], psi2[order]], rtol=1e-12
+    )
 
 
 def test_start_along_the_means_scales_with_the_factor_variance():
@@ -689,9 +695,9 @@ def test_start_along_the_means_scales_with_the_factor_variance():
     spec = reference_model_spec()
     wide = replace(spec, factor_cov=((fixed(4.0),),))
     sample = drawn_sample("model1", 300, 5)
-    start = _start_values(_workspace(spec), sample)
+    start = _start_values(_workspace(spec), sample.cov, sample.mean)
     np.testing.assert_allclose(
-        _start_values(_workspace(wide), sample), np.r_[start[:5] / 2, start[5:]], rtol=1e-12
+        _start_values(_workspace(wide), sample.cov, sample.mean), np.r_[start[:5] / 2, start[5:]], rtol=1e-12
     )
 
 
@@ -703,7 +709,7 @@ def test_start_along_the_means_leaves_each_unique_variance_a_tenth():
     ws = _workspace(reference_model_spec())
     for sample in samples_of(population):
         variances = np.diag(sample.cov)
-        psi2 = _start_values(ws, sample)[5:]
+        psi2 = _start_values(ws, sample.cov, sample.mean)[5:]
         assert np.all(psi2 >= 0.1 * variances)
         assert psi2[4] == 0.1 * variances[4]
 
@@ -747,7 +753,7 @@ def test_start_outside_the_rule_keeps_the_default_starts(case):
     spec, samples = DEFAULT_START_CASES[case]()
     ws = _workspace(spec)
     for sample in samples:
-        assert _start_values(ws, sample).tobytes() == default_starts(ws, sample).tobytes()
+        assert _start_values(ws, sample.cov, sample.mean).tobytes() == default_starts(ws, sample).tobytes()
 
 
 def test_own_starts_win_over_the_start_along_the_means():
@@ -755,7 +761,7 @@ def test_own_starts_win_over_the_start_along_the_means():
     spec = replace(spec, unique_variances=(free(), free(0.7), free(), free(), free()))
     ws = _workspace(spec)
     sample = drawn_sample("model2", 300, 3)
-    start = dict(zip(ws.labels, _start_values(ws, sample)))
+    start = dict(zip(ws.labels, _start_values(ws, sample.cov, sample.mean)))
     default = dict(zip(ws.labels, default_starts(ws, sample)))
     assert (start["lambda[x1,F1]"], start["lambda[x5,F1]"], start["psi2[x2]"]) == (0.9, 0.2, 0.7)
     for label in ("lambda[x2,F1]", "lambda[x3,F1]", "lambda[x4,F1]", "psi2[x3]"):
@@ -771,10 +777,103 @@ def test_start_along_uninformative_means_reaches_the_same_minimum(n):
     ws = _workspace(spec)
     samples = samples_of(reference_loadings_with_means(np.zeros(5)), n, range(50))
     for sample, row in zip(samples, fit_many(spec, samples, [FitOptions()] * len(samples))):
-        assert not np.allclose(_start_values(ws, sample), default_starts(ws, sample))
+        assert not np.allclose(_start_values(ws, sample.cov, sample.mean), default_starts(ws, sample))
         default = fit(one_factor_spec(5, loading_starts=0.5 * np.sqrt(np.diag(sample.cov))), sample)
         assert row.converged and default.converged
         assert row.f_min == pytest.approx(default.f_min, abs=1e-10)
+
+
+def table1_samples():
+    """300 samples of the Table 1 populations, 50 per population and sample size."""
+    return [
+        sample
+        for key in ("model1", "model2")
+        for n in (150, 300, 900)
+        for sample in draw_moments(
+            reference_population(key), n, [Seed(rng.derive_seed(31, n, r)) for r in range(50)]
+        )
+    ]
+
+
+def test_stacked_linear_algebra_gives_each_slice_its_own_bits():
+    # fit_many's promise rests on these: a slice of a stacked call is the
+    # lone call on that slice, bit for bit
+    samples = table1_samples()
+    covs = np.array([sample.cov for sample in samples])
+    sd = np.sqrt(covs.diagonal(0, 1, 2))
+    m = np.array([sample.mean for sample in samples]) / sd
+    # R + m m', the matrix of the start along the means
+    moments = covs / (sd[:, :, None] * sd[:, None, :]) + m[:, :, None] * m[:, None, :]
+    for stack in (covs, moments):
+        values, vectors = np.linalg.eigh(stack)
+        eigvals, lower = np.linalg.eigvalsh(stack), np.linalg.cholesky(stack)
+        for k, matrix in enumerate(stack):
+            alone = np.linalg.eigh(matrix)
+            assert values[k].tobytes() == alone[0].tobytes()
+            assert vectors[k].tobytes() == alone[1].tobytes()
+            assert eigvals[k].tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+            assert lower[k].tobytes() == np.linalg.cholesky(matrix).tobytes()
+    # the dot products of the start rule over the pairs i < j, taken from
+    # strided slices of the stack as _start_values takes them
+    v = vectors[..., -1]
+    i, j = np.triu_indices(5, 1)
+    vv = v[:, i] * v[:, j]
+    fit_dot, norm = _dot(moments[:, i, j], vv), _dot(vv, vv)
+    for k in range(len(samples)):
+        pairs, products = moments[k][i, j], v[k][i] * v[k][j]
+        assert fit_dot[k] == pairs @ products
+        assert norm[k] == products @ products
+
+
+def test_start_values_of_a_batch_are_the_starts_alone():
+    samples = table1_samples()
+    ws = _workspace(reference_model_spec())
+    batch = _start_values(ws, np.array([s.cov for s in samples]), np.array([s.mean for s in samples]))
+    for sample, row in zip(samples, batch):
+        assert row.tobytes() == _start_values(ws, sample.cov, sample.mean).tobytes()
+
+
+def test_restarts_and_the_fisher_fallback_run_inside_a_batch(monkeypatch):
+    # means whose signs disagree with the covariances: fits run away toward
+    # small loadings and a huge factor mean, the concentrated information
+    # fails there and attempts end unconverged (measured on 8 rows: 7
+    # restart, and the fallback runs 16 times over batch and lone fits)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return scaled_identity(*args)
+
+    scaled_identity = estimator._scaled_identity
+    monkeypatch.setattr(estimator, "_scaled_identity", spy)
+    population = reference_loadings_with_means([3, -2, 1, 4, -5])
+    spec = reference_model_spec()
+    seeds = [rng.derive_seed(77, 150, r) for r in range(4)]
+    samples = draw_moments(population, 150, [Seed(seed) for seed in seeds])
+    options = [
+        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
+        for r in range(4)
+    ]
+    batch = fit_many(spec, samples, options)
+    assert any(row.retries_used for row in batch)
+    assert calls
+    assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+def test_a_zero_start_of_its_own_fails_each_first_attempt_alone():
+    # log(0) has no unconstrained form: the first attempt of every row
+    # fails, and the jittered restarts start the variance at the noise
+    spec, samples, options = bundled_replications("table1_model1_n900", range(8))
+    spec = replace(spec, unique_variances=(free(0.0),) + spec.unique_variances[1:])
+    batch = fit_many(spec, samples, options)
+    for sample, opts, row in zip(samples, options, batch):
+        if isinstance(row, SmmError):
+            with pytest.raises(NotPositiveDefiniteError, match="NONPOSITIVE_UNIQUE_VARIANCE") as alone:
+                fit(spec, sample, opts)
+            assert row.message == alone.value.message
+        else:
+            assert row.retries_used >= 1
+            assert fingerprint(row) == fingerprint(fit(spec, sample, opts))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -799,6 +898,68 @@ def test_fit_many_returns_the_error_of_a_failing_row():
     assert isinstance(batch[2], NotPositiveDefiniteError)
     del samples[2], options[2], batch[2]
     assert_rows_fit_alone_alike(spec, samples, options, batch)
+
+
+def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
+    spec, samples, options = bundled_replications("table1_model1_n900", range(3))
+    good = samples[0]
+    asymmetric = good.cov.copy()
+    asymmetric[0, 1] += 1e-3
+    indefinite = good.cov.copy()
+    indefinite[0, 1] = indefinite[1, 0] = 10.0
+    bad = [
+        SampleMoments(n=100, mean=good.mean, cov=asymmetric),
+        SampleMoments(n=100, mean=good.mean, cov=indefinite),
+        SampleMoments(n=100, mean=good.mean, cov=np.diag([1.0, 1.0, 1e-13, 1.0, 1.0])),
+    ]
+    wrong_size = SampleMoments(n=100, mean=np.zeros(3), cov=np.eye(3))
+    batch = fit_many(spec, bad + samples + [wrong_size], [FitOptions()] * 3 + options + [FitOptions()])
+    for sample, row in zip(bad, batch):
+        with pytest.raises(SmmError) as alone:
+            cholesky(sample.cov)
+        assert type(row) is type(alone.value)
+        assert (row.code, row.message) == (alone.value.code, alone.value.message)
+    codes = ["ASYMMETRIC_MATRIX", "NOT_POSITIVE_DEFINITE", "NOT_POSITIVE_DEFINITE"]
+    assert [row.code for row in batch[:3]] == codes
+    assert batch[-1].code == "DIMENSION_MISMATCH"
+    assert_rows_fit_alone_alike(spec, samples, options, batch[3:-1])
+
+
+def sign_convention_by_columns(spec, lam, theta, phi):
+    """Column by column: flip a column whose sum is negative when every cell it touches is free or zero."""
+    lam, theta, phi = lam.copy(), theta.copy(), phi.copy()
+    for k in range(spec.q):
+        touched = [(spec.loadings[i][k], lam[i, k]) for i in range(spec.p)]
+        touched += [(spec.factor_means[k], theta[k])]
+        touched += [(spec.factor_cov[k][j], phi[k, j]) for j in range(spec.q) if j != k]
+        if lam[:, k].sum() < 0 and all(cell.is_free or value == 0.0 for cell, value in touched):
+            lam[:, k], theta[k] = -lam[:, k], -theta[k]
+            for j in range(spec.q):
+                if j != k:
+                    phi[k, j], phi[j, k] = -phi[k, j], -phi[j, k]
+    return lam, theta, phi
+
+
+def test_sign_convention_of_a_stack_flips_each_row_by_its_own_columns():
+    # factor 1 has a loading fixed at 1 and never flips; factors 0 and 2 do
+    # whenever their loadings sum below zero, together with theta and phi
+    loadings = [[free(), fixed(0.0), free()] for _ in range(6)]
+    loadings[0][1] = fixed(1.0)
+    spec = ModelSpec(
+        loadings=tuple(map(tuple, loadings)),
+        intercepts=tuple(fixed(0.0) for _ in range(6)),
+        factor_means=(free(), free(), fixed(0.0)),
+        factor_cov=((free(), free(), fixed(0.0)), (free(), free(), free()), (fixed(0.0), free(), free())),
+        unique_variances=tuple(free() for _ in range(6)),
+    )
+    ws = _workspace(spec)
+    mats = ws.index.insert(np.random.default_rng(3).normal(size=(200, ws.t)))
+    flipped = _sign_convention(ws, mats)
+    assert list(ws.flippable) == [True, False, True]
+    for k in range(200):
+        want = sign_convention_by_columns(spec, mats.loadings[k], mats.factor_means[k], mats.factor_cov[k])
+        got = (flipped.loadings[k], flipped.factor_means[k], flipped.factor_cov[k])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_estimator_uses_no_einsum():

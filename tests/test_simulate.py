@@ -3,12 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from smm import rng
+from smm import rng, simulate
 from smm.errors import SmmError, NotPositiveDefiniteError
 from smm.fixtures import reference_population
+from smm.moments import compute_moments
 from smm.simulate import (
     Seed,
     cholesky,
+    draw_moments,
     draw_sample,
     explicit,
     population_moments,
@@ -148,6 +150,32 @@ def test_structured_and_explicit_same_moments_same_sample():
     a = draw_sample(pop_s, 20, Seed(99))
     b = draw_sample(pop_e, 20, Seed(99))
     assert np.array_equal(a.values, b.values)
+
+
+def test_draw_moments_factors_the_population_once(monkeypatch):
+    pop = one_factor_population(means_up=False)
+    seeds = [Seed(rng.derive_seed(5, r)) for r in range(6)]
+    alone = [compute_moments(draw_sample(pop, 150, seed)) for seed in seeds]
+    factored = []
+    monkeypatch.setattr(simulate, "cholesky", lambda sigma: factored.append(1) or cholesky(sigma))
+    block = draw_moments(pop, 150, seeds)
+    assert len(factored) == 1
+    for got, want in zip(block, alone):
+        assert got.n == want.n
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+
+
+def test_draw_moments_rejects_zero_rows():
+    with pytest.raises(SmmError, match="INVALID_SAMPLE_SIZE"):
+        draw_moments(one_factor_population(), 0, [Seed(3)])
+
+
+def test_cholesky_of_a_stack_fails_when_one_matrix_fails():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(stack)
+    np.testing.assert_array_equal(cholesky(stack[:1]), stack[:1])
 
 
 def test_seed_bounds():
