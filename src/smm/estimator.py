@@ -62,27 +62,31 @@ instead, to which the structured-means model makes them proportional
 (the slowest of 500: 5-10), where loadings at half a standard deviation
 took 13-19 (22-29), and the anchored designs take 9 (11).
 
-Fits run in lockstep. fit_many steps the fits of many samples (a Monte
-Carlo condition's replications) together: each fit is the same
-sequential algorithm, written as a generator that asks for an evaluation
-of F and its gradient or for a Fisher information, and every round
-answers the pending requests of all unfinished fits with one stacked
-numpy call over a leading (R, ...) axis. A fit leaves the rounds when it
-finishes. The set-up before the rounds (sample checks, starts) and the
-wrap-up after them (result matrices, sign convention) are stacked too.
-Nearly all of the cost on 5x5 matrices is numpy's per-call overhead, so
-a stacked call costs little more than a single one. fit is fit_many on
-one sample. Every stacked operation (matmul over contiguous rows,
-cholesky, eigh, solve, inv, sums over trailing axes) gives each row the
-same bits as it would alone, so a result does not depend on the batch it
-was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes
-about 2-3 ms, and in a batch of 500 about 0.3-0.6 ms per fit.
+Fits run in lockstep. fit_many fits many samples (a Monte Carlo
+condition's replications) with one optimizer whose state is arrays over
+the unfinished fits, one row per fit: points, gradients, inverse
+Hessians, directions, step lengths and counters. Every round evaluates F
+and its gradient at each fit's pending point in one stacked numpy call
+over the leading (R, ...) axis, seeds the fits due a Fisher refresh in
+another, and takes Armijo acceptance, step shortening, the BFGS update
+and the next direction as masks over all rows. Python runs per fit only
+where an attempt ends, and finished fits leave the arrays. The set-up
+(sample checks, starts) and the wrap-up (result matrices, sign
+convention) are stacked too. Nearly all of the cost on 5x5 matrices is
+numpy's per-call overhead, so a stacked call costs little more than a
+single one. fit is fit_many on one sample. Every stacked operation
+(matmul over contiguous rows, cholesky, eigh, solve, inv, elementwise
+ufuncs, sums over trailing axes) gives each row the same bits as it
+would alone, so a result does not depend on the batch it was fitted in.
+On a 2-vCPU x86 VM a lone fit of a bundled design takes about 2-4 ms,
+and in a batch of 500 about 0.08-0.16 ms per fit.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,6 +132,8 @@ class FitOptions:
     as converged when the largest component of the gradient over the
     covariance parameters is at most gradient_tolerance; the mean block of
     the joint gradient is zero up to rounding at every reported point.
+    Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
+    finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
 
     max_iterations: int = 1000
@@ -135,6 +141,16 @@ class FitOptions:
     jitter_fraction: float = 0.2
     seed: int = 0
     gradient_tolerance: float = 1e-6
+
+    def __post_init__(self):
+        for name, ok in (
+            ("max_iterations", self.max_iterations >= 0),
+            ("max_restarts", self.max_restarts >= 0),
+            ("jitter_fraction", 0.0 <= self.jitter_fraction <= 1.0),
+            ("gradient_tolerance", 0.0 < self.gradient_tolerance < np.inf),
+        ):
+            if not ok:
+                raise SmmError(BAD_INPUT, f"FitOptions.{name} out of range: {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -587,135 +603,8 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     return v0[..., : ws.tc]
 
 
-class _AttemptFailed(Exception):
-    pass
-
-
-def _minimize_once(z, options: FitOptions):
-    """BFGS from z on the concentrated F, its inverse Hessian seeded from the concentrated information.
-
-    z holds the covariance parameters in unconstrained coordinates. A
-    generator: it yields ("eval", z) to ask for F and its gradient at z,
-    answered with (F, gradient, joint point) or with None where Sigma is
-    not positive definite, the mean design is singular or a value is not
-    finite; the joint point is the raw parameter vector with the intercepts
-    and factor means at their optimum. It yields ("fisher", joint point) to
-    ask for the inverse concentrated information at its current point. It
-    returns (joint point, F, largest gradient component, iterations,
-    converged).
-
-    The inverse Hessian is reset to the inverse information every
-    FISHER_REFRESH iterations and whenever a line search along the BFGS
-    direction fails. The loop stops when the largest gradient component
-    reaches OPTIMIZER_GTOL, at max_iterations, when the line search along a
-    fresh Fisher direction accepts no trial, or, before a line search, when
-    the gradient is within gradient_tolerance and the decrease the step
-    predicts, -slope / 2, is within F_ROUNDING, so that no search can
-    succeed.
-
-    The line search accepts a trial that lowers F strictly and meets the
-    Armijo condition. A rejected trial shortens the step to the minimizer
-    of the quadratic through F, the slope and the trial, within [0.1, 0.5]
-    of the step, and one answered with None halves it. After its first
-    trial the search gives up once the decrease it asks for is below
-    F_ROUNDING.
-    """
-
-    def line_search(direction, slope):
-        alpha = 1.0
-        while True:
-            z_trial = z + alpha * direction
-            trial = yield "eval", z_trial
-            if trial is None:
-                alpha *= 0.5
-            elif trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope:
-                return z_trial, *trial
-            else:
-                shrink = -alpha * slope / (2.0 * (trial[0] - f - alpha * slope))
-                alpha *= min(max(shrink, 0.1), 0.5)
-            if -alpha * slope <= F_ROUNDING:
-                return None
-
-    start = yield "eval", z
-    if start is None:
-        raise _AttemptFailed("no finite discrepancy at the start")
-    f, g, point = start
-    iterations, h_inv, seeded_at = 0, None, -1
-    g_inf = np.abs(g).max(initial=0.0)
-    while g_inf > OPTIMIZER_GTOL and iterations < options.max_iterations:
-        if h_inv is None or (iterations % FISHER_REFRESH == 0 and seeded_at != iterations):
-            h_inv, seeded_at = (yield "fisher", point), iterations
-        direction = -(h_inv @ g)
-        slope = g @ direction
-        step = None
-        if np.isfinite(slope) and slope < 0:
-            if -0.5 * slope <= F_ROUNDING and g_inf <= options.gradient_tolerance:
-                break
-            step = yield from line_search(direction, slope)
-        if step is None:
-            if seeded_at == iterations:
-                break
-            h_inv = None
-            continue
-        z_new, f, g_new, point = step
-        s, y = z_new - z, g_new - g
-        sy = s @ y
-        if sy > 0:
-            hy = h_inv @ y
-            # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
-            cross = np.multiply.outer(hy, s / sy)
-            h_inv = h_inv - cross - cross.T + ((sy + y @ hy) / sy**2) * np.multiply.outer(s, s)
-        z, g = z_new, g_new
-        g_inf = np.abs(g).max()
-        iterations += 1
-    grad_inf = float(g_inf)
-    return point, f, grad_inf, iterations, grad_inf <= options.gradient_tolerance
-
-
-def _fit_steps(ws: _Workspace, v0: np.ndarray, z0, options: FitOptions):
-    """The fit of one sample as a generator of _minimize_once's requests.
-
-    v0 is the raw start of the first attempt and z0 its unconstrained
-    form, or None where that is still to be taken. Runs the attempts of
-    fit in turn and returns the best as (joint point, F, largest gradient
-    component, iterations, converged, restarts used); raises
-    NotPositiveDefiniteError when every attempt fails. Without free
-    covariance parameters there is nothing to restart: the one evaluation
-    of the first attempt gives the result.
-    """
-    best = None
-    last_error: Exception | None = None
-    attempts = 0
-    for attempt in range(options.max_restarts + 1 if ws.tc else 1):
-        attempts = attempt + 1
-        v_start, z_start = v0, z0
-        if attempt:
-            jitter_seed = rng.derive_seed(options.seed, rng.STREAM_JITTER, attempt)
-            noise = rng.uniform(
-                jitter_seed, (ws.t,), -options.jitter_fraction, options.jitter_fraction
-            )[: ws.tc]
-            v_start, z_start = np.where(v0 != 0.0, v0 * (1.0 + noise), noise), None
-        try:
-            if z_start is None:
-                z_start = ws.to_unconstrained(v_start)
-            candidate = yield from _minimize_once(z_start, options)
-        except (_AttemptFailed, SmmError) as err:
-            last_error = err
-            continue
-        if best is None or (candidate[4], -candidate[1]) > (best[4], -best[1]):
-            best = candidate
-        if candidate[4]:
-            break
-
-    if best is None:
-        raise NotPositiveDefiniteError(
-            f"every optimization attempt failed; last error: {last_error}"
-        )
-    return best + (attempts - 1,)
-
-
-def _by_rows(batched, failed, *stacks) -> list:
-    """batched(*stacks), a list with one entry per row of the stacks.
+def _by_rows(batched, failed, *stacks) -> tuple:
+    """batched(*stacks): a tuple of arrays, each with one row per row of the stacks.
 
     np.linalg raises LinAlgError, and simulate.cholesky an SmmError, for
     a whole stack when one of its matrices fails. Then each half of the
@@ -728,138 +617,248 @@ def _by_rows(batched, failed, *stacks) -> list:
         return batched(*stacks)
     except (np.linalg.LinAlgError, SmmError) as error:
         if len(stacks[0]) == 1:
-            return [failed(error, *stacks)]
+            return failed(error, *stacks)
     half = len(stacks[0]) // 2
-    return _by_rows(batched, failed, *(s[:half] for s in stacks)) + _by_rows(
-        batched, failed, *(s[half:] for s in stacks)
-    )
+    first = _by_rows(batched, failed, *(s[:half] for s in stacks))
+    second = _by_rows(batched, failed, *(s[half:] for s in stacks))
+    return tuple(np.concatenate(pair) for pair in zip(first, second))
 
 
-def _evaluations(ws: _Workspace, z, sample_cov, xbar) -> list:
-    """(F, gradient, joint point) per row of covariance points z, or None where F or g is not finite.
+def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
+    """F (k,), its gradient (k, tc) and the joint points (k, t) at covariance points z (k, tc).
 
-    A mean parameter that is not finite leaves F not finite.
+    F is inf where F or the gradient is not finite; a mean parameter that
+    is not finite leaves F not finite. Raises np.linalg.LinAlgError as
+    _discrepancy_and_gradient does.
     """
     values = np.zeros((len(z), ws.t))
     values[:, : ws.tc] = ws.to_raw(z)
     f, g = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
     g = g[:, : ws.tc]
-    finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
-    return [(float(fi), gi, vi) if ok else None for fi, gi, vi, ok in zip(f, g, values, finite)]
+    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, values
 
 
-def _inverse_information(ws: _Workspace, values: np.ndarray) -> list:
-    """Inverses of the concentrated information at joint points (rows, t), by Cholesky factors."""
+def _unevaluated(ws: _Workspace, error: Exception, *row) -> tuple:
+    """What _evaluate gives a row (1, ...) whose evaluation raised: F = inf."""
+    return np.full(1, np.inf), np.zeros((1, ws.tc)), np.zeros((1, ws.t))
+
+
+def _inverse_information(ws: _Workspace, values: np.ndarray) -> tuple:
+    """Inverse concentrated information (rows, tc, tc) at joint points (rows, t), by Cholesky."""
     inv_lower = np.linalg.inv(np.linalg.cholesky(ws.concentrated_information(values)))
-    return list(_mT(inv_lower) @ inv_lower)
+    return (_mT(inv_lower) @ inv_lower,)
 
 
-def _scaled_identity(ws: _Workspace, error: Exception, values: np.ndarray) -> np.ndarray:
-    """Stand-in inverse at one joint point (1, t) whose concentrated information failed with error.
+def _scaled_identity(ws: _Workspace, error: Exception, values: np.ndarray) -> tuple:
+    """Stand-in inverse (1, tc, tc) at a joint point (1, t) whose concentrated information failed.
 
     The identity over the mean curvature of the covariance block of the
     joint information.
     """
     info = ws.fisher_information(values[0])[: ws.tc, : ws.tc]
     mean_curvature = np.trace(info) / ws.tc
-    return np.eye(ws.tc) / (mean_curvature if mean_curvature > 0 else 1.0)
+    return (np.eye(ws.tc)[None] / (mean_curvature if mean_curvature > 0 else 1.0),)
 
 
 def fit_many(spec: ModelSpec, samples, options) -> list:
     """Fit spec to each sample, all samples in lockstep.
 
     options holds one FitOptions per sample. Returns one entry per
-    sample: its FitResult, or the SmmError its fit raised. Each sample
-    runs the algorithm of fit on its own, but numpy's per-call cost is
-    paid once per batch or round, not once per sample. The set-up checks
-    every sample covariance (symmetry, one stacked Cholesky, the pivot
-    floor) and forms every start in one pass. Every round gathers the
-    pending requests of all unfinished fits into one stacked evaluation of
-    F and its gradient and one stacked Fisher information. A fit leaves
-    the rounds when it finishes, and its restarts run inside them. The
-    wrap-up forms the matrices, sign convention and free values of every
-    best point at once. The set-up and the rounds run with numpy's
-    floating-point warnings off: a trial that overflows is rejected, not
-    reported.
+    sample: its FitResult, or the SmmError its fit raised. The set-up
+    checks every sample covariance (symmetry, one stacked Cholesky, the
+    pivot floor) and forms every start in one pass (see _start_values).
+
+    Each sample runs attempts of BFGS on the concentrated F over the
+    covariance parameters in unconstrained coordinates. The inverse
+    Hessian is seeded from the inverse concentrated information
+    (_scaled_identity where that fails), again every FISHER_REFRESH
+    iterations and whenever no step is found along the BFGS direction. The
+    line search tries the full step and accepts a trial that lowers F
+    strictly and meets the Armijo condition; a rejected trial shortens the
+    step to the minimizer of the quadratic through F, the slope and the
+    trial, within [0.1, 0.5] of the step, one without a finite F halves
+    it, and no step is found once the decrease asked for is below
+    F_ROUNDING. An attempt fails without a finite F at its start, and
+    ends when the largest gradient component reaches OPTIMIZER_GTOL, at
+    max_iterations, when no step is found along a fresh seed's direction,
+    or, before a search, when the gradient is within gradient_tolerance
+    and the step predicts a decrease (-slope / 2) within F_ROUNDING. Up to
+    max_restarts more attempts follow one that fails or ends unconverged,
+    each from the first start jittered by up to jitter_fraction from its
+    own rng.STREAM_JITTER stream, and the best is reported: converged
+    first, then the lowest F. Without free covariance parameters the
+    start's one evaluation is the result; a sample whose every attempt
+    fails gets a NotPositiveDefiniteError.
+
+    The rounds step the unfinished fits as rows of arrays (see the module
+    docstring) with numpy's floating-point warnings off: a trial that
+    overflows is rejected, not reported. The wrap-up forms the matrices,
+    sign convention and free values of every best point at once.
     """
     ws = _workspace(spec)
     if not ws.report.is_valid:
         raise InvalidModelError(ws.report)
     if len(options) != len(samples):
         raise SmmError(BAD_INPUT, f"{len(samples)} samples but {len(options)} FitOptions")
-    results: list = [None] * len(samples)
-    covs = np.zeros((len(samples), spec.p, spec.p))
-    means = np.zeros((len(samples), spec.p))
+    count = len(samples)
+    results: list = [None] * count
+    covs = np.zeros((count, spec.p, spec.p))
+    means = np.zeros((count, spec.p))
     for i, sample in enumerate(samples):
         if sample.p == spec.p:
             covs[i], means[i] = sample.cov, sample.mean
         else:
             results[i] = SmmError(
-                DIMENSION_MISMATCH,
-                f"sample has {sample.p} variables but the model expects {spec.p}",
+                DIMENSION_MISMATCH, f"sample has {sample.p} variables but the model expects {spec.p}"
             )
-    # a sample covariance that simulate.cholesky rejects fails its row
+    # a sample covariance that simulate.cholesky rejects fails its row with its error
     rows = [i for i, result in enumerate(results) if result is None]
-    checks = _by_rows(lambda c: list(cholesky(c)), lambda error, c: error, covs[rows])
-    for i, check in zip(rows, checks):
-        results[i] = check if isinstance(check, SmmError) else None
+    (errors,) = _by_rows(
+        lambda c: (np.full(len(cholesky(c)), None),), lambda error, c: (np.array([error]),), covs[rows]
+    )
+    for i, error in zip(rows, errors):
+        results[i] = error
     rows = [i for i in rows if results[i] is None]
-    steps, requests = {}, {}
 
-    def advance(i, reply):
-        try:
-            requests[i] = steps[i].send(reply)
-            return
-        except StopIteration as done:
-            results[i] = done.value
-        except SmmError as err:
-            results[i] = err
-        del steps[i]
-        requests.pop(i, None)
+    tc = ws.tc
+    last = [opts.max_restarts if tc else 0 for opts in options]
+    # per sample: attempt, last error, best (joint point, F, max |g|, iterations, converged)
+    attempt, last_error, best = [0] * count, [None] * count, [None] * count
 
-    evaluate = functools.partial(_evaluations, ws)
-    invert = functools.partial(_inverse_information, ws)
-    fallback = functools.partial(_scaled_identity, ws)
-    # the samples of the last round's evaluations, stacked
-    stacked_for, stacked = None, None
+    def begin(i):
+        """The unconstrained start of sample i's attempt, or of a later one; None past the last."""
+        while attempt[i] <= last[i]:
+            opts = options[i]
+            try:
+                if not attempt[i]:
+                    return ws.to_unconstrained(v0[i]) if z0 is None else z0[i]
+                seed = rng.derive_seed(opts.seed, rng.STREAM_JITTER, attempt[i])
+                noise = rng.uniform(seed, (ws.t,), -opts.jitter_fraction, opts.jitter_fraction)[:tc]
+                return ws.to_unconstrained(np.where(v0[i] != 0.0, v0[i] * (1.0 + noise), noise))
+            except SmmError as err:  # a unique variance of the start is not positive
+                last_error[i] = err
+                attempt[i] += 1
+        return None
+
+    evaluate, unevaluated, invert, fallback = (
+        functools.partial(f, ws)
+        for f in (_evaluate, _unevaluated, _inverse_information, _scaled_identity)
+    )
     with np.errstate(all="ignore"):
-        v0 = _start_values(ws, covs[rows], means[rows])
+        v0 = np.zeros((count, tc))
+        v0[rows] = _start_values(ws, covs[rows], means[rows])
         try:
-            z0 = ws.to_unconstrained(v0)
+            z0 = np.zeros((count, tc))
+            z0[rows] = ws.to_unconstrained(v0[rows])
         except SmmError:  # a start of the spec's own is not positive: each row fails it alone
-            z0 = [None] * len(rows)
-        for i, v, z in zip(rows, v0, z0):
-            steps[i] = _fit_steps(ws, v, z, options[i])
-            advance(i, None)
-        while requests:
-            asked = {"eval": ([], []), "fisher": ([], [])}
-            for i, (kind, z) in requests.items():
-                asked[kind][0].append(i)
-                asked[kind][1].append(z)
-            replies = []
-            evals, z = asked["eval"]
-            if evals:
-                if evals != stacked_for:
-                    stacked_for, stacked = evals, (covs[evals], means[evals])
-                # a row whose evaluation raises gets None: its trial is rejected
-                replies += zip(evals, _by_rows(evaluate, lambda *row: None, np.array(z), *stacked))
-            fishers, points = asked["fisher"]
-            if fishers:
-                replies += zip(fishers, _by_rows(invert, fallback, np.array(points)))
-            for i, reply in replies:
-                advance(i, reply)
+            z0 = None
+        starts = {i: begin(i) for i in rows}
+        live = [i for i in rows if starts[i] is not None]
+        k = len(live)
+        # one row per unfinished fit. zt is its pending point: a trial of its
+        # line search, or an attempt's start, where f = inf, slope = 0 and
+        # it = seeded = -1 make the start a trial that is accepted where F is
+        # finite and ends the attempt elsewhere. seeded is the iteration of
+        # the last Fisher seed, -1 when there is none.
+        s = SimpleNamespace(
+            row=np.array(live, dtype=int), cov=covs[live], mean=means[live],
+            max_it=np.array([options[i].max_iterations for i in live]),
+            tol=np.array([options[i].gradient_tolerance for i in live]),
+            zt=np.array([starts[i] for i in live]).reshape(k, tc), z=np.zeros((k, tc)),
+            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), point=np.zeros((k, ws.t)),
+            h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),
+            it=np.full(k, -1), seeded=np.full(k, -1),
+        )
+        while len(s.row):
+            f, g, point = _by_rows(evaluate, unevaluated, s.zt, s.cov, s.mean)
+            accept = (f < s.f) & (f <= s.f + ARMIJO * s.alpha * s.slope)
+            head, ended, reject = accept, np.zeros(len(s.row), dtype=bool), ~accept
+            if np.count_nonzero(reject):
+                shrink = -s.alpha * s.slope / (2.0 * (f - s.f - s.alpha * s.slope))
+                shrink = np.where(f < np.inf, np.minimum(np.maximum(shrink, 0.1), 0.5), 0.5)
+                np.copyto(s.alpha, s.alpha * shrink, where=reject)
+                # a search that asks for less than F's rounding gives up: it
+                # ends the attempt on a fresh seed and seeds afresh otherwise
+                give_up = reject & (-s.alpha * s.slope <= F_ROUNDING)
+                ended = give_up & (s.seeded == s.it)
+                head = accept | (give_up & ~ended)
+                np.copyto(s.seeded, -1, where=give_up)
+            if np.count_nonzero(accept):
+                step, y = s.zt - s.z, g - s.g
+                sy = _dot(step, y)
+                hy = (s.h @ y[..., None])[..., 0]
+                # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
+                cross = hy[:, :, None] * (step / sy[:, None])[:, None, :]
+                # float_power is the libm pow a scalar sy**2 takes, not a square
+                curve = (sy + _dot(y, hy)) / np.float_power(sy, 2.0)
+                outer = step[:, :, None] * step[:, None, :]
+                updated = s.h - cross - _mT(cross) + curve[:, None, None] * outer
+                # a start's update is void: its first seed replaces it
+                np.copyto(s.h, updated, where=(accept & (sy > 0))[:, None, None])
+                moved = accept[:, None]
+                np.copyto(s.z, s.zt, where=moved)
+                np.copyto(s.g, g, where=moved)
+                np.copyto(s.point, point, where=moved)
+                np.copyto(s.f, f, where=accept)
+                np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
+                s.it += accept
+            while np.count_nonzero(head):
+                run = head & (s.g_inf > OPTIMIZER_GTOL) & (s.it < s.max_it)
+                due = run & ((s.seeded < 0) | ((s.it % FISHER_REFRESH == 0) & (s.seeded != s.it)))
+                if np.count_nonzero(due):
+                    (s.h[due],) = _by_rows(invert, fallback, s.point[due])
+                    np.copyto(s.seeded, s.it, where=due)
+                d = -(s.h @ s.g[..., None])[..., 0]
+                slope = _dot(s.g, d)
+                descent = np.isfinite(slope) & (slope < 0)
+                # within tolerance, and the step predicts less decrease than F resolves
+                close = (-0.5 * slope <= F_ROUNDING) & (s.g_inf <= s.tol)
+                search = run & descent & ~close
+                # no descent direction: seed afresh once, then end
+                stale = run & ~descent & (s.seeded != s.it)
+                ended |= head & ~(search | stale)
+                head = stale
+                np.copyto(s.d, d, where=search[:, None])
+                np.copyto(s.slope, slope, where=search)
+                np.copyto(s.alpha, 1.0, where=search)
+                np.copyto(s.seeded, -1, where=stale)
+            s.zt = s.z + s.alpha[:, None] * s.d
+            if not np.count_nonzero(ended):
+                continue
+            # where attempts end, fit by fit: keep the best, then restart or finish
+            finished = ended.copy()
+            for k in np.flatnonzero(ended):
+                i, f_k, g_inf, it = s.row[k], float(s.f[k]), float(s.g_inf[k]), int(s.it[k])
+                conv = it >= 0 and g_inf <= options[i].gradient_tolerance
+                if it < 0:
+                    last_error[i] = "no finite discrepancy at the start"
+                elif best[i] is None or (conv, -f_k) > (best[i][4], -best[i][1]):
+                    best[i] = (s.point[k].copy(), f_k, g_inf, it, conv)
+                if not conv and attempt[i] < last[i]:
+                    attempt[i] += 1
+                    z = begin(i)
+                    if z is not None:
+                        finished[k] = False
+                        s.zt[k] = z
+                        s.f[k], s.slope[k], s.alpha[k], s.it[k], s.seeded[k] = np.inf, 0.0, 1.0, -1, -1
+            if np.count_nonzero(finished):
+                vars(s).update({name: array[~finished] for name, array in vars(s).items()})
 
-    done = [i for i in rows if not isinstance(results[i], SmmError)]
+    for i in rows:
+        if best[i] is None:
+            message = f"every optimization attempt failed; last error: {last_error[i]}"
+            results[i] = NotPositiveDefiniteError(message)
+    done = [i for i in rows if best[i] is not None]
     if done:
-        mats = _sign_convention(ws, ws.index.insert(np.array([results[i][0] for i in done])))
+        mats = _sign_convention(ws, ws.index.insert(np.array([best[i][0] for i in done])))
         free_values = ws.index.extract(mats)
         for k, i in enumerate(done):
-            _, f, grad_inf, iterations, converged, retries = results[i]
+            _, f, grad_inf, iterations, converged = best[i]
             n = samples[i].n
             results[i] = FitResult(
                 estimates=ParameterMatrices(*(block[k] for block in vars(mats).values())),
                 f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=converged,
-                iterations=iterations, grad_inf_norm=grad_inf, retries_used=retries,
+                iterations=iterations, grad_inf_norm=grad_inf, retries_used=min(attempt[i], last[i]),
                 free_values=free_values[k], labels=ws.labels,
             )
     return results

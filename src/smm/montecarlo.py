@@ -42,10 +42,11 @@ from .simulate import PopulationModel, Seed, draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
 # so a pool pays only for large blocks. On a 2-vCPU VM (table1_model1_n900,
-# table1_model2_n150 and anchor_x1; medians of 7-9 alternated runs),
-# parallelism 2 against 1 ran at 0.65-1.17x at R = 25-32, 0.99-1.35x at
-# R = 48-50, 1.10-1.34x at R = 64 and 1.31-1.40x at R = 100.
-MIN_BLOCK = 32
+# table1_model2_n150 and anchor_x1; medians of 9 alternated runs),
+# parallelism 2 against 1 ran at 0.55-0.94x at R = 64, 0.58-1.20x at
+# R = 128, 1.10-1.24x at R = 200, 1.08-1.26x at R = 256 and 1.25-1.54x
+# at R = 500.
+MIN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -214,20 +215,18 @@ def aggregate(results: list, total_replications: int | None = None) -> Replicati
     if not converged:
         raise SmmError(EMPTY_CONVERGED_SET, "no converged replications to aggregate")
     labels = converged[0].labels
-    values = np.array([r.free_values for r in converged])
-    chi = np.array([r.chi_square for r in converged])
     r_eff = len(converged)
-
-    def sd(column):
-        return 0.0 if r_eff == 1 else float(np.std(column, ddof=1))
-
-    parameters = {
-        label: (float(np.mean(values[:, i])), sd(values[:, i])) for i, label in enumerate(labels)
-    }
+    # one contiguous row per free value and the chi-square: a reduction over
+    # a contiguous row sums in the order np.mean and np.std take on a lone
+    # column, so the summary keeps those bits
+    values = np.column_stack([[r.free_values for r in converged], [r.chi_square for r in converged]])
+    columns = np.ascontiguousarray(values.T)
+    means = columns.mean(axis=1).tolist()
+    sds = [0.0] * len(columns) if r_eff == 1 else columns.std(axis=1, ddof=1).tolist()
     return ReplicationSummary(
-        parameters=parameters,
-        chi_square_mean=float(np.mean(chi)),
-        chi_square_sd=sd(chi),
+        parameters=dict(zip(labels, zip(means, sds))),
+        chi_square_mean=means[-1],
+        chi_square_sd=sds[-1],
         convergence_failures=total - r_eff,
         r_effective=r_eff,
         df=converged[0].df,

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 from smm import estimator, rng, serialize
 from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
+    ARMIJO,
+    F_ROUNDING,
+    FISHER_REFRESH,
+    OPTIMIZER_GTOL,
     FitOptions,
     ImpliedMoments,
     _by_rows,
     _dot,
-    _evaluations,
+    _evaluate,
+    _inverse_information,
+    _scaled_identity,
+    _unevaluated,
     _sign_convention,
     _start_values,
     _workspace,
@@ -314,8 +321,9 @@ def test_fisher_information_is_the_hessian_at_an_exact_fit(case):
 
 def concentrated_gradient(ws, z, sample):
     """Gradient of the concentrated F over the covariance parameters z, as fit sees it."""
-    (reply,) = _evaluations(ws, z[None], sample.cov[None], sample.mean[None])
-    return reply[1]
+    f, g, _ = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+    assert np.isfinite(f[0])
+    return g[0]
 
 
 @pytest.mark.parametrize("case", sorted(FISHER_CASES))
@@ -355,8 +363,9 @@ def test_saturated_mean_structure_leaves_no_whitened_mean_residual(spec_of):
     generator = np.random.default_rng(3)
     for _ in range(10):
         z = to_unconstrained(spec, random_point(spec, generator))[: ws.tc]
-        (reply,) = _evaluations(ws, z[None], sample.cov[None], sample.mean[None])
-        implied = implied_moments(spec, reply[2])
+        f, _, values = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+        assert np.isfinite(f[0])
+        implied = implied_moments(spec, values[0])
         ud = np.linalg.solve(np.linalg.cholesky(implied.sigma), sample.mean - implied.mu_model)
         assert np.max(np.abs(ud)) <= 1e-12
 
@@ -387,11 +396,10 @@ def test_singular_mean_design_rejects_its_row_only():
     covs = np.array([s.cov for s in samples])
     means = np.array([s.mean for s in samples])
     with pytest.raises(np.linalg.LinAlgError):
-        _evaluations(ws, z, covs, means)
-    evaluate = functools.partial(_evaluations, ws)
-    first, second = _by_rows(evaluate, lambda *row: None, z, covs, means)
-    assert second is None
-    assert first[0] == _evaluations(ws, z[:1], covs[:1], means[:1])[0][0]
+        _evaluate(ws, z, covs, means)
+    f, _, _ = _by_rows(functools.partial(_evaluate, ws), functools.partial(_unevaluated, ws), z, covs, means)
+    assert f[1] == np.inf
+    assert f[0] == _evaluate(ws, z[:1], covs[:1], means[:1])[0][0]
 
 
 def test_numeric_gradient_near_zero_at_truth():
@@ -876,6 +884,152 @@ def test_a_zero_start_of_its_own_fails_each_first_attempt_alone():
             assert fingerprint(row) == fingerprint(fit(spec, sample, opts))
 
 
+# A plain per-row loop of the algorithm fit_many documents: one sample at a
+# time, 1-D numpy, every evaluation through the workspace on a stack of one.
+# fit_many steps the same algorithm as masks over arrays of fits, and must
+# give each fit these bits.
+
+
+def reference_evaluation(ws, z, sample):
+    """(F, gradient, joint point) at covariance point z, or None where F or the gradient is not finite."""
+    try:
+        f, g, values = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+    except np.linalg.LinAlgError:
+        return None
+    return (float(f[0]), g[0], values[0]) if np.isfinite(f[0]) else None
+
+
+def reference_seed(ws, point):
+    try:
+        (h,) = _inverse_information(ws, point[None])
+    except np.linalg.LinAlgError as error:
+        (h,) = _scaled_identity(ws, error, point[None])
+    return h[0]
+
+
+def reference_line_search(ws, sample, z, f, direction, slope):
+    alpha = 1.0
+    while True:
+        z_trial = z + alpha * direction
+        trial = reference_evaluation(ws, z_trial, sample)
+        if trial is None:
+            alpha *= 0.5
+        elif trial[0] < f and trial[0] <= f + ARMIJO * alpha * slope:
+            return (z_trial, *trial)
+        else:
+            alpha *= min(max(-alpha * slope / (2.0 * (trial[0] - f - alpha * slope)), 0.1), 0.5)
+        if -alpha * slope <= F_ROUNDING:
+            return None
+
+
+def reference_attempt(ws, z, sample, options):
+    """(joint point, F, largest gradient component, iterations, converged), or None without a finite F at z."""
+    start = reference_evaluation(ws, z, sample)
+    if start is None:
+        return None
+    f, g, point = start
+    iterations, h, seeded = 0, None, -1
+    g_inf = np.abs(g).max(initial=0.0)
+    while g_inf > OPTIMIZER_GTOL and iterations < options.max_iterations:
+        if h is None or (iterations % FISHER_REFRESH == 0 and seeded != iterations):
+            h, seeded = reference_seed(ws, point), iterations
+        direction = -(h @ g)
+        slope = g @ direction
+        step = None
+        if np.isfinite(slope) and slope < 0:
+            if -0.5 * slope <= F_ROUNDING and g_inf <= options.gradient_tolerance:
+                break
+            step = reference_line_search(ws, sample, z, f, direction, slope)
+        if step is None:
+            if seeded == iterations:
+                break
+            h = None
+            continue
+        z_new, f, g_new, point = step
+        s, y = z_new - z, g_new - g
+        sy = s @ y
+        if sy > 0:
+            hy = h @ y
+            h = h - np.outer(hy, s / sy) - np.outer(s / sy, hy) + ((sy + y @ hy) / sy**2) * np.outer(s, s)
+        z, g = z_new, g_new
+        g_inf = np.abs(g).max()
+        iterations += 1
+    return point, f, float(g_inf), iterations, float(g_inf) <= options.gradient_tolerance
+
+
+def reference_fit(spec, sample, options):
+    """The fingerprint of the fit of one sample, or the NotPositiveDefiniteError it ends in."""
+    ws = _workspace(spec)
+    v0 = _start_values(ws, sample.cov, sample.mean)
+    best, last_error, attempts = None, None, 0
+    with np.errstate(all="ignore"):
+        for attempt in range(options.max_restarts + 1 if ws.tc else 1):
+            attempts, v = attempt + 1, v0
+            if attempt:
+                seed = rng.derive_seed(options.seed, rng.STREAM_JITTER, attempt)
+                noise = rng.uniform(seed, (ws.t,), -options.jitter_fraction, options.jitter_fraction)[: ws.tc]
+                v = np.where(v0 != 0.0, v0 * (1.0 + noise), noise)
+            try:
+                candidate = reference_attempt(ws, ws.to_unconstrained(v), sample, options)
+            except SmmError as error:
+                last_error = error
+                continue
+            if candidate is None:
+                last_error = "no finite discrepancy at the start"
+                continue
+            if best is None or (candidate[4], -candidate[1]) > (best[4], -best[1]):
+                best = candidate
+            if candidate[4]:
+                break
+    if best is None:
+        return NotPositiveDefiniteError(f"every optimization attempt failed; last error: {last_error}")
+    point, f, _, iterations, converged = best
+    free_values = ws.index.extract(_sign_convention(ws, ws.index.insert(point)))
+    return f, free_values.tobytes(), iterations, attempts - 1, converged
+
+
+def assert_rows_follow_the_reference(spec, samples, options, batch):
+    for sample, opts, row in zip(samples, options, batch):
+        want = reference_fit(spec, sample, opts)
+        if isinstance(want, SmmError):
+            assert (type(row), row.message) == (type(want), want.message)
+        else:
+            assert fingerprint(row) == want
+
+
+@pytest.mark.parametrize("name", bundled_studies())
+def test_fit_many_follows_the_reference_loop(name):
+    spec, samples, options = bundled_replications(name, range(40))
+    assert_rows_follow_the_reference(spec, samples, options, fit_many(spec, samples, options))
+
+
+def test_restarts_give_ups_and_the_fallback_follow_the_reference_loop(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return scaled_identity(*args)
+
+    scaled_identity = estimator._scaled_identity
+    monkeypatch.setattr(estimator, "_scaled_identity", spy)
+    population = reference_loadings_with_means([3, -2, 1, 4, -5])
+    spec = reference_model_spec()
+    samples = draw_moments(population, 150, [Seed(rng.derive_seed(77, 150, r)) for r in range(4)])
+    options = [
+        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
+        for r in range(4)
+    ]
+    batch = fit_many(spec, samples, options)
+    assert calls and any(row.retries_used for row in batch) and not all(row.converged for row in batch)
+    assert_rows_follow_the_reference(spec, samples, options, batch)
+
+
+def test_a_zero_start_of_its_own_follows_the_reference_loop():
+    spec, samples, options = bundled_replications("table1_model1_n900", range(8))
+    spec = replace(spec, unique_variances=(free(0.0),) + spec.unique_variances[1:])
+    assert_rows_follow_the_reference(spec, samples, options, fit_many(spec, samples, options))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_many_rejects_an_overflowing_row_quietly():
     # replication 84 overflows exp(log psi2) in a trial, so np.linalg raises
@@ -973,6 +1127,35 @@ def test_fit_many_needs_options_for_every_sample():
     with pytest.raises(SmmError, match="BAD_INPUT"):
         fit_many(spec, samples, options[:1])
 
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iterations", -5),
+        ("max_restarts", -1),
+        ("jitter_fraction", -0.1),
+        ("jitter_fraction", 1.5),
+        ("jitter_fraction", float("nan")),
+        ("gradient_tolerance", -1.0),
+        ("gradient_tolerance", 0.0),
+        ("gradient_tolerance", float("nan")),
+        ("gradient_tolerance", float("inf")),
+    ],
+)
+def test_fit_options_reject_values_out_of_range(field, value):
+    # max_restarts=-1 used to make no attempt at all, and the others ran
+    # every restart before reporting converged=False
+    with pytest.raises(SmmError, match="BAD_INPUT") as error:
+        FitOptions(**{field: value})
+    assert field in error.value.message
+
+
+def test_fit_options_take_their_bounds():
+    FitOptions(jitter_fraction=1.0, gradient_tolerance=1e-300)
+    options = FitOptions(max_iterations=0, max_restarts=0, jitter_fraction=0.0)
+    result = fit(reference_model_spec(), drawn_sample("model1", 300, 5), options)
+    assert (result.iterations, result.retries_used, result.converged) == (0, 0, False)
 
 def test_fit_reports_nonconvergence_instead_of_raising():
     sample = drawn_sample("model2", 150, 81)
