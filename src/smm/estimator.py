@@ -69,17 +69,20 @@ Hessians, directions, step lengths and counters. Every round evaluates F
 and its gradient at each fit's pending point in one stacked numpy call
 over the leading (R, ...) axis, seeds the fits due a Fisher refresh in
 another, and takes Armijo acceptance, step shortening, the BFGS update
-and the next direction as masks over all rows. Python runs per fit only
-where an attempt ends, and finished fits leave the arrays. The set-up
-(sample checks, starts) and the wrap-up (result matrices, sign
-convention) are stacked too. Nearly all of the cost on 5x5 matrices is
-numpy's per-call overhead, so a stacked call costs little more than a
-single one. fit is fit_many on one sample. Every stacked operation
-(matmul over contiguous rows, cholesky, eigh, solve, inv, elementwise
-ufuncs, sums over trailing axes) gives each row the same bits as it
-would alone, so a result does not depend on the batch it was fitted in.
-On a 2-vCPU x86 VM a lone fit of a bundled design takes about 2-4 ms,
-and in a batch of 500 about 0.08-0.16 ms per fit.
+and the next direction as masks over all rows. A matrix that fails (a
+trial Sigma not positive definite, a mean design gone singular as the
+loadings shrink) gives NaN in its own row only, so that fit's F reads
+inf and the other rows go on. Python runs per fit only where an attempt
+ends, and finished fits leave the arrays. The set-up (sample checks,
+starts) and the wrap-up (result matrices, sign convention) are stacked
+too. Nearly all of the cost on 5x5 matrices is numpy's per-call
+overhead, so a stacked call costs little more than a single one. fit is
+fit_many on one sample. Every stacked operation (matmul over contiguous
+rows, cholesky, eigh, solve, inv, elementwise ufuncs, sums over trailing
+axes) gives each row the same bits as it would alone, so a result does
+not depend on the batch it was fitted in. On a 2-vCPU x86 VM a lone fit
+of a bundled design takes about 2-4 ms, and in a batch of 500 about
+0.08-0.16 ms per fit.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import rng
 from .errors import (
@@ -118,6 +122,16 @@ ARMIJO = 1e-4
 # sum|b_i| is at most 1.8. A line search gives up once it asks for less,
 # and a converged attempt ends before a search that predicts less.
 F_ROUNDING = np.finfo(float).eps
+
+
+# np.linalg's own gufuncs without the callback that makes np.linalg raise for
+# a whole stack: a matrix that fails (not positive definite, singular) gets
+# NaN in its own row, and the other rows keep their bits. These names exist in
+# numpy 1.24 and 2.x. Outside np.errstate(invalid="ignore") a failure warns.
+_cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")  # lower factor
+_solve = functools.partial(_umath_linalg.solve, signature="dd->d")  # (..., p, p), (..., p, k)
+_inv = functools.partial(_umath_linalg.inv, signature="d->d")
+_eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d")  # from the lower triangle
 
 
 @dataclass(frozen=True)
@@ -286,8 +300,8 @@ class _Workspace:
         H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l, which is the
         Hessian of F wherever the model fits the sample exactly. With
         Sigma = L L' every derivative is whitened by U = L^-1, so H = M M'
-        where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k. Raises
-        np.linalg.LinAlgError when Sigma is not positive definite.
+        where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k. H is NaN
+        where Sigma is not positive definite.
         """
         m = self._information_rows(values)
         return m @ _mT(m)
@@ -302,12 +316,12 @@ class _Workspace:
         fisher_information split into covariance (c) and mean (m) rows.
         M_m is zero outside the sqrt(2) U dmu columns, so only those
         columns of M_c change. values (..., t) is a joint point, with the
-        mean parameters at their optimum. Raises np.linalg.LinAlgError when
+        mean parameters at their optimum. The information is NaN where
         Sigma is not positive definite or the mean design is singular.
         """
         rows, k = self._information_rows(values), self.p * self.p
         m_c, m_m = rows[..., : self.tc, :], rows[..., self.tc :, k:]
-        proj = np.linalg.solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
+        proj = _solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
         m_c[..., k:] -= _mT(proj) @ m_m
         return m_c @ _mT(m_c)
 
@@ -319,7 +333,7 @@ class _Workspace:
         """
         mats, sigma, _ = self.build(values)
         lead, p, q = values.shape[:-1], self.p, self.q
-        u = np.linalg.inv(np.linalg.cholesky(sigma))
+        u = _inv(_cholesky(sigma))
         ul = u @ mats.loadings
         u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
         cells = np.zeros(lead + (self.index.template.size, p * p + p))
@@ -379,9 +393,9 @@ def _discrepancy_terms(
     and U; beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the mean
     residual, and U d = U d0 - UA beta. Every argument may carry the same
     leading axes. The gradient reuses U, B and U d, so F is computed one
-    way on every path. Returns F, U, B, U d and beta; raises
-    np.linalg.LinAlgError when Sigma is not positive definite or the
-    normal equations are singular.
+    way on every path. Returns F, U, B, U d and beta; all of them are NaN
+    in a row where L is NaN (Sigma not positive definite), and beta, U d
+    and F where the normal equations are singular.
     """
     lead, p, m = lower.shape[:-2], lower.shape[-1], design.shape[-1]
     rhs = np.empty(lead + (p, 2 * p + 1 + m))
@@ -389,13 +403,13 @@ def _discrepancy_terms(
     rhs[..., p] = xbar - mu
     rhs[..., p + 1 : p + 1 + m] = design
     rhs[..., p + 1 + m :] = _identity(p)
-    y = np.linalg.solve(lower, rhs)
+    y = _solve(lower, rhs)
     ua, u = y[..., p + 1 : p + 1 + m], y[..., p + 1 + m :]
     ua_t = _mT(ua)
-    beta = np.linalg.solve(ua_t @ ua, ua_t @ y[..., p, None])
+    beta = _solve(ua_t @ ua, ua_t @ y[..., p, None])
     ud = y[..., p] - (ua @ beta)[..., 0]
     b = y[..., :p] @ _mT(u)
-    eig = np.linalg.eigvalsh(b)
+    eig = _eigvalsh(b)
     f = (eig - np.log1p(eig)).sum(axis=-1) + (ud * ud).sum(axis=-1)
     return f, u, b, ud, beta[..., 0]
 
@@ -411,9 +425,9 @@ def _discrepancy_and_gradient(
     place, to their GLS optimum given its covariance parameters: F is then
     the concentrated discrepancy, its gradient over the covariance
     parameters is exact by the envelope theorem, and the mean block of the
-    gradient is zero up to rounding. Raises np.linalg.LinAlgError when the
-    implied covariance of any row is not positive definite or, with
-    concentrate, its mean design is singular.
+    gradient is zero up to rounding. F and the gradient are NaN in a row
+    whose implied covariance is not positive definite or, with
+    concentrate, whose mean design is singular.
     """
     mats, sigma, mu = ws.build(values)
     lam, lam_t, rows = mats.loadings, _mT(mats.loadings), values.shape[0]
@@ -423,7 +437,7 @@ def _discrepancy_and_gradient(
         design[...] = ws.design
         design[..., ws.theta_cols] = lam[..., ws.theta_rows]
     f, u, b, ud, beta = _discrepancy_terms(
-        np.linalg.cholesky(sigma), sigma, mu, sample_cov, xbar, design
+        _cholesky(sigma), sigma, mu, sample_cov, xbar, design
     )
     if concentrate:
         values[:, ws.tc :] += beta
@@ -514,10 +528,10 @@ def numeric_gradient(
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
     z = ws.to_unconstrained(values)
     cholesky(sample.cov)  # raises unless the sample covariance is positive definite
-    try:
+    with np.errstate(invalid="ignore"):
         _, grad = _discrepancy_and_gradient(ws, ws.to_raw(z[None]), sample.cov[None], sample.mean[None])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("implied covariance not positive definite") from None
+    if np.isnan(grad).any():
+        raise NotPositiveDefiniteError("implied covariance not positive definite")
     return grad[0]
 
 
@@ -603,33 +617,12 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     return v0[..., : ws.tc]
 
 
-def _by_rows(batched, failed, *stacks) -> tuple:
-    """batched(*stacks): a tuple of arrays, each with one row per row of the stacks.
-
-    np.linalg raises LinAlgError, and simulate.cholesky an SmmError, for
-    a whole stack when one of its matrices fails. Then each half of the
-    stack runs on its own, down to single rows, and failed(error, *row)
-    stands in for a row that raises; a few failing rows in a stack of R
-    cost O(log R) extra calls. A row's numbers do not depend on the stack
-    it is in, so either way it gets the same bits.
-    """
-    try:
-        return batched(*stacks)
-    except (np.linalg.LinAlgError, SmmError) as error:
-        if len(stacks[0]) == 1:
-            return failed(error, *stacks)
-    half = len(stacks[0]) // 2
-    first = _by_rows(batched, failed, *(s[:half] for s in stacks))
-    second = _by_rows(batched, failed, *(s[half:] for s in stacks))
-    return tuple(np.concatenate(pair) for pair in zip(first, second))
-
-
 def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
     """F (k,), its gradient (k, tc) and the joint points (k, t) at covariance points z (k, tc).
 
-    F is inf where F or the gradient is not finite; a mean parameter that
-    is not finite leaves F not finite. Raises np.linalg.LinAlgError as
-    _discrepancy_and_gradient does.
+    F is inf where F or the gradient is not finite, as in a row whose Sigma
+    is not positive definite or whose mean design is singular; a mean
+    parameter that is not finite leaves F not finite. It never raises.
     """
     values = np.zeros((len(z), ws.t))
     values[:, : ws.tc] = ws.to_raw(z)
@@ -638,26 +631,28 @@ def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
     return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, values
 
 
-def _unevaluated(ws: _Workspace, error: Exception, *row) -> tuple:
-    """What _evaluate gives a row (1, ...) whose evaluation raised: F = inf."""
-    return np.full(1, np.inf), np.zeros((1, ws.tc)), np.zeros((1, ws.t))
+def _inverse_information(ws: _Workspace, values: np.ndarray) -> np.ndarray:
+    """Inverse concentrated information (rows, tc, tc) at joint points (rows, t), by Cholesky.
+
+    Rows where that fails get _scaled_identity.
+    """
+    inv_lower = _inv(_cholesky(ws.concentrated_information(values)))
+    h = _mT(inv_lower) @ inv_lower
+    failed = np.isnan(h).any(axis=(1, 2))
+    if np.count_nonzero(failed):
+        h[failed] = _scaled_identity(ws, values[failed])
+    return h
 
 
-def _inverse_information(ws: _Workspace, values: np.ndarray) -> tuple:
-    """Inverse concentrated information (rows, tc, tc) at joint points (rows, t), by Cholesky."""
-    inv_lower = np.linalg.inv(np.linalg.cholesky(ws.concentrated_information(values)))
-    return (_mT(inv_lower) @ inv_lower,)
-
-
-def _scaled_identity(ws: _Workspace, error: Exception, values: np.ndarray) -> tuple:
-    """Stand-in inverse (1, tc, tc) at a joint point (1, t) whose concentrated information failed.
+def _scaled_identity(ws: _Workspace, values: np.ndarray) -> np.ndarray:
+    """Stand-in inverses (rows, tc, tc) at joint points (rows, t) whose concentrated information failed.
 
     The identity over the mean curvature of the covariance block of the
-    joint information.
+    joint information, or the identity where that is not positive.
     """
-    info = ws.fisher_information(values[0])[: ws.tc, : ws.tc]
-    mean_curvature = np.trace(info) / ws.tc
-    return (np.eye(ws.tc)[None] / (mean_curvature if mean_curvature > 0 else 1.0),)
+    info = ws.fisher_information(values)[:, : ws.tc, : ws.tc]
+    mean_curvature = np.ascontiguousarray(info.diagonal(0, 1, 2)).sum(axis=1) / ws.tc
+    return _identity(ws.tc) / np.where(mean_curvature > 0, mean_curvature, 1.0)[:, None, None]
 
 
 def fit_many(spec: ModelSpec, samples, options) -> list:
@@ -665,8 +660,9 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
 
     options holds one FitOptions per sample. Returns one entry per
     sample: its FitResult, or the SmmError its fit raised. The set-up
-    checks every sample covariance (symmetry, one stacked Cholesky, the
-    pivot floor) and forms every start in one pass (see _start_values).
+    checks every sample covariance in one simulate.cholesky call, and
+    each alone only if that raises, so a failing sample gets its own
+    error; it forms every start in one pass (see _start_values).
 
     Each sample runs attempts of BFGS on the concentrated F over the
     covariance parameters in unconstrained coordinates. The inverse
@@ -692,7 +688,8 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
 
     The rounds step the unfinished fits as rows of arrays (see the module
     docstring) with numpy's floating-point warnings off: a trial that
-    overflows is rejected, not reported. The wrap-up forms the matrices,
+    overflows or fails its row's LAPACK call reads F = inf and is
+    rejected, not reported. The wrap-up forms the matrices,
     sign convention and free values of every best point at once.
     """
     ws = _workspace(spec)
@@ -713,12 +710,15 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
             )
     # a sample covariance that simulate.cholesky rejects fails its row with its error
     rows = [i for i, result in enumerate(results) if result is None]
-    (errors,) = _by_rows(
-        lambda c: (np.full(len(cholesky(c)), None),), lambda error, c: (np.array([error]),), covs[rows]
-    )
-    for i, error in zip(rows, errors):
-        results[i] = error
-    rows = [i for i in rows if results[i] is None]
+    try:
+        cholesky(covs[rows])
+    except SmmError:
+        for i in rows:
+            try:
+                cholesky(covs[i])
+            except SmmError as error:
+                results[i] = error
+        rows = [i for i in rows if results[i] is None]
 
     tc = ws.tc
     last = [opts.max_restarts if tc else 0 for opts in options]
@@ -740,10 +740,6 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                 attempt[i] += 1
         return None
 
-    evaluate, unevaluated, invert, fallback = (
-        functools.partial(f, ws)
-        for f in (_evaluate, _unevaluated, _inverse_information, _scaled_identity)
-    )
     with np.errstate(all="ignore"):
         v0 = np.zeros((count, tc))
         v0[rows] = _start_values(ws, covs[rows], means[rows])
@@ -770,7 +766,7 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
             it=np.full(k, -1), seeded=np.full(k, -1),
         )
         while len(s.row):
-            f, g, point = _by_rows(evaluate, unevaluated, s.zt, s.cov, s.mean)
+            f, g, point = _evaluate(ws, s.zt, s.cov, s.mean)
             accept = (f < s.f) & (f <= s.f + ARMIJO * s.alpha * s.slope)
             head, ended, reject = accept, np.zeros(len(s.row), dtype=bool), ~accept
             if np.count_nonzero(reject):
@@ -806,7 +802,7 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                 run = head & (s.g_inf > OPTIMIZER_GTOL) & (s.it < s.max_it)
                 due = run & ((s.seeded < 0) | ((s.it % FISHER_REFRESH == 0) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
-                    (s.h[due],) = _by_rows(invert, fallback, s.point[due])
+                    s.h[due] = _inverse_information(ws, s.point[due])
                     np.copyto(s.seeded, s.it, where=due)
                 d = -(s.h @ s.g[..., None])[..., 0]
                 slope = _dot(s.g, d)

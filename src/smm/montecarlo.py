@@ -258,6 +258,8 @@ def run_study(config: StudyConfig) -> StudySummary:
         raise SmmError(BAD_INPUT, "sample_sizes must be non-empty")
     if any(n < 2 for n in config.sample_sizes):
         raise SmmError(BAD_INPUT, "every sample size must be >= 2")
+    if config.max_parallelism < 1:
+        raise SmmError(BAD_INPUT, f"max_parallelism must be >= 1, got {config.max_parallelism}")
 
     master = config.seed.master
     workers = min(int(config.max_parallelism), config.replications // MIN_BLOCK)

@@ -22,6 +22,7 @@ from .errors import (
     ASYMMETRIC_MATRIX,
     DIMENSION_MISMATCH,
     INVALID_SAMPLE_SIZE,
+    NONPOSITIVE_UNIQUE_VARIANCE,
     NotPositiveDefiniteError,
 )
 from .moments import Dataset, SampleMoments, compute_moments
@@ -72,7 +73,7 @@ class PopulationModel:
         if psi2.shape != (p,):
             raise SmmError(DIMENSION_MISMATCH, f"unique variances must have length {p}")
         if np.any(psi2 <= 0):
-            raise SmmError(DIMENSION_MISMATCH, "unique variances must all be > 0")
+            raise SmmError(NONPOSITIVE_UNIQUE_VARIANCE, "unique variances must all be > 0")
         # PD check on the factor covariance; with psi2 > 0 this also makes
         # the implied covariance positive definite.
         cholesky(phi)

@@ -284,6 +284,12 @@ def test_replicate_study_from_path(tmp_path, population_files, model_file, capsy
     assert "n = 60" in capsys.readouterr().out
 
 
+def test_replicate_rejects_parallelism_below_one(capsys):
+    code = main(["replicate", "table1_model1_n900", "--reps", "2", "--parallelism", "-3"])
+    assert code == 1
+    assert "BAD_INPUT" in capsys.readouterr().err
+
+
 def test_replicate_unknown_study(capsys):
     code = main(["replicate", "no_such_study"])
     assert code == 1

@@ -1,4 +1,3 @@
-import functools
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,13 +15,14 @@ from smm.estimator import (
     OPTIMIZER_GTOL,
     FitOptions,
     ImpliedMoments,
-    _by_rows,
+    _cholesky,
     _dot,
+    _eigvalsh,
     _evaluate,
+    _inv,
     _inverse_information,
-    _scaled_identity,
-    _unevaluated,
     _sign_convention,
+    _solve,
     _start_values,
     _workspace,
     fit,
@@ -395,9 +395,8 @@ def test_singular_mean_design_rejects_its_row_only():
     z[1, :5] = 0.0
     covs = np.array([s.cov for s in samples])
     means = np.array([s.mean for s in samples])
-    with pytest.raises(np.linalg.LinAlgError):
-        _evaluate(ws, z, covs, means)
-    f, _, _ = _by_rows(functools.partial(_evaluate, ws), functools.partial(_unevaluated, ws), z, covs, means)
+    with np.errstate(invalid="ignore"):
+        f, _, _ = _evaluate(ws, z, covs, means)
     assert f[1] == np.inf
     assert f[0] == _evaluate(ws, z[:1], covs[:1], means[:1])[0][0]
 
@@ -731,6 +730,22 @@ def reference_loadings_with_means(means):
     return explicit(np.array(REFERENCE_LOADINGS)[:, None], np.eye(1), np.ones(5), np.array(means, dtype=float))
 
 
+def runaway_replications():
+    """Spec, 4 samples at n = 150 and options of fits that run away toward a huge factor mean.
+
+    The means' signs disagree with the covariances, so the loadings shrink
+    toward 0 and the factor mean grows: mean designs go singular and the
+    concentrated information fails on the way.
+    """
+    population = reference_loadings_with_means([3, -2, 1, 4, -5])
+    samples = draw_moments(population, 150, [Seed(rng.derive_seed(77, 150, r)) for r in range(4)])
+    options = [
+        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
+        for r in range(4)
+    ]
+    return reference_model_spec(), samples, options
+
+
 DEFAULT_START_CASES = {
     "anchored_x1": lambda: (anchored_model_spec(0), samples_of(reference_population("model2"))),
     "anchored_x5": lambda: (anchored_model_spec(4), samples_of(reference_population("model2"))),
@@ -833,6 +848,37 @@ def test_stacked_linear_algebra_gives_each_slice_its_own_bits():
         assert norm[k] == products @ products
 
 
+def test_linear_algebra_helpers_fail_only_the_failing_row():
+    # the estimator calls np.linalg's gufuncs without its error callback:
+    # each row gets the bits np.linalg gives its matrix alone, and a matrix
+    # that fails gets NaN in its own row while the others keep their bits.
+    # This guards against a numpy that renames or changes those gufuncs.
+    generator = np.random.default_rng(13)
+    x = generator.normal(size=(40, 6, 6))
+    spd = x @ x.swapaxes(1, 2) + 0.1 * np.eye(6)
+    rhs = generator.normal(size=(40, 6, 3))
+    indefinite, singular, undefined = spd.copy(), spd.copy(), spd.copy()
+    indefinite[7] = -spd[7]
+    singular[7, 2] = 0.0
+    undefined[7, 3, 1] = np.nan
+    cases = [
+        (_cholesky, np.linalg.cholesky, (spd,), (indefinite,)),
+        (_solve, np.linalg.solve, (spd, rhs), (singular, rhs)),
+        (_inv, np.linalg.inv, (spd,), (singular,)),
+        (_eigvalsh, np.linalg.eigvalsh, (spd,), (undefined,)),
+    ]
+    for helper, lone, args, failing in cases:
+        stacked = helper(*args)
+        for k in range(40):
+            assert stacked[k].tobytes() == lone(*(a[k] for a in args)).tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            lone(*(a[7] for a in failing))
+        with np.errstate(invalid="ignore"):
+            rows = helper(*failing)
+        assert np.isnan(rows[7]).all()
+        assert np.delete(rows, 7, axis=0).tobytes() == np.delete(stacked, 7, axis=0).tobytes()
+
+
 def test_start_values_of_a_batch_are_the_starts_alone():
     samples = table1_samples()
     ws = _workspace(reference_model_spec())
@@ -854,14 +900,7 @@ def test_restarts_and_the_fisher_fallback_run_inside_a_batch(monkeypatch):
 
     scaled_identity = estimator._scaled_identity
     monkeypatch.setattr(estimator, "_scaled_identity", spy)
-    population = reference_loadings_with_means([3, -2, 1, 4, -5])
-    spec = reference_model_spec()
-    seeds = [rng.derive_seed(77, 150, r) for r in range(4)]
-    samples = draw_moments(population, 150, [Seed(seed) for seed in seeds])
-    options = [
-        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
-        for r in range(4)
-    ]
+    spec, samples, options = runaway_replications()
     batch = fit_many(spec, samples, options)
     assert any(row.retries_used for row in batch)
     assert calls
@@ -892,19 +931,12 @@ def test_a_zero_start_of_its_own_fails_each_first_attempt_alone():
 
 def reference_evaluation(ws, z, sample):
     """(F, gradient, joint point) at covariance point z, or None where F or the gradient is not finite."""
-    try:
-        f, g, values = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
-    except np.linalg.LinAlgError:
-        return None
+    f, g, values = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
     return (float(f[0]), g[0], values[0]) if np.isfinite(f[0]) else None
 
 
 def reference_seed(ws, point):
-    try:
-        (h,) = _inverse_information(ws, point[None])
-    except np.linalg.LinAlgError as error:
-        (h,) = _scaled_identity(ws, error, point[None])
-    return h[0]
+    return _inverse_information(ws, point[None])[0]
 
 
 def reference_line_search(ws, sample, z, f, direction, slope):
@@ -1012,16 +1044,33 @@ def test_restarts_give_ups_and_the_fallback_follow_the_reference_loop(monkeypatc
 
     scaled_identity = estimator._scaled_identity
     monkeypatch.setattr(estimator, "_scaled_identity", spy)
-    population = reference_loadings_with_means([3, -2, 1, 4, -5])
-    spec = reference_model_spec()
-    samples = draw_moments(population, 150, [Seed(rng.derive_seed(77, 150, r)) for r in range(4)])
-    options = [
-        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
-        for r in range(4)
-    ]
+    spec, samples, options = runaway_replications()
     batch = fit_many(spec, samples, options)
     assert calls and any(row.retries_used for row in batch) and not all(row.converged for row in batch)
     assert_rows_follow_the_reference(spec, samples, options, batch)
+
+
+def test_a_runaway_batch_evaluates_once_a_round(monkeypatch):
+    # a row whose evaluation fails reads F = inf in its own row, so every
+    # round makes one stacked evaluation: the batch makes as many as the
+    # slowest of its fits alone
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    evaluate = estimator._evaluate
+    monkeypatch.setattr(estimator, "_evaluate", spy)
+    spec, samples, options = runaway_replications()
+    fit_many(spec, samples, options)
+    batch = len(calls)
+    alone = []
+    for sample, opts in zip(samples, options):
+        calls.clear()
+        fit(spec, sample, opts)
+        alone.append(len(calls))
+    assert batch == max(alone)
 
 
 def test_a_zero_start_of_its_own_follows_the_reference_loop():
@@ -1032,8 +1081,9 @@ def test_a_zero_start_of_its_own_follows_the_reference_loop():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_many_rejects_an_overflowing_row_quietly():
-    # replication 84 overflows exp(log psi2) in a trial, so np.linalg raises
-    # for the whole stack and that round is evaluated row by row
+    # a trial that overflows or fails its LAPACK call reads F = inf in its
+    # own row, with no warning; no trial of rows 78-90 fails at these seeds
+    # (runaway fits do: test_a_runaway_batch_evaluates_once_a_round)
     spec, samples, options = bundled_replications("table1_model2_n300", range(78, 91))
     batch = fit_many(spec, samples, options)
     assert all(row.converged for row in batch)

@@ -157,6 +157,12 @@ def test_run_study_rejects_sample_size_below_two():
         run_study(small_config(sample_sizes=(60, 1)))
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_run_study_rejects_parallelism_below_one(parallelism):
+    with pytest.raises(SmmError, match="BAD_INPUT"):
+        run_study(small_config(max_parallelism=parallelism))
+
+
 def test_run_study_rejects_population_spec_mismatch():
     from smm.model_spec import one_factor_spec
 

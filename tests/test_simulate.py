@@ -46,7 +46,7 @@ def test_population_covariance_is_exactly_symmetric():
 
 
 def test_population_rejects_nonpositive_unique_variance():
-    with pytest.raises(SmmError):
+    with pytest.raises(SmmError, match="NONPOSITIVE_UNIQUE_VARIANCE"):
         structured(LOADINGS[:, None], [[1.0]], [1, 1, 0, 1, 1], np.zeros(5), [10.0])
 
 
