@@ -245,6 +245,14 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer that Seed takes, in [0, 2**64)."""
+    try:
+        return Seed(int(text)).master
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smm",
@@ -267,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw a sample from a population model")
     p_sim.add_argument("population")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_rep = sub.add_parser("replicate", help="run a Monte Carlo study file")
     p_rep.add_argument("study", nargs="?", default="")
     p_rep.add_argument("--compare-paper", action="store_true", dest="compare_paper")
-    p_rep.add_argument("--seed", type=int)
+    p_rep.add_argument("--seed", type=_seed)
     p_rep.add_argument("--reps", type=int)
     p_rep.add_argument("--parallelism", type=int)
     p_rep.add_argument("--json", metavar="OUT")

@@ -72,12 +72,14 @@ another, and takes Armijo acceptance, step shortening, the BFGS update
 and the next direction as masks over all rows. A matrix that fails (a
 trial Sigma not positive definite, a mean design gone singular as the
 loadings shrink) gives NaN in its own row only, so that fit's F reads
-inf and the other rows go on. Python runs per fit only where an attempt
-ends, and finished fits leave the arrays. The set-up (sample checks,
-starts) and the wrap-up (result matrices, sign convention) are stacked
-too. Nearly all of the cost on 5x5 matrices is numpy's per-call
-overhead, so a stacked call costs little more than a single one. fit is
-fit_many on one sample. Every stacked operation (matmul over contiguous
+inf and the other rows go on. Attempt counts and best attempts are
+arrays over the fits as well: Python runs per fit only to draw a
+restart's jitter and to build its result, and finished fits leave the
+arrays. The fits of a batch share one FitOptions, each with its own
+jitter seed. The set-up (sample checks, starts) and the wrap-up (result
+matrices, sign convention) are stacked too. Nearly all of the cost on
+5x5 matrices is numpy's per-call overhead, so a stacked call costs
+little more than a single one. fit is fit_many on one sample. Every stacked operation (matmul over contiguous
 rows, cholesky, eigh, solve, inv, elementwise ufuncs, sums over trailing
 axes) gives each row the same bits as it would alone, so a result does
 not depend on the batch it was fitted in. On a 2-vCPU x86 VM a lone fit
@@ -112,8 +114,10 @@ from .simulate import cholesky
 # short of it, inside the flag, where the decrease left is below F_ROUNDING.
 OPTIMIZER_GTOL = 1e-8
 # Iterations between refreshes of the inverse Hessian from the Fisher
-# information. Seeding only once leaves anchor_x1 at about 90 iterations;
-# pure Fisher scoring converges only linearly under misspecification.
+# information. Over 500 replications, seeding only once takes anchor_x1 and
+# anchor_x5 a median of 15 iterations (the slowest 17-18), against 9 (11)
+# with this refresh, and leaves the Table 1 medians as they are; pure
+# Fisher scoring converges only linearly under misspecification.
 FISHER_REFRESH = 5
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
@@ -136,11 +140,12 @@ _eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d")  # fr
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings of fit.
+    """Settings of fit, and of every fit of a fit_many batch.
 
     max_iterations caps the quasi-Newton steps of one attempt; a failed
     attempt is retried up to max_restarts times from starts jittered by
-    up to jitter_fraction, drawn from seed. Steps, starts and jitter
+    up to jitter_fraction. seed is the jitter seed of fit; fit_many takes
+    one jitter seed per sample instead. Steps, starts and jitter
     concern the covariance parameters (lambda, phi, psi2) only; the
     intercepts and factor means follow them in closed form. A fit counts
     as converged when the largest component of the gradient over the
@@ -655,14 +660,16 @@ def _scaled_identity(ws: _Workspace, values: np.ndarray) -> np.ndarray:
     return _identity(ws.tc) / np.where(mean_curvature > 0, mean_curvature, 1.0)[:, None, None]
 
 
-def fit_many(spec: ModelSpec, samples, options) -> list:
-    """Fit spec to each sample, all samples in lockstep.
+def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
+    """Fit spec to each sample, all samples in lockstep, with one set of options.
 
-    options holds one FitOptions per sample. Returns one entry per
-    sample: its FitResult, or the SmmError its fit raised. The set-up
-    checks every sample covariance in one simulate.cholesky call, and
-    each alone only if that raises, so a failing sample gets its own
-    error; it forms every start in one pass (see _start_values).
+    options holds the settings of every fit, and seeds one jitter seed per
+    sample, which is what FitOptions.seed is to fit (options.seed is not
+    read here). Returns one entry per sample: its
+    FitResult, or the SmmError its fit raised. The set-up checks every
+    sample covariance in one simulate.cholesky call, and each alone only
+    if that raises, so a failing sample gets its own error; it forms every
+    start in one pass (see _start_values).
 
     Each sample runs attempts of BFGS on the concentrated F over the
     covariance parameters in unconstrained coordinates. The inverse
@@ -680,23 +687,25 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
     or, before a search, when the gradient is within gradient_tolerance
     and the step predicts a decrease (-slope / 2) within F_ROUNDING. Up to
     max_restarts more attempts follow one that fails or ends unconverged,
-    each from the first start jittered by up to jitter_fraction from its
-    own rng.STREAM_JITTER stream, and the best is reported: converged
-    first, then the lowest F. Without free covariance parameters the
-    start's one evaluation is the result; a sample whose every attempt
-    fails gets a NotPositiveDefiniteError.
+    attempt a from the first start jittered by up to jitter_fraction,
+    drawn from derive_seed(seed, rng.STREAM_JITTER, a), and the best is
+    reported: converged first, then the lowest F. Without free covariance
+    parameters the start's one evaluation is the result; a sample whose
+    every attempt fails gets a NotPositiveDefiniteError.
 
     The rounds step the unfinished fits as rows of arrays (see the module
     docstring) with numpy's floating-point warnings off: a trial that
     overflows or fails its row's LAPACK call reads F = inf and is
-    rejected, not reported. The wrap-up forms the matrices,
-    sign convention and free values of every best point at once.
+    rejected, not reported. The attempt counts and best attempts are
+    arrays over the samples too; Python runs per fit only to draw a
+    restart's jitter and to build its FitResult. The wrap-up forms the
+    matrices, sign convention and free values of every best point at once.
     """
     ws = _workspace(spec)
     if not ws.report.is_valid:
         raise InvalidModelError(ws.report)
-    if len(options) != len(samples):
-        raise SmmError(BAD_INPUT, f"{len(samples)} samples but {len(options)} FitOptions")
+    if len(seeds) != len(samples):
+        raise SmmError(BAD_INPUT, f"{len(samples)} samples but {len(seeds)} jitter seeds")
     count = len(samples)
     results: list = [None] * count
     covs = np.zeros((count, spec.p, spec.p))
@@ -720,47 +729,28 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                 results[i] = error
         rows = [i for i in rows if results[i] is None]
 
-    tc = ws.tc
-    last = [opts.max_restarts if tc else 0 for opts in options]
-    # per sample: attempt, last error, best (joint point, F, max |g|, iterations, converged)
-    attempt, last_error, best = [0] * count, [None] * count, [None] * count
-
-    def begin(i):
-        """The unconstrained start of sample i's attempt, or of a later one; None past the last."""
-        while attempt[i] <= last[i]:
-            opts = options[i]
-            try:
-                if not attempt[i]:
-                    return ws.to_unconstrained(v0[i]) if z0 is None else z0[i]
-                seed = rng.derive_seed(opts.seed, rng.STREAM_JITTER, attempt[i])
-                noise = rng.uniform(seed, (ws.t,), -opts.jitter_fraction, opts.jitter_fraction)[:tc]
-                return ws.to_unconstrained(np.where(v0[i] != 0.0, v0[i] * (1.0 + noise), noise))
-            except SmmError as err:  # a unique variance of the start is not positive
-                last_error[i] = err
-                attempt[i] += 1
-        return None
-
+    tc, k = ws.tc, len(rows)
+    last, tol, jitter = options.max_restarts if tc else 0, options.gradient_tolerance, options.jitter_fraction
+    # per sample: its attempt, and its best attempt's joint point, F, max |g|
+    # and iterations, where it = -1 while no attempt had a finite start
+    attempt = np.zeros(count, dtype=int)
+    best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
+                           g_inf=np.zeros(count), it=np.full(count, -1))
     with np.errstate(all="ignore"):
-        v0 = np.zeros((count, tc))
-        v0[rows] = _start_values(ws, covs[rows], means[rows])
-        try:
-            z0 = np.zeros((count, tc))
-            z0[rows] = ws.to_unconstrained(v0[rows])
-        except SmmError:  # a start of the spec's own is not positive: each row fails it alone
-            z0 = None
-        starts = {i: begin(i) for i in rows}
-        live = [i for i in rows if starts[i] is not None]
-        k = len(live)
+        # every unique variance starts > 0, so to_unconstrained cannot fail:
+        # validate rejects a start of the spec's own <= 0, one scaled to the
+        # sample is at least a tenth of its variance, and jitter of at most
+        # the start itself keeps it positive
+        v0 = _start_values(ws, covs[rows], means[rows])
         # one row per unfinished fit. zt is its pending point: a trial of its
         # line search, or an attempt's start, where f = inf, slope = 0 and
         # it = seeded = -1 make the start a trial that is accepted where F is
         # finite and ends the attempt elsewhere. seeded is the iteration of
-        # the last Fisher seed, -1 when there is none.
+        # the last Fisher seed, -1 when there is none. v0 is the raw start
+        # that restarts jitter.
         s = SimpleNamespace(
-            row=np.array(live, dtype=int), cov=covs[live], mean=means[live],
-            max_it=np.array([options[i].max_iterations for i in live]),
-            tol=np.array([options[i].gradient_tolerance for i in live]),
-            zt=np.array([starts[i] for i in live]).reshape(k, tc), z=np.zeros((k, tc)),
+            row=np.array(rows, dtype=int), cov=covs[rows], mean=means[rows], v0=v0,
+            zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
             g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), point=np.zeros((k, ws.t)),
             h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),
             it=np.full(k, -1), seeded=np.full(k, -1),
@@ -799,7 +789,7 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                 np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
                 s.it += accept
             while np.count_nonzero(head):
-                run = head & (s.g_inf > OPTIMIZER_GTOL) & (s.it < s.max_it)
+                run = head & (s.g_inf > OPTIMIZER_GTOL) & (s.it < options.max_iterations)
                 due = run & ((s.seeded < 0) | ((s.it % FISHER_REFRESH == 0) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
                     s.h[due] = _inverse_information(ws, s.point[due])
@@ -808,7 +798,7 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
                 slope = _dot(s.g, d)
                 descent = np.isfinite(slope) & (slope < 0)
                 # within tolerance, and the step predicts less decrease than F resolves
-                close = (-0.5 * slope <= F_ROUNDING) & (s.g_inf <= s.tol)
+                close = (-0.5 * slope <= F_ROUNDING) & (s.g_inf <= tol)
                 search = run & descent & ~close
                 # no descent direction: seed afresh once, then end
                 stale = run & ~descent & (s.seeded != s.it)
@@ -821,40 +811,47 @@ def fit_many(spec: ModelSpec, samples, options) -> list:
             s.zt = s.z + s.alpha[:, None] * s.d
             if not np.count_nonzero(ended):
                 continue
-            # where attempts end, fit by fit: keep the best, then restart or finish
-            finished = ended.copy()
-            for k in np.flatnonzero(ended):
-                i, f_k, g_inf, it = s.row[k], float(s.f[k]), float(s.g_inf[k]), int(s.it[k])
-                conv = it >= 0 and g_inf <= options[i].gradient_tolerance
-                if it < 0:
-                    last_error[i] = "no finite discrepancy at the start"
-                elif best[i] is None or (conv, -f_k) > (best[i][4], -best[i][1]):
-                    best[i] = (s.point[k].copy(), f_k, g_inf, it, conv)
-                if not conv and attempt[i] < last[i]:
-                    attempt[i] += 1
-                    z = begin(i)
-                    if z is not None:
-                        finished[k] = False
-                        s.zt[k] = z
-                        s.f[k], s.slope[k], s.alpha[k], s.it[k], s.seeded[k] = np.inf, 0.0, 1.0, -1, -1
-            if np.count_nonzero(finished):
-                vars(s).update({name: array[~finished] for name, array in vars(s).items()})
+            # where attempts end, keep the best. A converged attempt ends its
+            # fit, so the best so far never converged: a converged attempt
+            # wins, and an unconverged one where its F is lower.
+            e = np.flatnonzero(ended)
+            i = s.row[e]
+            started = s.it[e] >= 0
+            conv = started & (s.g_inf[e] <= tol)
+            better = started & (conv | (s.f[e] < best.f[i]))
+            into, src = i[better], e[better]
+            for name, array in vars(best).items():
+                array[into] = getattr(s, name)[src]
+            # an unconverged attempt with restarts left restarts from the
+            # first start, jittered from its own stream
+            again = e[~conv & (attempt[i] < last)]
+            if again.size:
+                attempt[s.row[again]] += 1
+                streams = [rng.derive_seed(seeds[j], rng.STREAM_JITTER, attempt[j]) for j in s.row[again]]
+                noise = np.array([rng.uniform(seed, (ws.t,), -jitter, jitter) for seed in streams])[:, :tc]
+                v = s.v0[again]
+                s.zt[again] = ws.to_unconstrained(np.where(v != 0.0, v * (1.0 + noise), noise))
+                s.f[again], s.slope[again], s.alpha[again] = np.inf, 0.0, 1.0
+                s.it[again], s.seeded[again] = -1, -1
+                ended[again] = False
+            if np.count_nonzero(ended):
+                vars(s).update({name: array[~ended] for name, array in vars(s).items()})
 
+    it, f_min, g_inf, retries = best.it.tolist(), best.f.tolist(), best.g_inf.tolist(), attempt.tolist()
     for i in rows:
-        if best[i] is None:
-            message = f"every optimization attempt failed; last error: {last_error[i]}"
+        if it[i] < 0:
+            message = "every optimization attempt failed; last error: no finite discrepancy at the start"
             results[i] = NotPositiveDefiniteError(message)
-    done = [i for i in rows if best[i] is not None]
+    done = [i for i in rows if it[i] >= 0]
     if done:
-        mats = _sign_convention(ws, ws.index.insert(np.array([best[i][0] for i in done])))
+        mats = _sign_convention(ws, ws.index.insert(best.point[done]))
         free_values = ws.index.extract(mats)
         for k, i in enumerate(done):
-            _, f, grad_inf, iterations, converged = best[i]
-            n = samples[i].n
+            f, n = f_min[i], samples[i].n
             results[i] = FitResult(
                 estimates=ParameterMatrices(*(block[k] for block in vars(mats).values())),
-                f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=converged,
-                iterations=iterations, grad_inf_norm=grad_inf, retries_used=min(attempt[i], last[i]),
+                f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=g_inf[i] <= tol,
+                iterations=it[i], grad_inf_norm=g_inf[i], retries_used=retries[i],
                 free_values=free_values[k], labels=ws.labels,
             )
     return results
@@ -870,7 +867,7 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
     Monte Carlo callers can count failures. This is fit_many on one
     sample, and gives the same bits as that sample in any batch.
     """
-    (result,) = fit_many(spec, [sample], [options])
+    (result,) = fit_many(spec, [sample], options, [options.seed])
     if isinstance(result, SmmError):
         raise result
     return result

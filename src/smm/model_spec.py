@@ -194,7 +194,9 @@ def validate(spec: ModelSpec) -> ValidationReport:
     based: t exceeding the moment count, and the mean structure using more
     free location parameters (intercepts plus factor means) than there are
     observed means. A mean structure using exactly p is saturated; that is
-    legal and common (anchored models), so it is only a warning.
+    legal and common (anchored models), so it is only a warning. A
+    variance fixed at, or a unique variance starting at, a value <= 0 is
+    an error.
     """
     errors = []
     warnings_ = []
@@ -206,6 +208,14 @@ def validate(spec: ModelSpec) -> ValidationReport:
                 ValidationIssue(
                     "NEGATIVE_FIXED_VARIANCE",
                     f"unique variance for {spec.variable_names[i]} fixed at {cell.value}, must be > 0",
+                )
+            )
+        elif cell.value is not None and cell.value <= 0:
+            # the estimator optimizes unique variances as logs
+            errors.append(
+                ValidationIssue(
+                    "NONPOSITIVE_VARIANCE_START",
+                    f"unique variance for {spec.variable_names[i]} starts at {cell.value}, must be > 0",
                 )
             )
     for k in range(q):

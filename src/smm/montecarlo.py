@@ -22,7 +22,8 @@ compare_to_reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,31 +177,17 @@ def _replicate_block(population, spec, fit_options, master, condition_index, n, 
     """Replications reps of one condition: derive seeds, draw, fit in lockstep.
 
     The population is factored once for the block (simulate.draw_moments),
-    and each replication's sample is the one its own seed gives alone.
+    and each replication's sample is the one its own seed gives alone. The
+    fits share fit_options, each with the jitter seed its own seed derives.
     Returns a FitResult per replication, or None where the fit raised.
     """
     rep_seeds = [rng.derive_seed(master, condition_index, rep) for rep in reps]
     samples = draw_moments(population, n, [Seed(rep_seed) for rep_seed in rep_seeds])
-    options = [
-        replace(fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER))
-        for rep_seed in rep_seeds
-    ]
+    seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
     return [
         None if isinstance(result, SmmError) else result
-        for result in fit_many(spec, samples, options)
+        for result in fit_many(spec, samples, fit_options, seeds)
     ]
-
-
-_POOL_STATE: dict = {}
-
-
-def _init_pool(population, spec, fit_options, master):
-    _POOL_STATE["args"] = (population, spec, fit_options, master)
-
-
-def _pool_task(task):
-    condition_index, n, reps = task
-    return _replicate_block(*_POOL_STATE["args"], condition_index, n, reps)
 
 
 def aggregate(results: list, total_replications: int | None = None) -> ReplicationSummary:
@@ -270,23 +257,18 @@ def run_study(config: StudyConfig) -> StudySummary:
             # imported here: multiprocessing costs every `import smm` about 20 ms
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_pool,
-                initargs=(config.population, config.spec, config.fit_options, master),
-            )
+            pool = ProcessPoolExecutor(max_workers=workers)
         for condition_index, n in enumerate(config.sample_sizes):
+            block = functools.partial(
+                _replicate_block, config.population, config.spec, config.fit_options, master,
+                condition_index, n,
+            )
             if pool is None:
-                results = _replicate_block(
-                    config.population, config.spec, config.fit_options, master,
-                    condition_index, n, range(config.replications),
-                )
+                results = block(range(config.replications))
             else:
                 bounds = [config.replications * k // workers for k in range(workers + 1)]
-                blocks = [
-                    (condition_index, n, range(a, b)) for a, b in zip(bounds, bounds[1:]) if a < b
-                ]
-                results = [r for block in pool.map(_pool_task, blocks) for r in block]
+                blocks = pool.map(block, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+                results = [r for rows in blocks for r in rows]
             fitted = [r for r in results if r is not None]
             if not any(r.converged for r in fitted):
                 raise SmmError(

@@ -16,6 +16,8 @@ so the exact draw sequence is pinned by this file alone.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -44,11 +46,12 @@ def derive_seed(master: int, *parts: int) -> int:
 
     Each label is mixed in with splitmix64 so that nearby (master, parts)
     tuples give unrelated outputs. Deriving with no parts returns a mixed
-    form of the master seed itself.
+    form of the master seed itself. The master and the parts may be any
+    integers, numpy's included: each is taken as a Python int first.
     """
-    seed = splitmix64(master & _MASK64)
+    seed = splitmix64(operator.index(master) & _MASK64)
     for part in parts:
-        seed = splitmix64(seed ^ splitmix64(part & _MASK64))
+        seed = splitmix64(seed ^ splitmix64(operator.index(part) & _MASK64))
     return seed
 
 

@@ -12,6 +12,7 @@ draw_sample is the draw of one seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,15 @@ PIVOT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Seed:
-    """Master seed for one sampling stream; 64-bit unsigned."""
+    """Master seed for one sampling stream; 64-bit unsigned, kept as a Python int."""
 
     master: int
 
     def __post_init__(self):
-        if not 0 <= self.master < 2**64:
+        master = operator.index(self.master)
+        if not 0 <= master < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "master", master)
 
 
 @dataclass(frozen=True)

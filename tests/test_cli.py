@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smm
 from smm.cli import main
 from smm.estimator import FitResult
 from smm.fixtures import reference_model_spec, reference_population
-from smm.model_spec import ModelSpec, ParameterMatrices, fixed, one_factor_spec
+from smm.model_spec import ModelSpec, ParameterMatrices, fixed, free, one_factor_spec
 from smm.serialize import (
     canonical_json,
     model_to_dict,
@@ -113,6 +119,16 @@ def test_fit_constant_column(model_file, tmp_path, capsys):
         code = main(["fit", model_file, str(path)])
     assert code == 1
     assert "NOT_POSITIVE_DEFINITE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0])
+def test_fit_rejects_a_nonpositive_variance_start(start, data_files, tmp_path, capsys):
+    spec = reference_model_spec()
+    spec = replace(spec, unique_variances=(free(start),) + spec.unique_variances[1:])
+    path = tmp_path / "model.json"
+    path.write_text(canonical_json(model_to_dict(spec)))
+    assert main(["fit", str(path), data_files["model1"]]) == 1
+    assert "NONPOSITIVE_VARIANCE_START" in capsys.readouterr().err
 
 
 def test_fit_nonconvergence_exit_code(model_file, data_files, monkeypatch):
@@ -224,6 +240,22 @@ def test_simulate_rejects_zero_rows(population_files, tmp_path, capsys):
     code = main(["simulate", population_files["model1"], "--n", "0", "--out", str(out)])
     assert code == 1
     assert "INVALID_SAMPLE_SIZE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["replicate", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_is_an_input_error_without_a_traceback(command, seed, population_files, tmp_path):
+    args = {
+        "replicate": ["replicate", "table1_model1_n900", "--reps", "2"],
+        "simulate": ["simulate", population_files["model1"], "--n", "5", "--out", str(tmp_path / "x.csv")],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(smm.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "smm", *args, "--seed", seed], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert "argument --seed: must be an integer in [0, 2**64)" in done.stderr
+    assert "Traceback" not in done.stderr + done.stdout
 
 
 def test_replicate_list(capsys):

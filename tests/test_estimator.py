@@ -50,6 +50,7 @@ from smm.model_spec import (
     fixed,
     free,
     one_factor_spec,
+    validate,
 )
 from smm.moments import Dataset, SampleMoments, compute_moments
 from smm.simulate import Seed, cholesky, draw_moments, draw_sample, explicit, population_moments, structured
@@ -389,7 +390,7 @@ def test_own_mean_start_leaves_the_fit_unchanged(own, value):
 def test_singular_mean_design_rejects_its_row_only():
     # with every loading zero the factor mean does not move mu: the normal
     # equations are singular and that row's evaluation is rejected
-    spec, samples, _ = bundled_replications("table1_model1_n900", range(2))
+    spec, samples, _, _ = bundled_replications("table1_model1_n900", range(2))
     ws = _workspace(spec)
     z = np.tile(to_unconstrained(spec, np.concatenate([LOADINGS, np.ones(5), [0.0]]))[: ws.tc], (2, 1))
     z[1, :5] = 0.0
@@ -593,8 +594,10 @@ def test_permuting_variables_permutes_the_estimates(population, anchor, seed, or
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_rejects_overflowing_trials_quietly():
-    # replication 84 of the bundled table1_model2_n300 study: one trial step
-    # overflows exp(log psi2); the trial is rejected and no warning escapes
+    # a lone fit runs under np.errstate: no floating-point warning escapes
+    # it (replication 84 of the bundled table1_model2_n300 study; its trials
+    # stay finite, and test_evaluate_gives_an_overflowing_row_inf_in_its_own_row
+    # reaches the overflow on purpose)
     config = serialize.study_from_dict(serialize.load_json(study_path("table1_model2_n300")))
     rep_seed = rng.derive_seed(config.seed.master, 0, 84)
     sample = compute_moments(draw_sample(config.population, 300, Seed(rep_seed)))
@@ -602,15 +605,15 @@ def test_fit_rejects_overflowing_trials_quietly():
 
 
 def bundled_replications(name, reps):
-    """Spec, samples and per-replication options of a bundled study, as run_study makes them."""
+    """Spec, samples, options and per-replication jitter seeds of a bundled study, as run_study makes them."""
     config = serialize.study_from_dict(serialize.load_json(study_path(name)))
-    samples, options = [], []
+    samples, seeds = [], []
     for rep in reps:
         rep_seed = rng.derive_seed(config.seed.master, 0, rep)
         data = draw_sample(config.population, config.sample_sizes[0], Seed(rep_seed))
         samples.append(compute_moments(data))
-        options.append(replace(config.fit_options, seed=rng.derive_seed(rep_seed, rng.STREAM_JITTER)))
-    return config.spec, samples, options
+        seeds.append(rng.derive_seed(rep_seed, rng.STREAM_JITTER))
+    return config.spec, samples, config.fit_options, seeds
 
 
 def fingerprint(result):
@@ -623,28 +626,28 @@ def fingerprint(result):
     )
 
 
-def assert_rows_fit_alone_alike(spec, samples, options, batch):
-    for sample, opts, row in zip(samples, options, batch):
-        assert fingerprint(row) == fingerprint(fit(spec, sample, opts))
+def assert_rows_fit_alone_alike(spec, samples, options, seeds, batch):
+    for sample, seed, row in zip(samples, seeds, batch):
+        assert fingerprint(row) == fingerprint(fit(spec, sample, replace(options, seed=seed)))
 
 
 @pytest.mark.parametrize("name", bundled_studies())
 def test_fit_many_matches_fit_bit_for_bit(name):
-    spec, samples, options = bundled_replications(name, range(40))
-    batch = fit_many(spec, samples, options)
+    spec, samples, options, seeds = bundled_replications(name, range(40))
+    batch = fit_many(spec, samples, options, seeds)
     assert len(batch) == 40
-    assert_rows_fit_alone_alike(spec, samples, options, batch)
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
 
 
 @pytest.mark.parametrize("name", bundled_studies())
 def test_converged_fits_have_a_small_joint_gradient(name):
     # the public gradient covers every free parameter, the concentrated
     # intercepts and factor means included, and must support converged
-    spec, samples, options = bundled_replications(name, range(40))
-    for sample, opts, row in zip(samples, options, fit_many(spec, samples, options)):
+    spec, samples, options, seeds = bundled_replications(name, range(40))
+    for sample, row in zip(samples, fit_many(spec, samples, options, seeds)):
         assert row.converged
         joint = np.max(np.abs(numeric_gradient(spec, row.free_values, sample)))
-        assert joint <= opts.gradient_tolerance
+        assert joint <= options.gradient_tolerance
         # the mean block vanishes at the GLS optimum, so the largest joint
         # component is the one fit reports, up to rounding (measured 1.7e-13)
         assert abs(joint - row.grad_inf_norm) <= 1e-11
@@ -652,8 +655,8 @@ def test_converged_fits_have_a_small_joint_gradient(name):
 
 def test_concentrated_fit_of_anchor_x1_takes_few_iterations():
     # walking lambda[x1] and theta jointly took a median of 40 iterations
-    spec, samples, options = bundled_replications("anchor_x1_model2_n900", range(40))
-    iterations = [row.iterations for row in fit_many(spec, samples, options)]
+    spec, samples, options, seeds = bundled_replications("anchor_x1_model2_n900", range(40))
+    iterations = [row.iterations for row in fit_many(spec, samples, options, seeds)]
     assert np.median(iterations) <= 15
 
 
@@ -661,8 +664,8 @@ def test_concentrated_fit_of_anchor_x1_takes_few_iterations():
 def test_start_along_the_means_takes_few_iterations(name, most):
     # from loadings of half a standard deviation the median fit took 13 and
     # 19 iterations, most of them turning the loadings toward the means
-    spec, samples, options = bundled_replications(name, range(40))
-    iterations = [row.iterations for row in fit_many(spec, samples, options)]
+    spec, samples, options, seeds = bundled_replications(name, range(40))
+    iterations = [row.iterations for row in fit_many(spec, samples, options, seeds)]
     assert np.median(iterations) <= most
 
 
@@ -731,7 +734,7 @@ def reference_loadings_with_means(means):
 
 
 def runaway_replications():
-    """Spec, 4 samples at n = 150 and options of fits that run away toward a huge factor mean.
+    """Spec, 4 samples at n = 150, options and jitter seeds of fits that run away toward a huge factor mean.
 
     The means' signs disagree with the covariances, so the loadings shrink
     toward 0 and the factor mean grows: mean designs go singular and the
@@ -739,11 +742,8 @@ def runaway_replications():
     """
     population = reference_loadings_with_means([3, -2, 1, 4, -5])
     samples = draw_moments(population, 150, [Seed(rng.derive_seed(77, 150, r)) for r in range(4)])
-    options = [
-        FitOptions(max_iterations=60, max_restarts=1, seed=rng.derive_seed(77, 150, r, rng.STREAM_JITTER))
-        for r in range(4)
-    ]
-    return reference_model_spec(), samples, options
+    seeds = [rng.derive_seed(77, 150, r, rng.STREAM_JITTER) for r in range(4)]
+    return reference_model_spec(), samples, FitOptions(max_iterations=60, max_restarts=1), seeds
 
 
 DEFAULT_START_CASES = {
@@ -799,7 +799,7 @@ def test_start_along_uninformative_means_reaches_the_same_minimum(n):
     spec = reference_model_spec()
     ws = _workspace(spec)
     samples = samples_of(reference_loadings_with_means(np.zeros(5)), n, range(50))
-    for sample, row in zip(samples, fit_many(spec, samples, [FitOptions()] * len(samples))):
+    for sample, row in zip(samples, fit_many(spec, samples, FitOptions(), [0] * len(samples))):
         assert not np.allclose(_start_values(ws, sample.cov, sample.mean), default_starts(ws, sample))
         default = fit(one_factor_spec(5, loading_starts=0.5 * np.sqrt(np.diag(sample.cov))), sample)
         assert row.converged and default.converged
@@ -900,27 +900,22 @@ def test_restarts_and_the_fisher_fallback_run_inside_a_batch(monkeypatch):
 
     scaled_identity = estimator._scaled_identity
     monkeypatch.setattr(estimator, "_scaled_identity", spy)
-    spec, samples, options = runaway_replications()
-    batch = fit_many(spec, samples, options)
+    spec, samples, options, seeds = runaway_replications()
+    batch = fit_many(spec, samples, options, seeds)
     assert any(row.retries_used for row in batch)
     assert calls
-    assert_rows_fit_alone_alike(spec, samples, options, batch)
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
 
 
-def test_a_zero_start_of_its_own_fails_each_first_attempt_alone():
-    # log(0) has no unconstrained form: the first attempt of every row
-    # fails, and the jittered restarts start the variance at the noise
-    spec, samples, options = bundled_replications("table1_model1_n900", range(8))
-    spec = replace(spec, unique_variances=(free(0.0),) + spec.unique_variances[1:])
-    batch = fit_many(spec, samples, options)
-    for sample, opts, row in zip(samples, options, batch):
-        if isinstance(row, SmmError):
-            with pytest.raises(NotPositiveDefiniteError, match="NONPOSITIVE_UNIQUE_VARIANCE") as alone:
-                fit(spec, sample, opts)
-            assert row.message == alone.value.message
-        else:
-            assert row.retries_used >= 1
-            assert fingerprint(row) == fingerprint(fit(spec, sample, opts))
+@pytest.mark.parametrize("start", [0.0, -1.0])
+def test_a_nonpositive_variance_start_of_its_own_is_invalid(start):
+    # unique variances are optimized as logs: a start of 0 or below has no
+    # unconstrained form, and validate rejects it before any fit
+    spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(2))
+    spec = replace(spec, unique_variances=(free(start),) + spec.unique_variances[1:])
+    assert validate(spec).codes() == ("NONPOSITIVE_VARIANCE_START",)
+    with pytest.raises(InvalidModelError, match="NONPOSITIVE_VARIANCE_START"):
+        fit_many(spec, samples, options, seeds)
 
 
 # A plain per-row loop of the algorithm fit_many documents: one sample at a
@@ -993,7 +988,7 @@ def reference_fit(spec, sample, options):
     """The fingerprint of the fit of one sample, or the NotPositiveDefiniteError it ends in."""
     ws = _workspace(spec)
     v0 = _start_values(ws, sample.cov, sample.mean)
-    best, last_error, attempts = None, None, 0
+    best, attempts = None, 0
     with np.errstate(all="ignore"):
         for attempt in range(options.max_restarts + 1 if ws.tc else 1):
             attempts, v = attempt + 1, v0
@@ -1001,28 +996,25 @@ def reference_fit(spec, sample, options):
                 seed = rng.derive_seed(options.seed, rng.STREAM_JITTER, attempt)
                 noise = rng.uniform(seed, (ws.t,), -options.jitter_fraction, options.jitter_fraction)[: ws.tc]
                 v = np.where(v0 != 0.0, v0 * (1.0 + noise), noise)
-            try:
-                candidate = reference_attempt(ws, ws.to_unconstrained(v), sample, options)
-            except SmmError as error:
-                last_error = error
-                continue
+            candidate = reference_attempt(ws, ws.to_unconstrained(v), sample, options)
             if candidate is None:
-                last_error = "no finite discrepancy at the start"
                 continue
             if best is None or (candidate[4], -candidate[1]) > (best[4], -best[1]):
                 best = candidate
             if candidate[4]:
                 break
     if best is None:
-        return NotPositiveDefiniteError(f"every optimization attempt failed; last error: {last_error}")
+        return NotPositiveDefiniteError(
+            "every optimization attempt failed; last error: no finite discrepancy at the start"
+        )
     point, f, _, iterations, converged = best
     free_values = ws.index.extract(_sign_convention(ws, ws.index.insert(point)))
     return f, free_values.tobytes(), iterations, attempts - 1, converged
 
 
-def assert_rows_follow_the_reference(spec, samples, options, batch):
-    for sample, opts, row in zip(samples, options, batch):
-        want = reference_fit(spec, sample, opts)
+def assert_rows_follow_the_reference(spec, samples, options, seeds, batch):
+    for sample, seed, row in zip(samples, seeds, batch):
+        want = reference_fit(spec, sample, replace(options, seed=seed))
         if isinstance(want, SmmError):
             assert (type(row), row.message) == (type(want), want.message)
         else:
@@ -1031,8 +1023,8 @@ def assert_rows_follow_the_reference(spec, samples, options, batch):
 
 @pytest.mark.parametrize("name", bundled_studies())
 def test_fit_many_follows_the_reference_loop(name):
-    spec, samples, options = bundled_replications(name, range(40))
-    assert_rows_follow_the_reference(spec, samples, options, fit_many(spec, samples, options))
+    spec, samples, options, seeds = bundled_replications(name, range(40))
+    assert_rows_follow_the_reference(spec, samples, options, seeds, fit_many(spec, samples, options, seeds))
 
 
 def test_restarts_give_ups_and_the_fallback_follow_the_reference_loop(monkeypatch):
@@ -1044,10 +1036,10 @@ def test_restarts_give_ups_and_the_fallback_follow_the_reference_loop(monkeypatc
 
     scaled_identity = estimator._scaled_identity
     monkeypatch.setattr(estimator, "_scaled_identity", spy)
-    spec, samples, options = runaway_replications()
-    batch = fit_many(spec, samples, options)
+    spec, samples, options, seeds = runaway_replications()
+    batch = fit_many(spec, samples, options, seeds)
     assert calls and any(row.retries_used for row in batch) and not all(row.converged for row in batch)
-    assert_rows_follow_the_reference(spec, samples, options, batch)
+    assert_rows_follow_the_reference(spec, samples, options, seeds, batch)
 
 
 def test_a_runaway_batch_evaluates_once_a_round(monkeypatch):
@@ -1062,50 +1054,67 @@ def test_a_runaway_batch_evaluates_once_a_round(monkeypatch):
 
     evaluate = estimator._evaluate
     monkeypatch.setattr(estimator, "_evaluate", spy)
-    spec, samples, options = runaway_replications()
-    fit_many(spec, samples, options)
+    spec, samples, options, seeds = runaway_replications()
+    fit_many(spec, samples, options, seeds)
     batch = len(calls)
     alone = []
-    for sample, opts in zip(samples, options):
+    for sample, seed in zip(samples, seeds):
         calls.clear()
-        fit(spec, sample, opts)
+        fit(spec, sample, replace(options, seed=seed))
         alone.append(len(calls))
     assert batch == max(alone)
 
 
-def test_a_zero_start_of_its_own_follows_the_reference_loop():
-    spec, samples, options = bundled_replications("table1_model1_n900", range(8))
-    spec = replace(spec, unique_variances=(free(0.0),) + spec.unique_variances[1:])
-    assert_rows_follow_the_reference(spec, samples, options, fit_many(spec, samples, options))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_many_rejects_an_overflowing_row_quietly():
-    # a trial that overflows or fails its LAPACK call reads F = inf in its
-    # own row, with no warning; no trial of rows 78-90 fails at these seeds
-    # (runaway fits do: test_a_runaway_batch_evaluates_once_a_round)
-    spec, samples, options = bundled_replications("table1_model2_n300", range(78, 91))
-    batch = fit_many(spec, samples, options)
+    # a batch runs under np.errstate: no floating-point warning escapes it,
+    # and each row keeps the bits of its lone fit (rows 78-90 of
+    # table1_model2_n300, whose trials stay finite; overflow and failing
+    # LAPACK calls are reached on purpose in
+    # test_evaluate_gives_an_overflowing_row_inf_in_its_own_row and
+    # test_a_runaway_batch_evaluates_once_a_round)
+    spec, samples, options, seeds = bundled_replications("table1_model2_n300", range(78, 91))
+    batch = fit_many(spec, samples, options, seeds)
     assert all(row.converged for row in batch)
-    assert_rows_fit_alone_alike(spec, samples, options, batch)
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
+
+
+def test_evaluate_gives_an_overflowing_row_inf_in_its_own_row():
+    # exp(710) overflows: psi2 of row 1 is inf, so its Sigma and F are not
+    # finite, and the rows around it keep the bits of their lone calls
+    spec, samples, _, _ = bundled_replications("table1_model2_n300", range(3))
+    ws = _workspace(spec)
+    covs = np.array([sample.cov for sample in samples])
+    means = np.array([sample.mean for sample in samples])
+    z = ws.to_unconstrained(_start_values(ws, covs, means))
+    z[1, ws.log_pos[0]] = 710.0
+    with np.errstate(all="ignore"):
+        f, g, values = _evaluate(ws, z, covs, means)
+        for k in (0, 2):
+            alone = _evaluate(ws, z[k : k + 1], covs[k : k + 1], means[k : k + 1])
+            assert np.isfinite(alone[0][0])
+            assert all(a[k].tobytes() == b[0].tobytes() for a, b in zip((f, g, values), alone))
+    assert f[1] == np.inf
+    with pytest.warns(RuntimeWarning):
+        _evaluate(ws, z[1:2], covs[1:2], means[1:2])
 
 
 def test_fit_many_returns_the_error_of_a_failing_row():
-    spec, samples, options = bundled_replications("table1_model1_n900", range(4))
+    spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(4))
     values = draw_sample(reference_population("model1"), 100, Seed(91)).values.copy()
     values[:, 2] = 5.0
     with pytest.warns(UserWarning):
         singular = compute_moments(Dataset(values=values, variable_names=("x1", "x2", "x3", "x4", "x5")))
     samples.insert(2, singular)
-    options.insert(2, FitOptions())
-    batch = fit_many(spec, samples, options)
+    seeds.insert(2, 0)
+    batch = fit_many(spec, samples, options, seeds)
     assert isinstance(batch[2], NotPositiveDefiniteError)
-    del samples[2], options[2], batch[2]
-    assert_rows_fit_alone_alike(spec, samples, options, batch)
+    del samples[2], seeds[2], batch[2]
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
 
 
 def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
-    spec, samples, options = bundled_replications("table1_model1_n900", range(3))
+    spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(3))
     good = samples[0]
     asymmetric = good.cov.copy()
     asymmetric[0, 1] += 1e-3
@@ -1117,7 +1126,7 @@ def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
         SampleMoments(n=100, mean=good.mean, cov=np.diag([1.0, 1.0, 1e-13, 1.0, 1.0])),
     ]
     wrong_size = SampleMoments(n=100, mean=np.zeros(3), cov=np.eye(3))
-    batch = fit_many(spec, bad + samples + [wrong_size], [FitOptions()] * 3 + options + [FitOptions()])
+    batch = fit_many(spec, bad + samples + [wrong_size], options, [0] * 3 + seeds + [0])
     for sample, row in zip(bad, batch):
         with pytest.raises(SmmError) as alone:
             cholesky(sample.cov)
@@ -1126,7 +1135,7 @@ def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
     codes = ["ASYMMETRIC_MATRIX", "NOT_POSITIVE_DEFINITE", "NOT_POSITIVE_DEFINITE"]
     assert [row.code for row in batch[:3]] == codes
     assert batch[-1].code == "DIMENSION_MISMATCH"
-    assert_rows_fit_alone_alike(spec, samples, options, batch[3:-1])
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch[3:-1])
 
 
 def sign_convention_by_columns(spec, lam, theta, phi):
@@ -1172,10 +1181,10 @@ def test_estimator_uses_no_einsum():
     assert "einsum" not in Path(estimator.__file__).read_text()
 
 
-def test_fit_many_needs_options_for_every_sample():
-    spec, samples, options = bundled_replications("table1_model1_n900", range(2))
+def test_fit_many_needs_a_seed_for_every_sample():
+    spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(2))
     with pytest.raises(SmmError, match="BAD_INPUT"):
-        fit_many(spec, samples, options[:1])
+        fit_many(spec, samples, options, seeds[:1])
 
 
 

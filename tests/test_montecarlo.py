@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,18 @@ def test_run_study_is_deterministic_across_parallelism():
     serial = run_study(base)
     parallel = run_study(small_config(replications=2 * MIN_BLOCK, max_parallelism=2))
     assert canonical_json(summary_to_dict(serial)) == canonical_json(summary_to_dict(parallel))
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_give_the_summary_of_the_int():
+    # a numpy master used to overflow in derive_seed or in splitmix64, and
+    # an np.uint64 left in the summary made its JSON fail
+    docs = {
+        canonical_json(summary_to_dict(run_study(small_config(seed=Seed(master)))))
+        for master in (7, np.int64(7), np.uint64(7))
+    }
+    assert len(docs) == 1
+    assert json.loads(docs.pop())["seed"] == 7
 
 
 def test_run_study_gives_each_worker_at_least_min_block_replications(monkeypatch):

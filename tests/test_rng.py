@@ -44,6 +44,14 @@ def test_derive_seed_separates_parts():
     assert len(seen) == 9
 
 
+def test_derive_seed_takes_numpy_integers_as_ints():
+    want = derive_seed(5, 1, STREAM_JITTER)
+    assert type(want) is int
+    for kind in (np.int64, np.uint64):
+        got = derive_seed(kind(5), kind(1), kind(STREAM_JITTER))
+        assert (type(got), got) == (int, want)
+
+
 def test_derive_seed_order_matters():
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
