@@ -32,12 +32,7 @@ from .model_spec import ParameterIndex, fixed, free
 from .moments import compute_moments
 from .montecarlo import compare_to_reference, run_study
 from .simulate import Seed, draw_sample
-from .smm_core import (
-    LOADING_FLOOR,
-    factor_means_ls,
-    hadamard_ratio,
-    proportionality_report,
-)
+from .smm_core import LOADING_FLOOR, factor_means_ls, proportionality_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -95,14 +90,13 @@ def cmd_means(args) -> int:
                 DIVISION_BY_NEAR_ZERO_LOADING,
                 f"loading for {spec.variable_names[i]} is below {LOADING_FLOOR:g}",
             )
-        ratios = hadamard_ratio(sample.mean, column)
         report = proportionality_report(column, sample.mean)
         print("\nper-variable ratios mean/loading:")
-        for name, ratio in zip(spec.variable_names, ratios):
+        for name, ratio in zip(spec.variable_names, report.ratios):
             print(f"  {name}: {ratio:.4f}")
         corr = "n/a" if np.isnan(report.rank_corr) else f"{report.rank_corr:.3f}"
         print(f"\nproportionality: cv = {report.cv:.4f}, rank corr = {corr} -> {report.verdict}")
-        doc["ratios"] = {n: float(r) for n, r in zip(spec.variable_names, ratios)}
+        doc["ratios"] = {n: float(r) for n, r in zip(spec.variable_names, report.ratios)}
         doc["proportionality"] = _proportionality_to_json(report)
     _write_json(args.json, doc)
     return EXIT_OK

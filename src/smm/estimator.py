@@ -50,17 +50,20 @@ the Fisher information
 
     H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l
 
-(Jennrich & Robinson 1969), is refreshed from it every few iterations and
-is corrected by BFGS updates in between; a backtracking Armijo search
-finishes each step. A free cell with a start of its own keeps it. The
-other starts are scaled to the sample (loadings at half a standard
-deviation, unique variances at half a variance); intercepts and factor
-means need none. In one-factor models with a free factor mean and fixed
-intercepts the loadings start along the observed mean residuals
-instead, to which the structured-means model makes them proportional
-(see _start_values). The median fit of a Table 1 design then takes 4-7 iterations
-(the slowest of 500: 5-10), where loadings at half a standard deviation
-took 13-19 (22-29), and the anchored designs take 9 (11).
+(Jennrich & Robinson 1969), is refreshed from it every few iterations
+and is corrected by BFGS updates in between; a backtracking Armijo
+search finishes each step. A seed fails where the information is not
+positive definite, as on the way to a runaway factor mean, and ends its
+attempt, as a start without a finite F does. A free cell with a start of
+its own keeps it. The other starts are scaled to the sample (loadings at
+half a standard deviation, unique variances at half a variance);
+intercepts and factor means need none. In one-factor models with a free
+factor mean and fixed intercepts the loadings start along the observed
+mean residuals instead, to which the structured-means model makes them
+proportional (see _start_values). The median fit of a Table 1 design
+then takes 4-7 iterations (the slowest of 500: 5-10), where loadings at
+half a standard deviation took 13-19 (22-29), and the anchored designs
+take 9 (11).
 
 Fits run in lockstep. fit_many fits many samples (a Monte Carlo
 condition's replications) with one optimizer whose state is arrays over
@@ -71,20 +74,20 @@ over the leading (R, ...) axis, seeds the fits due a Fisher refresh in
 another, and takes Armijo acceptance, step shortening, the BFGS update
 and the next direction as masks over all rows. A matrix that fails (a
 trial Sigma not positive definite, a mean design gone singular as the
-loadings shrink) gives NaN in its own row only, so that fit's F reads
-inf and the other rows go on. Attempt counts and best attempts are
-arrays over the fits as well: Python runs per fit only to draw a
-restart's jitter and to build its result, and finished fits leave the
-arrays. The fits of a batch share one FitOptions, each with its own
+loadings shrink) gives NaN in its own row only, so that fit's F or seed
+reads inf or NaN and the other rows go on. Attempt counts and best
+attempts are arrays over the fits as well: Python runs per fit only to
+draw a restart's jitter and to build its result, and finished fits leave
+the arrays. The fits of a batch share one FitOptions, each with its own
 jitter seed. The set-up (sample checks, starts) and the wrap-up (result
 matrices, sign convention) are stacked too. Nearly all of the cost on
 5x5 matrices is numpy's per-call overhead, so a stacked call costs
-little more than a single one. fit is fit_many on one sample. Every stacked operation (matmul over contiguous
-rows, cholesky, eigh, solve, inv, elementwise ufuncs, sums over trailing
-axes) gives each row the same bits as it would alone, so a result does
-not depend on the batch it was fitted in. On a 2-vCPU x86 VM a lone fit
-of a bundled design takes about 2-4 ms, and in a batch of 500 about
-0.08-0.16 ms per fit.
+little more than a single one. fit is fit_many on one sample. Every
+stacked operation (matmul over contiguous rows, cholesky, eigh, solve,
+inv, elementwise ufuncs, sums over trailing axes) gives each row the
+same bits as it would alone, so a result does not depend on the batch it
+was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes
+about 2-4 ms, and in a batch of 500 about 0.08-0.16 ms per fit.
 """
 
 from __future__ import annotations
@@ -299,69 +302,47 @@ class _Workspace:
         mu = mats.intercepts + (lam @ mats.factor_means[..., None])[..., 0]
         return mats, sigma, mu
 
-    def fisher_information(self, values: np.ndarray) -> np.ndarray:
-        """Fisher information of F in unconstrained coordinates at raw values (..., t).
-
-        H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l, which is the
-        Hessian of F wherever the model fits the sample exactly. With
-        Sigma = L L' every derivative is whitened by U = L^-1, so H = M M'
-        where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k. H is NaN
-        where Sigma is not positive definite.
-        """
-        m = self._information_rows(values)
-        return m @ _mT(m)
-
     def concentrated_information(self, values: np.ndarray) -> np.ndarray:
         """Information on the covariance parameters, the mean parameters concentrated out.
 
-        The Schur complement H_cc - H_cm H_mm^-1 H_mc of the joint
-        information on its mean block, which is the Hessian of the
-        concentrated F wherever the model fits exactly. It is formed as
-        P P' with P = M_c - (M_c M_m')(M_m M_m')^-1 M_m from the rows M of
-        fisher_information split into covariance (c) and mean (m) rows.
-        M_m is zero outside the sqrt(2) U dmu columns, so only those
-        columns of M_c change. values (..., t) is a joint point, with the
-        mean parameters at their optimum. The information is NaN where
-        Sigma is not positive definite or the mean design is singular.
-        """
-        rows, k = self._information_rows(values), self.p * self.p
-        m_c, m_m = rows[..., : self.tc, :], rows[..., self.tc :, k:]
-        proj = _solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
-        m_c[..., k:] -= _mT(proj) @ m_m
-        return m_c @ _mT(m_c)
-
-    def _information_rows(self, values: np.ndarray) -> np.ndarray:
-        """The rows M of the Fisher information H = M M' at raw values (..., t).
-
-        The rows are formed per layout cell, gathered to parameters, and
-        carry the chain rule psi2 = exp(z).
+        The Schur complement H_cc - H_cm H_mm^-1 H_mc of the Fisher
+        information H (module docstring) on its mean block: the Hessian of
+        the concentrated F wherever the model fits exactly. With U = L^-1,
+        H = M M' where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k
+        (per layout cell, gathered to parameters, with the chain rule
+        psi2 = exp(z)). The complement is P P' over the covariance (c) and
+        mean (m) rows of M, P = M_c - (M_c M_m')(M_m M_m')^-1 M_m, which
+        differs from M_c only in the U dmu columns. values (..., t) is a
+        joint point, the mean parameters at their optimum. NaN where Sigma
+        is not positive definite or the mean design is singular.
         """
         mats, sigma, _ = self.build(values)
-        lead, p, q = values.shape[:-1], self.p, self.q
+        lead, p, q, k = values.shape[:-1], self.p, self.q, self.p * self.p
         u = _inv(_cholesky(sigma))
         ul = u @ mats.loadings
         u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
-        cells = np.zeros(lead + (self.index.template.size, p * p + p))
-        d_sigma, d_mu = cells[..., : p * p], cells[..., p * p :]
+        cells = np.zeros(lead + (self.index.template.size, k + p))
+        d_sigma, d_mu = cells[..., :k], cells[..., k:]
         lam, phi, psi2, nu, theta = self.index.slices
         # dSigma/dlambda_ij = e_i (Lambda Phi)_j' + (Lambda Phi)_j e_i'
         outer = u_t[..., :, None, :, None] * ub_t[..., None, :, None, :]
-        d_sigma[..., lam, :] = (outer + _mT(outer)).reshape(lead + (p * q, p * p))
-        d_mu[..., lam, :] = (
-            u_t[..., :, None, :] * mats.factor_means[..., None, :, None]
-        ).reshape(lead + (p * q, p))
+        d_sigma[..., lam, :] = (outer + _mT(outer)).reshape(lead + (p * q, k))
+        d_mu[..., lam, :] = (u_t[..., :, None, :] * mats.factor_means[..., None, :, None]).reshape(lead + (-1, p))
         # dSigma/dphi_ab = Lambda_a Lambda_b'; both cells of a free off-diagonal
         # phi are gathered, so its whitened derivative is symmetric
         d_sigma[..., phi, :] = (
             ul_t[..., :, None, :, None] * ul_t[..., None, :, None, :]
-        ).reshape(lead + (q * q, p * p))
-        d_sigma[..., psi2, :] = (u_t[..., :, :, None] * u_t[..., :, None, :]).reshape(lead + (p, p * p))
+        ).reshape(lead + (q * q, k))
+        d_sigma[..., psi2, :] = (u_t[..., :, :, None] * u_t[..., :, None, :]).reshape(lead + (p, k))
         d_mu[..., nu, :] = u_t
         d_mu[..., theta, :] = ul_t
         d_mu *= np.sqrt(2.0)
         m = self.gather @ cells
         m[..., self.log_pos, :] *= values[..., self.log_pos, None]
-        return m
+        m_c, m_m = m[..., : self.tc, :], m[..., self.tc :, k:]
+        proj = _solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
+        m_c[..., k:] -= _mT(proj) @ m_m
+        return m_c @ _mT(m_c)
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -639,25 +620,11 @@ def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
 def _inverse_information(ws: _Workspace, values: np.ndarray) -> np.ndarray:
     """Inverse concentrated information (rows, tc, tc) at joint points (rows, t), by Cholesky.
 
-    Rows where that fails get _scaled_identity.
+    A row where that fails is NaN: its direction has no slope, so the
+    attempt that seeded it ends (see fit_many).
     """
     inv_lower = _inv(_cholesky(ws.concentrated_information(values)))
-    h = _mT(inv_lower) @ inv_lower
-    failed = np.isnan(h).any(axis=(1, 2))
-    if np.count_nonzero(failed):
-        h[failed] = _scaled_identity(ws, values[failed])
-    return h
-
-
-def _scaled_identity(ws: _Workspace, values: np.ndarray) -> np.ndarray:
-    """Stand-in inverses (rows, tc, tc) at joint points (rows, t) whose concentrated information failed.
-
-    The identity over the mean curvature of the covariance block of the
-    joint information, or the identity where that is not positive.
-    """
-    info = ws.fisher_information(values)[:, : ws.tc, : ws.tc]
-    mean_curvature = np.ascontiguousarray(info.diagonal(0, 1, 2)).sum(axis=1) / ws.tc
-    return _identity(ws.tc) / np.where(mean_curvature > 0, mean_curvature, 1.0)[:, None, None]
+    return _mT(inv_lower) @ inv_lower
 
 
 def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
@@ -672,26 +639,25 @@ def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
     start in one pass (see _start_values).
 
     Each sample runs attempts of BFGS on the concentrated F over the
-    covariance parameters in unconstrained coordinates. The inverse
-    Hessian is seeded from the inverse concentrated information
-    (_scaled_identity where that fails), again every FISHER_REFRESH
-    iterations and whenever no step is found along the BFGS direction. The
-    line search tries the full step and accepts a trial that lowers F
-    strictly and meets the Armijo condition; a rejected trial shortens the
-    step to the minimizer of the quadratic through F, the slope and the
-    trial, within [0.1, 0.5] of the step, one without a finite F halves
-    it, and no step is found once the decrease asked for is below
-    F_ROUNDING. An attempt fails without a finite F at its start, and
-    ends when the largest gradient component reaches OPTIMIZER_GTOL, at
-    max_iterations, when no step is found along a fresh seed's direction,
-    or, before a search, when the gradient is within gradient_tolerance
-    and the step predicts a decrease (-slope / 2) within F_ROUNDING. Up to
-    max_restarts more attempts follow one that fails or ends unconverged,
-    attempt a from the first start jittered by up to jitter_fraction,
-    drawn from derive_seed(seed, rng.STREAM_JITTER, a), and the best is
-    reported: converged first, then the lowest F. Without free covariance
-    parameters the start's one evaluation is the result; a sample whose
-    every attempt fails gets a NotPositiveDefiniteError.
+    covariance parameters in unconstrained coordinates. The inverse Hessian
+    is seeded from the inverse concentrated information, again every
+    FISHER_REFRESH iterations and whenever no step is found along the BFGS
+    direction. The line search tries the full step and accepts a trial that
+    lowers F strictly and meets the Armijo condition; a rejected trial
+    shortens the step to the minimizer of the quadratic through F, the slope
+    and the trial, within [0.1, 0.5] of the step, one without a finite F
+    halves it, and no step is found once the decrease asked for is below
+    F_ROUNDING. An attempt fails without a finite F at its start, and ends
+    when the largest gradient component reaches OPTIMIZER_GTOL, at
+    max_iterations, when a seed fails or no step is found along a fresh
+    seed's direction, or, before a search, when the gradient is within
+    gradient_tolerance and the step predicts a decrease (-slope / 2) within
+    F_ROUNDING. Up to max_restarts more attempts follow one that fails or
+    ends unconverged, attempt a from the first start jittered by up to
+    jitter_fraction, drawn from derive_seed(seed, rng.STREAM_JITTER, a), and
+    the best is reported: converged first, then the lowest F. Without free
+    covariance parameters the start's one evaluation is the result; a sample
+    whose every attempt fails gets a NotPositiveDefiniteError.
 
     The rounds step the unfinished fits as rows of arrays (see the module
     docstring) with numpy's floating-point warnings off: a trial that

@@ -9,9 +9,6 @@ import numpy as np
 
 from .errors import SmmError, NON_FINITE_VALUES, TOO_FEW_ROWS, DIMENSION_MISMATCH
 
-# All sample covariances in this package divide by n - 1.
-COV_DENOMINATOR = "n-1"
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -49,16 +46,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Sample mean vector and covariance matrix with their sample size.
-
-    ``denominator`` records the covariance convention so serialized moments
-    are self-describing; this package always writes "n-1".
-    """
+    """Sample mean vector and covariance matrix (denominator n - 1) with their sample size."""
 
     n: int
     mean: np.ndarray
     cov: np.ndarray
-    denominator: str = COV_DENOMINATOR
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)

@@ -17,15 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SmmError, BAD_INPUT
-from .estimator import FitOptions, FitResult
+from .estimator import FitResult
 from .model_spec import ModelSpec, ParameterCell, fixed, free
 from .moments import Dataset
-from .montecarlo import (
-    ComparisonReport,
-    ReplicationSummary,
-    StudyConfig,
-    StudySummary,
-)
+from .montecarlo import ComparisonReport, StudyConfig, StudySummary
 from .simulate import PopulationModel, Seed, explicit, structured
 
 CSV_FORMAT = "%.17g"
@@ -170,15 +165,22 @@ def study_to_dict(config: StudyConfig) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer as it was written: a float, a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SmmError(BAD_INPUT, f"study file: {field} must be an integer, got {value!r}")
+    return value
+
+
 def study_from_dict(doc: dict) -> StudyConfig:
     try:
         return StudyConfig(
             population=population_from_dict(doc["population"]),
             spec=model_from_dict(doc["model"]),
-            sample_sizes=tuple(int(n) for n in doc["sample_sizes"]),
-            replications=int(doc["replications"]),
-            seed=Seed(int(doc["seed"])),
-            max_parallelism=int(doc.get("max_parallelism", 1)),
+            sample_sizes=tuple(_json_int(n, "sample_sizes") for n in doc["sample_sizes"]),
+            replications=_json_int(doc["replications"], "replications"),
+            seed=Seed(_json_int(doc["seed"], "seed")),
+            max_parallelism=_json_int(doc.get("max_parallelism", 1), "max_parallelism"),
             reference=doc.get("reference"),
         )
     except KeyError as err:

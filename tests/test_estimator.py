@@ -295,31 +295,6 @@ FISHER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(FISHER_CASES))
-def test_fisher_information_is_the_hessian_at_an_exact_fit(case):
-    # at S = Sigma(z), xbar = mu(z) the Hessian of F is the Fisher information;
-    # the Hessian here is a central difference of the exact gradient
-    spec = FISHER_CASES[case]()
-    generator = np.random.default_rng(7)
-    for _ in range(3):
-        raw = random_point(spec, generator)
-        implied = implied_moments(spec, raw)
-        sample = SampleMoments(n=500, mean=implied.mu_model, cov=implied.sigma)
-        z = to_unconstrained(spec, raw)
-        hessian = np.empty((z.size, z.size))
-        for i in range(z.size):
-            step = 1e-5 * max(1.0, abs(z[i]))
-            up, down = z.copy(), z.copy()
-            up[i] += step
-            down[i] -= step
-            hessian[:, i] = (
-                numeric_gradient(spec, to_raw(spec, up), sample)
-                - numeric_gradient(spec, to_raw(spec, down), sample)
-            ) / (2.0 * step)
-        fisher = _workspace(spec).fisher_information(raw)
-        assert np.max(np.abs(fisher - hessian)) <= 1e-6 * np.max(np.abs(fisher))
-
-
 def concentrated_gradient(ws, z, sample):
     """Gradient of the concentrated F over the covariance parameters z, as fit sees it."""
     f, g, _ = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
@@ -887,24 +862,74 @@ def test_start_values_of_a_batch_are_the_starts_alone():
         assert row.tobytes() == _start_values(ws, sample.cov, sample.mean).tobytes()
 
 
-def test_restarts_and_the_fisher_fallback_run_inside_a_batch(monkeypatch):
+def spy_on_failed_seeds(monkeypatch):
+    """Patch fit_many's seeding to record how many rows of each seed come back NaN."""
+    failed = []
+
+    def spy(ws, values):
+        h = inverse_information(ws, values)
+        failed.append(int(np.count_nonzero(np.isnan(h).any(axis=(1, 2)))))
+        return h
+
+    inverse_information = estimator._inverse_information
+    monkeypatch.setattr(estimator, "_inverse_information", spy)
+    return failed
+
+
+def test_failed_seeds_end_attempts_inside_a_batch(monkeypatch):
     # means whose signs disagree with the covariances: fits run away toward
     # small loadings and a huge factor mean, the concentrated information
-    # fails there and attempts end unconverged (measured on 8 rows: 7
-    # restart, and the fallback runs 16 times over batch and lone fits)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return scaled_identity(*args)
-
-    scaled_identity = estimator._scaled_identity
-    monkeypatch.setattr(estimator, "_scaled_identity", spy)
+    # stops being positive definite there, and a seed that fails ends its
+    # attempt, which restarts
+    failed = spy_on_failed_seeds(monkeypatch)
     spec, samples, options, seeds = runaway_replications()
     batch = fit_many(spec, samples, options, seeds)
-    assert any(row.retries_used for row in batch)
-    assert calls
+    assert any(failed)
+    assert any(row.retries_used for row in batch) and not all(row.converged for row in batch)
     assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
+
+
+def independence_bound(sample):
+    """F_inf = sum_j ln S_jj - ln|S|: the infimum of F along loadings -> 0 with a runaway factor mean."""
+    return np.log(np.diag(sample.cov)).sum() - np.linalg.slogdet(sample.cov)[1]
+
+
+def test_no_runaway_fit_converges_above_the_independence_bound():
+    # on this population the ML fit has no finite optimum: F tends to F_inf
+    # as the loadings shrink and the factor mean grows, so a fit that
+    # converges above F_inf stops at a false optimum (these four did, 1.6-2.4
+    # above it, when a failed seed was replaced by a scaled identity)
+    population = reference_loadings_with_means([3, -2, 1, 4, -5])
+    rep_seeds = [rng.derive_seed(77, 150, r) for r in (6, 13, 20, 27)]
+    samples = draw_moments(population, 150, [Seed(rep_seed) for rep_seed in rep_seeds])
+    seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
+    for sample, row in zip(samples, fit_many(reference_model_spec(), samples, FitOptions(), seeds)):
+        assert not row.converged or row.f_min <= independence_bound(sample) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, log_scale, restarts",
+    [
+        (1303831291, [0.96, 1.38, -1.44, -0.93, -0.23], True),
+        (1491409384, [0.73, 0.8, -1.18, -1.01, -0.42], False),
+    ],
+)
+def test_user_starts_on_badly_scaled_data_reach_the_default_minimum(seed, log_scale, restarts):
+    # starts of 0.5 on every loading and unique variance are far off the
+    # scale of these rescaled samples, and an attempt from them can run away
+    # (psi2 toward 0, a loading toward 1e22, F near 111): the fit must still
+    # reach the minimum the starts scaled to the sample find
+    spec = reference_model_spec()
+    own = replace(spec, loadings=tuple((free(0.5),) for _ in range(5)),
+                  unique_variances=tuple(free(0.5) for _ in range(5)))
+    sample = drawn_sample("model2", 300, seed)
+    c = np.exp(log_scale)
+    scaled = SampleMoments(n=sample.n, mean=c * sample.mean, cov=sample.cov * np.outer(c, c))
+    default, started = fit(spec, scaled), fit(own, scaled)
+    assert default.converged and started.converged
+    assert started.f_min == pytest.approx(default.f_min, abs=1e-10)
+    if restarts:
+        assert started.retries_used >= 1
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0])
@@ -1027,18 +1052,11 @@ def test_fit_many_follows_the_reference_loop(name):
     assert_rows_follow_the_reference(spec, samples, options, seeds, fit_many(spec, samples, options, seeds))
 
 
-def test_restarts_give_ups_and_the_fallback_follow_the_reference_loop(monkeypatch):
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return scaled_identity(*args)
-
-    scaled_identity = estimator._scaled_identity
-    monkeypatch.setattr(estimator, "_scaled_identity", spy)
+def test_restarts_give_ups_and_failed_seeds_follow_the_reference_loop(monkeypatch):
+    failed = spy_on_failed_seeds(monkeypatch)
     spec, samples, options, seeds = runaway_replications()
     batch = fit_many(spec, samples, options, seeds)
-    assert calls and any(row.retries_used for row in batch) and not all(row.converged for row in batch)
+    assert any(failed) and any(row.retries_used for row in batch) and not all(row.converged for row in batch)
     assert_rows_follow_the_reference(spec, samples, options, seeds, batch)
 
 

@@ -13,7 +13,6 @@ def test_single_column_hand_values():
     assert moments.mean[0] == 1.0
     assert moments.cov[0, 0] == 2.0
     assert moments.n == 2
-    assert moments.denominator == "n-1"
 
 
 def test_identical_rows_give_zero_covariance():

@@ -106,6 +106,26 @@ def test_study_missing_seed():
         study_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", 7.5),
+        ("seed", True),
+        ("replications", 3.9),
+        ("replications", "3"),
+        ("sample_sizes", [150.7]),
+        ("max_parallelism", 1.9),
+    ],
+)
+def test_study_integers_must_be_json_integers(key, value):
+    # int() would truncate these to a valid study and run it without a word
+    doc = load_json(study_path("table1_model1_n900"))
+    doc[key] = value
+    with pytest.raises(SmmError, match=f"{key} must be an integer") as caught:
+        study_from_dict(doc)
+    assert caught.value.code == "BAD_INPUT"
+
+
 def test_load_json_reports_line_numbers(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "a": 1,\n  "b": oops\n}\n')
