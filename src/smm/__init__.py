@@ -5,7 +5,7 @@ Library surface:
     model_spec   free/fixed parameter patterns, validation, flat indexing
     moments      datasets and sample moments
     smm_core     closed-form factor-mean estimators and diagnostics
-    estimator    maximum-likelihood fitting and fit statistics
+    estimator    maximum-likelihood fitting
     simulate     population models and deterministic sampling
     montecarlo   replicated studies and reference comparisons
     serialize    JSON/CSV input and output
@@ -19,7 +19,6 @@ from .estimator import (
     ImpliedMoments,
     fit,
     fit_many,
-    fit_statistics,
     implied_moments,
     ml_discrepancy,
     numeric_gradient,
@@ -33,7 +32,6 @@ from .model_spec import (
     fixed,
     free,
     one_factor_spec,
-    parameter_index,
     validate,
 )
 from .moments import Dataset, SampleMoments, compute_moments
@@ -61,7 +59,6 @@ from .smm_core import (
     equal_loading_mean,
     expected_means,
     factor_means_ls,
-    hadamard_ratio,
     proportionality_report,
 )
 
@@ -76,7 +73,6 @@ __all__ = [
     "ImpliedMoments",
     "fit",
     "fit_many",
-    "fit_statistics",
     "implied_moments",
     "ml_discrepancy",
     "numeric_gradient",
@@ -88,7 +84,6 @@ __all__ = [
     "fixed",
     "free",
     "one_factor_spec",
-    "parameter_index",
     "validate",
     "Dataset",
     "SampleMoments",
@@ -112,6 +107,5 @@ __all__ = [
     "equal_loading_mean",
     "expected_means",
     "factor_means_ls",
-    "hadamard_ratio",
     "proportionality_report",
 ]

@@ -201,12 +201,12 @@ class FitResult:
 class _Workspace:
     """The estimator's view of a spec's parameter layout (ParameterIndex).
 
-    Every evaluation path (objective and gradient, Fisher information,
-    public implied_moments, ml_discrepancy and numeric_gradient) goes
-    through build and _discrepancy_terms, so they share one definition of
-    the implied moments, including the exact symmetrization of Sigma, and
-    of F. A spec's workspace is made once (see _workspace) and never
-    modified afterwards.
+    The objective and its gradient, the concentrated information,
+    implied_moments and numeric_gradient form the implied moments through
+    build, one definition that includes the exact symmetrization of Sigma.
+    Every path computes F with _discrepancy_terms, ml_discrepancy included.
+    A spec's workspace is made once (see _workspace) and never modified
+    afterwards.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -274,11 +274,6 @@ class _Workspace:
 
     def to_unconstrained(self, values: np.ndarray) -> np.ndarray:
         z = np.array(values, dtype=float)
-        if np.any(z[..., self.log_pos] <= 0):
-            raise SmmError(
-                NONPOSITIVE_UNIQUE_VARIANCE,
-                "unique variances must be > 0 on the raw scale",
-            )
         z[..., self.log_pos] = np.log(z[..., self.log_pos])
         return z
 
@@ -451,13 +446,12 @@ def _discrepancy_and_gradient(
     return f, d_full[:, ws.index.slots] @ ws.collect
 
 
-def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
-    """Implied covariance and means with free cells taken from free_values.
+def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """free_values as floats with their implied (sigma, mu), checked.
 
-    free_values is on the raw scale (actual variances, not logs) in
-    ParameterIndex order.
+    Raises unless there are t values and every implied unique variance
+    is > 0.
     """
-    ws = _workspace(spec)
     values = np.asarray(free_values, dtype=float)
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
@@ -467,6 +461,16 @@ def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
             NONPOSITIVE_UNIQUE_VARIANCE,
             "implied unique variances must be strictly positive",
         )
+    return values, sigma, mu
+
+
+def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
+    """Implied covariance and means with free cells taken from free_values.
+
+    free_values is on the raw scale (actual variances, not logs) in
+    ParameterIndex order.
+    """
+    _, sigma, mu = _checked_point(_workspace(spec), free_values)
     return ImpliedMoments(sigma=sigma, mu_model=mu)
 
 
@@ -487,16 +491,6 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
     return float(f)
 
 
-def to_unconstrained(spec: ModelSpec, free_values: np.ndarray) -> np.ndarray:
-    """Map raw free values to the optimizer's unconstrained coordinates."""
-    return _workspace(spec).to_unconstrained(np.asarray(free_values, dtype=float))
-
-
-def to_raw(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    """Inverse of to_unconstrained."""
-    return _workspace(spec).to_raw(np.asarray(z, dtype=float))
-
-
 def numeric_gradient(
     spec: ModelSpec, free_values: np.ndarray, sample: SampleMoments
 ) -> np.ndarray:
@@ -505,27 +499,17 @@ def numeric_gradient(
     free_values is raw scale; the derivative is taken after the log
     transform of unique variances, matching what the optimizer sees. The
     value is analytic, not a finite difference, and is the same gradient
-    fit uses. A point whose implied covariance is not positive definite
-    raises.
+    fit uses. It takes the checks of implied_moments, and a point whose
+    implied covariance is not positive definite raises.
     """
     ws = _workspace(spec)
-    values = np.asarray(free_values, dtype=float)
-    if values.shape != (ws.t,):
-        raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
-    z = ws.to_unconstrained(values)
+    values, _, _ = _checked_point(ws, free_values)
     cholesky(sample.cov)  # raises unless the sample covariance is positive definite
     with np.errstate(invalid="ignore"):
-        _, grad = _discrepancy_and_gradient(ws, ws.to_raw(z[None]), sample.cov[None], sample.mean[None])
+        _, grad = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
     if np.isnan(grad).any():
         raise NotPositiveDefiniteError("implied covariance not positive definite")
     return grad[0]
-
-
-def fit_statistics(f_min: float, n: int, spec: ModelSpec) -> tuple[float, int]:
-    """Chi-square statistic T = (n - 1) f_min and model degrees of freedom."""
-    if n < 2:
-        raise SmmError(BAD_INPUT, f"need n >= 2 for a test statistic, got {n}")
-    return (n - 1) * f_min, _workspace(spec).report.df
 
 
 def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatrices:
@@ -703,10 +687,6 @@ def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
     best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
                            g_inf=np.zeros(count), it=np.full(count, -1))
     with np.errstate(all="ignore"):
-        # every unique variance starts > 0, so to_unconstrained cannot fail:
-        # validate rejects a start of the spec's own <= 0, one scaled to the
-        # sample is at least a tenth of its variance, and jitter of at most
-        # the start itself keeps it positive
         v0 = _start_values(ws, covs[rows], means[rows])
         # one row per unfinished fit. zt is its pending point: a trial of its
         # line search, or an attempt's start, where f = inf, slope = 0 and

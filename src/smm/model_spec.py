@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import SmmError, DIMENSION_MISMATCH, InvalidModelError
+from .errors import SmmError, DIMENSION_MISMATCH
 
 # Default starting values for free cells that do not carry their own.
 DEFAULT_STARTS = {
@@ -363,10 +363,6 @@ class ParameterIndex:
         """Human-readable names, aligned with the flat vector."""
         return self._labels
 
-    def starting_values(self) -> np.ndarray:
-        """Flat vector of starting values, applying per-matrix defaults."""
-        return self.start.copy()
-
     def base_matrices(self) -> ParameterMatrices:
         """Numeric matrices with fixed values in place and starts elsewhere."""
         return self.insert(self.start)
@@ -406,14 +402,6 @@ class ParameterIndex:
             matrices.factor_means,
         )
         return np.concatenate([np.reshape(b, lead + (-1,)) for b in blocks], axis=-1)[..., self.read]
-
-
-def parameter_index(spec: ModelSpec) -> ParameterIndex:
-    """Build the flat parameter index for a spec that passed validation."""
-    report = validate(spec)
-    if not report.is_valid:
-        raise InvalidModelError(report)
-    return ParameterIndex(spec)
 
 
 def one_factor_spec(

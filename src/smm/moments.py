@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -46,17 +47,30 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Sample mean vector and covariance matrix (denominator n - 1) with their sample size."""
+    """Sample mean vector and covariance matrix (denominator n - 1) with their sample size.
+
+    n must be an integer >= 2 and every mean and covariance finite, as
+    compute_moments and Dataset guarantee for moments made from data.
+    """
 
     n: int
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None or n < 2:
+            raise SmmError(TOO_FEW_ROWS, f"sample size must be an integer >= 2, got {self.n!r}")
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise SmmError(DIMENSION_MISMATCH, "covariance shape does not match mean length")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise SmmError(NON_FINITE_VALUES, "non-finite value in the sample mean or covariance")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

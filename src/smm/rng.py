@@ -22,9 +22,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Stream labels used with derive_seed. Arbitrary odd constants; they only
-# need to be distinct.
-STREAM_SAMPLE = 0x53414D50
+# Stream label used with derive_seed for restart jitter: the ASCII bytes
+# of "JITT". A replication's own seed takes no label.
 STREAM_JITTER = 0x4A495454
 
 

@@ -77,26 +77,6 @@ def factor_means_ls(lam: np.ndarray, m: np.ndarray, nu: np.ndarray) -> np.ndarra
     return theta
 
 
-def hadamard_ratio(m: np.ndarray, lambda_col: np.ndarray) -> np.ndarray:
-    """Elementwise ratios m_i / lambda_i for a one-factor model.
-
-    Raises when any loading sits below LOADING_FLOOR, since the ratio for
-    that variable carries no information about the factor mean.
-    """
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    lam = np.atleast_1d(np.asarray(lambda_col, dtype=float))
-    if m.shape != lam.shape:
-        raise SmmError(DIMENSION_MISMATCH, f"m {m.shape} and loadings {lam.shape} differ")
-    small = np.abs(lam) < LOADING_FLOOR
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise SmmError(
-            DIVISION_BY_NEAR_ZERO_LOADING,
-            f"|loading[{i}]| = {abs(lam[i]):.3g} below floor {LOADING_FLOOR:g}",
-        )
-    return m / lam
-
-
 def equal_loading_mean(w: float, m: np.ndarray) -> float:
     """Factor mean when all loadings share the common value w.
 

@@ -4,8 +4,8 @@ Each test prints exactly one PASS or FAIL line for its acceptance item
 (run with ``-s`` to see the lines for passing tests; pytest shows the
 captured output whenever a test fails). Items 1 through 4 rerun the four
 bundled table studies plus the two anchored variants at their recorded
-seeds, 500 replications each, which takes about two minutes on one core.
-The remaining items are fast.
+seeds, 500 replications each, which takes about 1 s on one core of a
+2-vCPU x86 VM. The remaining items are fast.
 """
 
 from dataclasses import replace
@@ -21,8 +21,6 @@ from smm.estimator import (
     implied_moments,
     ml_discrepancy,
     numeric_gradient,
-    to_raw,
-    to_unconstrained,
 )
 from smm.fixtures import (
     MODEL1_FACTOR_MEAN,
@@ -239,8 +237,10 @@ def test_8_gradient_against_independent_differences():
     sample = compute_moments(draw_sample(reference_population("model1"), 200, Seed(23)))
     rng = np.random.default_rng(77)
 
+    # the five unique variances (entries 5-9) are differenced as logs, as
+    # the optimizer sees them
     def objective(z):
-        return ml_discrepancy(sample, implied_moments(spec, to_raw(spec, z)))
+        return ml_discrepancy(sample, implied_moments(spec, np.concatenate([z[:5], np.exp(z[5:10]), z[10:]])))
 
     worst = 0.0
     for _ in range(100):
@@ -249,7 +249,7 @@ def test_8_gradient_against_independent_differences():
         theta = rng.uniform(5.0, 15.0, size=1)
         raw = np.concatenate([lam, psi2, theta])
         num = numeric_gradient(spec, raw, sample)
-        z = to_unconstrained(spec, raw)
+        z = np.concatenate([lam, np.log(psi2), theta])
         fd = np.empty_like(z)
         for i in range(z.size):
             step = 1e-5 * max(1.0, abs(z[i]))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smm.errors import SmmError
-from smm.moments import Dataset, compute_moments
+from smm.moments import Dataset, SampleMoments, compute_moments
 
 
 def test_single_column_hand_values():
@@ -38,6 +38,30 @@ def test_rejects_single_row():
 def test_rejects_non_finite_values():
     with pytest.raises(SmmError, match="NON_FINITE"):
         Dataset(values=np.array([[1.0], [np.nan]]), variable_names=("a",))
+
+
+@pytest.mark.parametrize(
+    "n, mean, cov, code",
+    [
+        # a chi-square (n - 1) F needs n >= 2, and an n that is not an
+        # integer is no sample size
+        (0, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "TOO_FEW_ROWS"),
+        (1, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "TOO_FEW_ROWS"),
+        (2.5, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "TOO_FEW_ROWS"),
+        ("3", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "TOO_FEW_ROWS"),
+        (100, [np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]], "NON_FINITE_VALUES"),
+        (100, [0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "NON_FINITE_VALUES"),
+    ],
+    ids=["n=0", "n=1", "n=2.5", "n=str", "nan_mean", "inf_cov"],
+)
+def test_sample_moments_rejects_bad_input(n, mean, cov, code):
+    with pytest.raises(SmmError, match=code):
+        SampleMoments(n=n, mean=np.array(mean), cov=np.array(cov))
+
+
+def test_sample_moments_takes_numpy_integers_as_ints():
+    moments = SampleMoments(n=np.int64(900), mean=np.zeros(2), cov=np.eye(2))
+    assert type(moments.n) is int and moments.n == 900
 
 
 def test_dataset_name_count_must_match():

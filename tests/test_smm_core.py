@@ -15,7 +15,6 @@ from smm.smm_core import (
     equal_loading_mean,
     expected_means,
     factor_means_ls,
-    hadamard_ratio,
     proportionality_report,
     rank_correlation,
 )
@@ -71,19 +70,14 @@ def test_factor_means_ls_zero_column_is_singular():
 
 
 def test_hadamard_ratio_constant_for_proportional_means():
-    np.testing.assert_allclose(hadamard_ratio(MEANS_UP, LOADINGS), np.full(5, 10.0))
+    np.testing.assert_allclose(proportionality_report(LOADINGS, MEANS_UP).ratios, np.full(5, 10.0))
 
 
 def test_hadamard_ratio_reversed_means():
-    ratios = hadamard_ratio(MEANS_DOWN, LOADINGS)
+    ratios = proportionality_report(LOADINGS, MEANS_DOWN).ratios
     np.testing.assert_allclose(ratios, MEANS_DOWN / LOADINGS)
     assert abs(ratios[0] - 70 / 3) < 1e-12
     assert ratios[2] == 10.0
-
-
-def test_hadamard_ratio_zero_loading_errors():
-    with pytest.raises(SmmError, match="DIVISION_BY_NEAR_ZERO_LOADING"):
-        hadamard_ratio(MEANS_UP, np.array([0.3, 0.0, 0.5, 0.6, 0.7]))
 
 
 def test_equal_loading_mean_hand_value():
@@ -141,7 +135,7 @@ def test_round_trip_recovers_theta(lam, data):
 
 def test_one_factor_consistency_with_constant_ratios():
     theta = factor_means_ls(LOADINGS[:, None], MEANS_UP, np.zeros(5))
-    ratios = hadamard_ratio(MEANS_UP, LOADINGS)
+    ratios = proportionality_report(LOADINGS, MEANS_UP).ratios
     assert np.allclose(ratios, ratios[0])
     assert abs(theta[0] - ratios[0]) < 1e-10
 
