@@ -139,6 +139,7 @@ _cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")  # lo
 _solve = functools.partial(_umath_linalg.solve, signature="dd->d")  # (..., p, p), (..., p, k)
 _inv = functools.partial(_umath_linalg.inv, signature="d->d")
 _eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d")  # from the lower triangle
+_eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")  # (eigenvalues, eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -561,7 +562,8 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     (phi0 sum_{i<j} (v_i v_j)^2) the least-squares fit of the
     correlations, and psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj). With
     means near nu this is a principal-axis start. Rows where c^2 is not
-    positive and finite keep the default starts. Either way a fit of
+    positive and finite, among them rows whose eigendecomposition fails
+    (NaN), keep the default starts. Either way a fit of
     rescaled or permuted data starts at the rescaled or permuted point.
     """
     v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
@@ -574,7 +576,7 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
         sd = np.sqrt(variances[..., rows])
         corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
         m = (mean[..., rows] - ws.means_nu) / sd
-        v = np.linalg.eigh(corr + m[..., :, None] * m[..., None, :])[1][..., -1]
+        v = _eigh(corr + m[..., :, None] * m[..., None, :])[1][..., -1]
         v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
         i, j = ws.means_pairs_i, ws.means_pairs_j
         vv = v[..., i] * v[..., j]

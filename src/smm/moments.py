@@ -1,4 +1,10 @@
-"""Observed data and its first two sample moments."""
+"""Observed data and its first two sample moments.
+
+covariances is where a covariance is finished from its centered
+crossproduct, for one sample (compute_moments) or a block of them
+(simulate.draw_moments): divided by n - 1, mirrored from the lower
+triangle so that it is exactly symmetric, and tested for zero variances.
+"""
 
 from __future__ import annotations
 
@@ -79,25 +85,32 @@ class SampleMoments:
         return self.mean.shape[0]
 
 
+def covariances(cross: np.ndarray, n: int, variable_names) -> np.ndarray:
+    """Covariances (..., p, p) from the centered crossproducts (..., p, p) of n rows each.
+
+    Each is divided by n - 1 and takes its lower triangle mirrored, so it
+    is exactly symmetric rather than symmetric up to rounding. A
+    zero-variance column is legal input (the moments exist) but poisons
+    any downstream fit, so it warns, once per column of the block.
+    """
+    if n < 2:
+        raise SmmError(TOO_FEW_ROWS, f"need at least 2 rows for a covariance, got {n}")
+    lower = np.tri(cross.shape[-1], dtype=bool)
+    cov = np.where(lower, cross, cross.swapaxes(-1, -2))
+    cov /= n - 1
+    zero = (cov.diagonal(0, -2, -1) == 0.0).reshape(-1, cov.shape[-1]).any(axis=0)
+    for j in np.flatnonzero(zero):
+        warnings.warn(f"column {variable_names[j]} has zero sample variance", stacklevel=3)
+    return cov
+
+
 def compute_moments(data: Dataset) -> SampleMoments:
     """Sample mean and covariance (denominator n - 1).
 
-    The covariance is computed from the lower triangle of the centered
-    crossproduct and mirrored, so the result is exactly symmetric rather
-    than symmetric up to rounding. A zero-variance column is legal input
-    (the moments exist) but poisons any downstream fit, so it warns here.
+    The covariance is finished by covariances: exactly symmetric, with a
+    warning for each zero-variance column.
     """
-    if data.n < 2:
-        raise SmmError(TOO_FEW_ROWS, f"need at least 2 rows for a covariance, got {data.n}")
     mean = data.values.mean(axis=0)
     centered = data.values - mean
-    cross = centered.T @ centered / (data.n - 1)
-    lower = np.tril(cross)
-    cov = lower + np.tril(cross, -1).T
-    for j in range(data.p):
-        if cov[j, j] == 0.0:
-            warnings.warn(
-                f"column {data.variable_names[j]} has zero sample variance",
-                stacklevel=2,
-            )
+    cov = covariances(centered.T @ centered, data.n, data.variable_names)
     return SampleMoments(n=data.n, mean=mean, cov=cov)

@@ -42,11 +42,19 @@ from .model_spec import ModelSpec, validate
 from .simulate import PopulationModel, Seed, draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
-# so a pool pays only for large blocks. On a 2-vCPU VM (table1_model1_n900,
-# table1_model2_n150 and anchor_x1; medians of 9 alternated runs),
-# parallelism 2 against 1 ran at 0.55-0.94x at R = 64, 0.58-1.20x at
-# R = 128, 1.10-1.24x at R = 200, 1.08-1.26x at R = 256 and 1.25-1.54x
-# at R = 500.
+# so a pool pays only for large blocks. On a 2-vCPU VM, with the pool
+# forced on below 2 * MIN_BLOCK to find the crossover (medians of 9
+# alternated runs, two sessions), parallelism 2 against 1 ran at:
+#   R = 64:  0.48-0.49x on table1_model1_n900, 0.61-0.64x on
+#            table1_model2_n150, 0.81-0.86x on anchor_x1
+#   R = 128: 0.59-1.00x, 0.73-0.77x, 1.07-1.11x
+#   R = 200: 1.17-1.18x, 0.94-1.02x, 1.18-1.30x
+#   R = 256: 1.29-1.31x, 0.95-0.99x, 1.29x
+#   R = 500: 1.37-1.43x, 0.99-1.16x, 1.35-1.48x
+# The n = 900 designs, where sampling is most of a worker's time, still
+# cross near R = 200. The n = 150 design, whose samples are cheapest,
+# now only breaks even up to R = 500: a larger MIN_BLOCK would give it
+# about 5% and take 30% from the n = 900 designs at R = 256-511.
 MIN_BLOCK = 128
 
 

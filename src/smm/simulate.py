@@ -5,9 +5,12 @@ follows the mean structure (nu + Lambda theta) or is given explicitly;
 the explicit form exists precisely so that populations violating the
 structure can be simulated. Sampling is x = m + L z with L the Cholesky
 factor of the population covariance and z standard normal from the
-deterministic generator in the rng module. A draw of many seeds from one
-population (draw_moments, a Monte Carlo condition) factors it once;
-draw_sample is the draw of one seed.
+deterministic generator in the rng module. draw_sample is the draw of
+one seed. A draw of many seeds from one population (draw_moments, a
+Monte Carlo condition) factors it once and is one lean pass: each seed
+re-keys one generator and reuses two (n, p) buffers, keeps only its mean
+and crossproduct, and the block's covariances are finished together.
+Every sample keeps the bits draw_sample and compute_moments give it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     NONPOSITIVE_UNIQUE_VARIANCE,
     NotPositiveDefiniteError,
 )
-from .moments import Dataset, SampleMoments, compute_moments
+from .moments import Dataset, SampleMoments, covariances
 
 STRUCTURED = "structured"
 EXPLICIT = "explicit"
@@ -177,15 +180,12 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _draws(pop: PopulationModel, n: int, seeds):
-    """The samples draw_sample gives for each seed in turn, the population factored once."""
+def _factored(pop: PopulationModel, n: int):
+    """The population mean and the transposed Cholesky factor of its covariance."""
     if n < 1:
         raise SmmError(INVALID_SAMPLE_SIZE, f"sample size must be >= 1, got {n}")
     m, sigma = population_moments(pop)
-    lower_t = cholesky(sigma).T
-    for seed in seeds:
-        z = rng.normals(seed.master, (n, pop.p))
-        yield Dataset(values=m + z @ lower_t, variable_names=pop.variable_names)
+    return m, cholesky(sigma).T
 
 
 def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
@@ -196,14 +196,33 @@ def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
     (pop, n, seed) always give byte-identical data regardless of platform
     or how many other samples were drawn before this one.
     """
-    (data,) = _draws(pop, n, (seed,))
-    return data
+    m, lower_t = _factored(pop, n)
+    z = rng.normals(seed.master, (n, pop.p))
+    return Dataset(values=m + z @ lower_t, variable_names=pop.variable_names)
 
 
 def draw_moments(pop: PopulationModel, n: int, seeds) -> list[SampleMoments]:
     """The sample moments of n rows drawn for each seed, the population factored once.
 
-    Each sample is the one draw_sample gives for its seed; only its
-    moments are kept, so memory stays O(len(seeds) p^2).
+    Each sample is the one draw_sample gives for its seed, and its moments
+    the bits compute_moments gives for it. The seeds take turns in two
+    (n, p) buffers (rng.normals_into re-keys one generator per seed), and
+    each leaves only its mean and centered crossproduct in a row of the
+    block, so memory stays O(len(seeds) p^2 + n p). The block's
+    covariances are then finished at once (moments.covariances).
     """
-    return [compute_moments(data) for data in _draws(pop, n, seeds)]
+    m, lower_t = _factored(pop, n)
+    masters = [seed.master for seed in seeds]
+    means = np.empty((len(masters), pop.p))
+    cross = np.empty((len(masters), pop.p, pop.p))
+    x = np.empty((n, pop.p))
+    for z, mean, row in zip(rng.normals_into(np.empty((n, pop.p)), masters), means, cross):
+        np.matmul(z, lower_t, out=x)
+        x += m
+        # the sum, then the division, is what np.mean computes
+        np.add.reduce(x, axis=0, out=mean)
+        mean /= n
+        x -= mean
+        np.matmul(x.T, x, out=row)
+    covs = covariances(cross, n, pop.variable_names)
+    return [SampleMoments(n=n, mean=mean, cov=cov) for mean, cov in zip(means, covs)]

@@ -17,6 +17,7 @@ from smm.estimator import (
     ImpliedMoments,
     _cholesky,
     _dot,
+    _eigh,
     _eigvalsh,
     _evaluate,
     _inv,
@@ -839,6 +840,7 @@ def test_linear_algebra_helpers_fail_only_the_failing_row():
         (_solve, np.linalg.solve, (spd, rhs), (singular, rhs)),
         (_inv, np.linalg.inv, (spd,), (singular,)),
         (_eigvalsh, np.linalg.eigvalsh, (spd,), (undefined,)),
+        (lambda a: _eigh(a)[1], lambda a: np.linalg.eigh(a)[1], (spd,), (undefined,)),
     ]
     for helper, lone, args, failing in cases:
         stacked = helper(*args)
@@ -1126,6 +1128,19 @@ def test_fit_many_returns_the_error_of_a_failing_row():
     batch = fit_many(spec, samples, options, seeds)
     assert isinstance(batch[2], NotPositiveDefiniteError)
     del samples[2], seeds[2], batch[2]
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
+
+
+def test_a_sample_whose_start_fails_sinks_only_its_own_fit():
+    # a mean of 1e160 leaves R + m m' without a finite eigendecomposition:
+    # that row keeps the default starts, and its neighbours their bits
+    spec, options = reference_model_spec(), FitOptions()
+    samples = draw_moments(reference_population("model2"), 150, [Seed(0), Seed(1), Seed(2)])
+    samples[1] = replace(samples[1], mean=samples[1].mean * 1e160)
+    seeds = [rng.derive_seed(r, rng.STREAM_JITTER) for r in range(3)]
+    batch = fit_many(spec, samples, options, seeds)
+    assert isinstance(batch[1], SmmError) or not batch[1].converged
+    del samples[1], seeds[1], batch[1]
     assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
 
 

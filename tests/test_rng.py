@@ -6,6 +6,7 @@ from smm.rng import (
     STREAM_JITTER,
     derive_seed,
     normals,
+    normals_into,
     raw_uint64,
     splitmix64,
     uniform,
@@ -93,6 +94,16 @@ def test_normals_shape_and_c_order_truncation():
     assert np.array_equal(grid.ravel(), flat)
     odd = normals(77, (5,))
     assert np.array_equal(odd, flat[:5])
+
+
+def test_normals_into_rekeys_one_generator_to_each_seed():
+    # an odd total takes the truncated last pair; 2**64 - 1 is the largest key
+    seeds = [0, 7, 2**64 - 1, 7, 123]
+    for shape in ((4, 3), (3, 5)):
+        out = np.empty(shape)
+        for seed, filled in zip(seeds, normals_into(out, seeds), strict=True):
+            assert filled is out
+            assert filled.tobytes() == normals(seed, shape).tobytes()
 
 
 def test_normals_moments():

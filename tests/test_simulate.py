@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,9 +167,43 @@ def test_draw_moments_factors_the_population_once(monkeypatch):
         assert got.cov.tobytes() == want.cov.tobytes()
 
 
+@pytest.mark.parametrize("key", ["model1", "model2"])
+@pytest.mark.parametrize("n", [2, 3, 301, 900])
+def test_every_row_of_a_block_is_its_sample_alone(key, n):
+    # n = 3 and 301 give an odd n * p, whose last Box-Muller pair is cut
+    pop = reference_population(key)
+    seeds = [Seed(rng.derive_seed(17, n, r)) for r in range(10)]
+    for seed, got in zip(seeds, draw_moments(pop, n, seeds), strict=True):
+        want = compute_moments(draw_sample(pop, n, seed))
+        assert got.n == n
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
+
+
 def test_draw_moments_rejects_zero_rows():
     with pytest.raises(SmmError, match="INVALID_SAMPLE_SIZE"):
         draw_moments(one_factor_population(), 0, [Seed(3)])
+
+
+def test_draw_moments_of_one_row_has_no_covariance():
+    with pytest.raises(SmmError, match="TOO_FEW_ROWS"):
+        draw_moments(one_factor_population(), 1, [Seed(3), Seed(4)])
+
+
+def test_draw_moments_memory_grows_with_the_block_not_the_samples():
+    # 400 samples of 900 x 5 would hold 14.4 MB in z alone; a block keeps
+    # two (n, p) buffers and O(R p^2) moments
+    pop = one_factor_population()
+    seeds = [Seed(rng.derive_seed(23, r)) for r in range(400)]
+    draw_moments(pop, 900, seeds[:2])
+    tracemalloc.start()
+    try:
+        block = draw_moments(pop, 900, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) == 400
+    assert peak < 2_000_000
 
 
 def test_cholesky_of_a_stack_fails_when_one_matrix_fails():
@@ -205,4 +240,26 @@ def test_sampling_stream_is_pinned(stream):
     draw, digest = PINNED_STREAMS[stream]
     values = draw()
     assert values.dtype == np.float64 and values.shape == (400, 5)
+    assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest
+
+
+# The same streams at an odd total n * p, where the sine of the last
+# Box-Muller pair is dropped.
+PINNED_ODD_STREAMS = {
+    "rng.normals": (
+        lambda: rng.normals(99, (401, 5)),
+        "8c78d10d3d5519f0378de8cb3de40f5a73de275512e14a4552c9f4c876748f97",
+    ),
+    "draw_sample": (
+        lambda: draw_sample(one_factor_population(means_up=False), 401, Seed(99)).values,
+        "06633ee7612be2d90b4c35ce63870268c56b574bd549b4ea2413282e9441eaa2",
+    ),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(PINNED_ODD_STREAMS))
+def test_odd_sampling_stream_is_pinned(stream):
+    draw, digest = PINNED_ODD_STREAMS[stream]
+    values = draw()
+    assert values.dtype == np.float64 and values.shape == (401, 5)
     assert hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest() == digest
