@@ -38,6 +38,11 @@ class SmmError(Exception):
         self.code = code
         self.message = message
 
+    def __reduce__(self):
+        # unpickled, as in a process pool, without __init__, whose arguments
+        # differ by subclass: code, message and report come back in __dict__
+        return BaseException.__new__, (type(self), *self.args), self.__dict__
+
 
 class InvalidModelError(SmmError):
     """A model specification failed validation; carries the full report."""

@@ -65,10 +65,11 @@ then takes 4-7 iterations (the slowest of 500: 5-10), where loadings at
 half a standard deviation took 13-19 (22-29), and the anchored designs
 take 9 (11).
 
-Fits run in lockstep. fit_many fits many samples (a Monte Carlo
-condition's replications) with one optimizer whose state is arrays over
-the unfinished fits, one row per fit: points, gradients, inverse
-Hessians, directions, step lengths and counters. Every round evaluates F
+Fits run in lockstep. fit_many fits a block of samples (one
+SampleMoments with a row per sample, as simulate.draw_moments draws a
+Monte Carlo condition's replications) with one optimizer whose state is
+arrays over the unfinished fits, one row per fit: points, gradients,
+inverse Hessians, directions, step lengths and counters. Every round evaluates F
 and its gradient at each fit's pending point in one stacked numpy call
 over the leading (R, ...) axis, seeds the fits due a Fisher refresh in
 another, and takes Armijo acceptance, step shortening, the BFGS update
@@ -465,6 +466,16 @@ def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray,
     return values, sigma, mu
 
 
+def _check_one_sample(sample: SampleMoments, sigma, mu) -> None:
+    """Raises DIMENSION_MISMATCH unless sample is one sample (not a block) shaped as sigma and mu."""
+    if sample.mean.ndim != 1 or (sample.mean.shape, sample.cov.shape) != (np.shape(mu), np.shape(sigma)):
+        raise SmmError(
+            DIMENSION_MISMATCH,
+            f"sample mean {sample.mean.shape} and covariance {sample.cov.shape} are not one sample"
+            f" of the model's mean {np.shape(mu)} and covariance {np.shape(sigma)}",
+        )
+
+
 def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
     """Implied covariance and means with free cells taken from free_values.
 
@@ -478,13 +489,13 @@ def implied_moments(spec: ModelSpec, free_values: np.ndarray) -> ImpliedMoments:
 def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
     """Normal-theory discrepancy between sample moments and implied moments.
 
-    Nonnegative, and zero exactly when Sigma = S and mu = xbar. Both
-    matrices must be positive definite; the Cholesky in simulate is used
-    for the checks so near-singular matrices fail loudly instead of
-    returning a huge but finite value.
+    Nonnegative, and zero exactly when Sigma = S and mu = xbar. sample is
+    one sample of the p variables of implied. Both matrices must be
+    positive definite; the Cholesky in simulate is used for the checks so
+    near-singular matrices fail loudly instead of returning a huge but
+    finite value.
     """
-    if implied.sigma.shape[0] != sample.p:
-        raise SmmError(DIMENSION_MISMATCH, "implied moments and sample have different p")
+    _check_one_sample(sample, implied.sigma, implied.mu_model)
     cholesky(sample.cov)
     lower = cholesky(implied.sigma)
     no_means = np.empty((sample.p, 0))
@@ -500,11 +511,13 @@ def numeric_gradient(
     free_values is raw scale; the derivative is taken after the log
     transform of unique variances, matching what the optimizer sees. The
     value is analytic, not a finite difference, and is the same gradient
-    fit uses. It takes the checks of implied_moments, and a point whose
-    implied covariance is not positive definite raises.
+    fit uses. It takes the checks of implied_moments, sample must be one
+    sample of the spec's variables, and a point whose implied covariance
+    is not positive definite raises.
     """
     ws = _workspace(spec)
-    values, _, _ = _checked_point(ws, free_values)
+    values, sigma, mu = _checked_point(ws, free_values)
+    _check_one_sample(sample, sigma, mu)
     cholesky(sample.cov)  # raises unless the sample covariance is positive definite
     with np.errstate(invalid="ignore"):
         _, grad = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
@@ -613,16 +626,21 @@ def _inverse_information(ws: _Workspace, values: np.ndarray) -> np.ndarray:
     return _mT(inv_lower) @ inv_lower
 
 
-def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
-    """Fit spec to each sample, all samples in lockstep, with one set of options.
+def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds) -> list:
+    """Fit spec to each sample of a block, all samples in lockstep, with one set of options.
 
-    options holds the settings of every fit, and seeds one jitter seed per
-    sample, which is what FitOptions.seed is to fit (options.seed is not
-    read here). Returns one entry per sample: its
-    FitResult, or the SmmError its fit raised. The set-up checks every
-    sample covariance in one simulate.cholesky call, and each alone only
-    if that raises, so a failing sample gets its own error; it forms every
-    start in one pass (see _start_values).
+    samples is one SampleMoments: a block of R samples of one size n (mean
+    (R, p), cov (R, p, p)), as simulate.draw_moments draws them, or one
+    sample, a block of one. A p other than the spec's raises
+    DIMENSION_MISMATCH for the whole call. options holds the settings of
+    every fit, and seeds one jitter seed per sample (R of them), which is
+    what FitOptions.seed is to fit (options.seed is not read here).
+    Returns one entry per sample: its FitResult, or the SmmError its fit
+    raised. The set-up checks every sample covariance in one
+    simulate.cholesky call, and each alone only if that raises, so a
+    failing sample gets its own error. It copies the rows it fits into
+    C-contiguous stacks, so each row of a strided block gets the bits of
+    its lone fit, and forms every start in one pass (see _start_values).
 
     Each sample runs attempts of BFGS on the concentrated F over the
     covariance parameters in unconstrained coordinates. The inverse Hessian
@@ -656,23 +674,17 @@ def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
     ws = _workspace(spec)
     if not ws.report.is_valid:
         raise InvalidModelError(ws.report)
-    if len(seeds) != len(samples):
-        raise SmmError(BAD_INPUT, f"{len(samples)} samples but {len(seeds)} jitter seeds")
-    count = len(samples)
+    if samples.p != spec.p:
+        raise SmmError(DIMENSION_MISMATCH, f"sample has {samples.p} variables but the model expects {spec.p}")
+    covs, means = samples.cov.reshape(-1, spec.p, spec.p), samples.mean.reshape(-1, spec.p)
+    count = len(means)
+    if len(seeds) != count:
+        raise SmmError(BAD_INPUT, f"{count} samples but {len(seeds)} jitter seeds")
     results: list = [None] * count
-    covs = np.zeros((count, spec.p, spec.p))
-    means = np.zeros((count, spec.p))
-    for i, sample in enumerate(samples):
-        if sample.p == spec.p:
-            covs[i], means[i] = sample.cov, sample.mean
-        else:
-            results[i] = SmmError(
-                DIMENSION_MISMATCH, f"sample has {sample.p} variables but the model expects {spec.p}"
-            )
     # a sample covariance that simulate.cholesky rejects fails its row with its error
-    rows = [i for i, result in enumerate(results) if result is None]
+    rows = list(range(count))
     try:
-        cholesky(covs[rows])
+        cholesky(covs)
     except SmmError:
         for i in rows:
             try:
@@ -795,7 +807,7 @@ def fit_many(spec: ModelSpec, samples, options: FitOptions, seeds) -> list:
         mats = _sign_convention(ws, ws.index.insert(best.point[done]))
         free_values = ws.index.extract(mats)
         for k, i in enumerate(done):
-            f, n = f_min[i], samples[i].n
+            f, n = f_min[i], samples.n
             results[i] = FitResult(
                 estimates=ParameterMatrices(*(block[k] for block in vars(mats).values())),
                 f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=g_inf[i] <= tol,
@@ -815,7 +827,7 @@ def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions
     Monte Carlo callers can count failures. This is fit_many on one
     sample, and gives the same bits as that sample in any batch.
     """
-    (result,) = fit_many(spec, [sample], options, [options.seed])
+    (result,) = fit_many(spec, sample, options, [options.seed])
     if isinstance(result, SmmError):
         raise result
     return result

@@ -1,9 +1,11 @@
 """Observed data and its first two sample moments.
 
-covariances is where a covariance is finished from its centered
-crossproduct, for one sample (compute_moments) or a block of them
-(simulate.draw_moments): divided by n - 1, mirrored from the lower
-triangle so that it is exactly symmetric, and tested for zero variances.
+SampleMoments holds the moments of one sample (compute_moments) or of a
+block of samples of one size (simulate.draw_moments, a Monte Carlo
+condition), and estimator.fit_many fits either. covariances is where a
+covariance is finished from its centered crossproduct, for one sample or
+a block: divided by n - 1, mirrored from the lower triangle so that it
+is exactly symmetric, and tested for zero variances.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Sample mean vector and covariance matrix (denominator n - 1) with their sample size.
+    """Sample mean and covariance (denominator n - 1) with their sample size.
 
-    n must be an integer >= 2 and every mean and covariance finite, as
-    compute_moments and Dataset guarantee for moments made from data.
+    One sample has mean (p,) and cov (p, p); a block of R samples, each of
+    n rows, has mean (R, p) and cov (R, p, p), row i the moments of sample
+    i. p is the last axis. n must be an integer >= 2 and every mean and
+    covariance finite, as compute_moments and Dataset guarantee for
+    moments made from data; a block is checked once, as a whole.
     """
 
     n: int
@@ -72,8 +77,8 @@ class SampleMoments:
             raise SmmError(TOO_FEW_ROWS, f"sample size must be an integer >= 2, got {self.n!r}")
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise SmmError(DIMENSION_MISMATCH, "covariance shape does not match mean length")
+        if mean.ndim not in (1, 2) or cov.shape != mean.shape + mean.shape[-1:]:
+            raise SmmError(DIMENSION_MISMATCH, "need a mean (p,) and covariance (p, p), or (R, p) and (R, p, p)")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise SmmError(NON_FINITE_VALUES, "non-finite value in the sample mean or covariance")
         object.__setattr__(self, "n", n)
@@ -82,7 +87,7 @@ class SampleMoments:
 
     @property
     def p(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 def covariances(cross: np.ndarray, n: int, variable_names) -> np.ndarray:

@@ -4,12 +4,13 @@ run_study draws R samples per condition, fits the model to each, and
 aggregates the converged fits. Each replication owns a seed derived from
 (master, condition_index, replication), so the stream a replication sees
 does not depend on scheduling. A condition's replications are drawn in
-order from one factorization of the population and reduced to their
-sample moments (the datasets are not kept, so memory stays O(R p^2)),
-then fitted together by estimator.fit_many, which steps them in
-lockstep. With max_parallelism > 1 and enough replications (at least
-MIN_BLOCK per worker) each worker process takes one contiguous block of
-replications and fits it the same way. A replication's result does not
+order from one factorization of the population and reduced to one block
+of sample moments, a SampleMoments with a row per replication (the
+datasets are not kept, so memory stays O(R p^2)), which
+estimator.fit_many takes whole and steps in lockstep. With
+max_parallelism > 1 and enough replications (at least MIN_BLOCK per
+worker) each worker process takes one contiguous block of replications
+and fits it the same way. A replication's result does not
 depend on the batch it was fitted in, so summaries are byte-identical
 whether the study runs on one process or eight.
 
@@ -185,8 +186,9 @@ def _replicate_block(population, spec, fit_options, master, condition_index, n, 
     """Replications reps of one condition: derive seeds, draw, fit in lockstep.
 
     The population is factored once for the block (simulate.draw_moments),
-    and each replication's sample is the one its own seed gives alone. The
-    fits share fit_options, each with the jitter seed its own seed derives.
+    and each replication's sample is the one its own seed gives alone; the
+    block's moments pass to fit_many as one SampleMoments. The fits share
+    fit_options, each with the jitter seed its own seed derives.
     Returns a FitResult per replication, or None where the fit raised.
     """
     rep_seeds = [rng.derive_seed(master, condition_index, rep) for rep in reps]

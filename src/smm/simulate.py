@@ -9,8 +9,9 @@ deterministic generator in the rng module. draw_sample is the draw of
 one seed. A draw of many seeds from one population (draw_moments, a
 Monte Carlo condition) factors it once and is one lean pass: each seed
 re-keys one generator and reuses two (n, p) buffers, keeps only its mean
-and crossproduct, and the block's covariances are finished together.
-Every sample keeps the bits draw_sample and compute_moments give it.
+and crossproduct, and the block's covariances are finished together. The
+block comes back as one SampleMoments, whose row i keeps the bits
+draw_sample and compute_moments give the sample of seed i.
 """
 
 from __future__ import annotations
@@ -201,15 +202,17 @@ def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
     return Dataset(values=m + z @ lower_t, variable_names=pop.variable_names)
 
 
-def draw_moments(pop: PopulationModel, n: int, seeds) -> list[SampleMoments]:
-    """The sample moments of n rows drawn for each seed, the population factored once.
+def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
+    """The block of sample moments of n rows drawn for each seed, the population factored once.
 
-    Each sample is the one draw_sample gives for its seed, and its moments
-    the bits compute_moments gives for it. The seeds take turns in two
-    (n, p) buffers (rng.normals_into re-keys one generator per seed), and
-    each leaves only its mean and centered crossproduct in a row of the
-    block, so memory stays O(len(seeds) p^2 + n p). The block's
-    covariances are then finished at once (moments.covariances).
+    Row i of the block's mean (R, p) and cov (R, p, p) holds the moments
+    of the sample draw_sample gives for seed i, with the bits
+    compute_moments gives it. The seeds take turns in two (n, p) buffers
+    (rng.normals_into re-keys one generator per seed), and each leaves
+    only its mean and centered crossproduct in a row of the block, so
+    memory stays O(len(seeds) p^2 + n p). The block's covariances are
+    then finished at once (moments.covariances), and the block is checked
+    once, as one SampleMoments.
     """
     m, lower_t = _factored(pop, n)
     masters = [seed.master for seed in seeds]
@@ -224,5 +227,4 @@ def draw_moments(pop: PopulationModel, n: int, seeds) -> list[SampleMoments]:
         mean /= n
         x -= mean
         np.matmul(x.T, x, out=row)
-    covs = covariances(cross, n, pop.variable_names)
-    return [SampleMoments(n=n, mean=mean, cov=cov) for mean, cov in zip(means, covs)]
+    return SampleMoments(n=n, mean=means, cov=covariances(cross, n, pop.variable_names))

@@ -163,6 +163,36 @@ def test_discrepancy_dimension_mismatch():
         ml_discrepancy(sample, implied)
 
 
+def pair_of(sample):
+    """A block of two copies of sample."""
+    return SampleMoments(n=sample.n, mean=np.array([sample.mean] * 2), cov=np.array([sample.cov] * 2))
+
+
+TRUTH = np.concatenate([LOADINGS, np.ones(5), [10.0]])
+IDENTITY_MODEL = ImpliedMoments(sigma=np.eye(5), mu_model=np.zeros(5))
+
+ONE_SAMPLE_MISMATCHES = {
+    # a mean of the wrong length broadcast to F = 126.10, or raised numpy's ValueError
+    "discrepancy_mu_of_1": lambda s: ml_discrepancy(s, replace(IDENTITY_MODEL, mu_model=np.zeros(1))),
+    "discrepancy_mu_of_3": lambda s: ml_discrepancy(s, replace(IDENTITY_MODEL, mu_model=np.zeros(3))),
+    "discrepancy_of_a_block": lambda s: ml_discrepancy(pair_of(s), IDENTITY_MODEL),
+    # a sample of the wrong p gave an 11-vector, or raised numpy's ValueError
+    "gradient_p1": lambda s: numeric_gradient(
+        reference_model_spec(), TRUTH, SampleMoments(n=100, mean=np.zeros(1), cov=2 * np.eye(1))
+    ),
+    "gradient_p3": lambda s: numeric_gradient(
+        reference_model_spec(), TRUTH, SampleMoments(n=100, mean=np.zeros(3), cov=2 * np.eye(3))
+    ),
+    "gradient_of_a_block": lambda s: numeric_gradient(reference_model_spec(), TRUTH, pair_of(s)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SAMPLE_MISMATCHES))
+def test_one_sample_functions_reject_a_sample_the_model_does_not_fit(case):
+    with pytest.raises(SmmError, match="DIMENSION_MISMATCH"):
+        ONE_SAMPLE_MISMATCHES[case](population_sample("model1"))
+
+
 def test_transform_round_trip():
     ws = _workspace(reference_model_spec())
     values = np.concatenate([LOADINGS, [0.5, 1.0, 1.5, 2.0, 2.5], [10.0]])
@@ -379,8 +409,7 @@ def test_singular_mean_design_rejects_its_row_only():
     ws = _workspace(spec)
     z = np.tile(ws.to_unconstrained(np.concatenate([LOADINGS, np.ones(5), [0.0]]))[: ws.tc], (2, 1))
     z[1, :5] = 0.0
-    covs = np.array([s.cov for s in samples])
-    means = np.array([s.mean for s in samples])
+    covs, means = samples.cov, samples.mean
     with np.errstate(invalid="ignore"):
         f, _, _ = _evaluate(ws, z, covs, means)
     assert f[1] == np.inf
@@ -579,15 +608,30 @@ def test_fit_rejects_overflowing_trials_quietly():
 
 
 def bundled_replications(name, reps):
-    """Spec, samples, options and per-replication jitter seeds of a bundled study, as run_study makes them."""
+    """Spec, block of samples, options and per-replication jitter seeds of a bundled study, as run_study makes them."""
     config = serialize.study_from_dict(serialize.load_json(study_path(name)))
-    samples, seeds = [], []
-    for rep in reps:
-        rep_seed = rng.derive_seed(config.seed.master, 0, rep)
-        data = draw_sample(config.population, config.sample_sizes[0], Seed(rep_seed))
-        samples.append(compute_moments(data))
-        seeds.append(rng.derive_seed(rep_seed, rng.STREAM_JITTER))
+    rep_seeds = [rng.derive_seed(config.seed.master, 0, rep) for rep in reps]
+    samples = draw_moments(config.population, config.sample_sizes[0], [Seed(rep_seed) for rep_seed in rep_seeds])
+    seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
     return config.spec, samples, config.fit_options, seeds
+
+
+def take(block, rows):
+    """The samples of a block at rows: one sample for an int, a block for a list or slice."""
+    return SampleMoments(n=block.n, mean=block.mean[rows], cov=block.cov[rows])
+
+
+def rows_of(samples):
+    """The samples of a block (or the one sample), one SampleMoments each."""
+    p = samples.p
+    means, covs = samples.mean.reshape(-1, p), samples.cov.reshape(-1, p, p)
+    return [SampleMoments(n=samples.n, mean=mean, cov=cov) for mean, cov in zip(means, covs)]
+
+
+def block_of(samples):
+    """One block of samples of one size."""
+    (n,) = {sample.n for sample in samples}
+    return SampleMoments(n=n, mean=np.array([s.mean for s in samples]), cov=np.array([s.cov for s in samples]))
 
 
 def fingerprint(result):
@@ -601,7 +645,7 @@ def fingerprint(result):
 
 
 def assert_rows_fit_alone_alike(spec, samples, options, seeds, batch):
-    for sample, seed, row in zip(samples, seeds, batch):
+    for sample, seed, row in zip(rows_of(samples), seeds, batch, strict=True):
         assert fingerprint(row) == fingerprint(fit(spec, sample, replace(options, seed=seed)))
 
 
@@ -618,7 +662,7 @@ def test_converged_fits_have_a_small_joint_gradient(name):
     # the public gradient covers every free parameter, the concentrated
     # intercepts and factor means included, and must support converged
     spec, samples, options, seeds = bundled_replications(name, range(40))
-    for sample, row in zip(samples, fit_many(spec, samples, options, seeds)):
+    for sample, row in zip(rows_of(samples), fit_many(spec, samples, options, seeds), strict=True):
         assert row.converged
         joint = np.max(np.abs(numeric_gradient(spec, row.free_values, sample)))
         assert joint <= options.gradient_tolerance
@@ -691,7 +735,7 @@ def test_start_along_the_means_leaves_each_unique_variance_a_tenth():
     lam = np.array([[0.3], [0.4], [0.5], [0.6], [5.0]])
     population = structured(lam, np.eye(1), np.ones(5), nu=np.zeros(5), theta=np.array([10.0]))
     ws = _workspace(reference_model_spec())
-    for sample in samples_of(population):
+    for sample in rows_of(samples_of(population)):
         variances = np.diag(sample.cov)
         psi2 = _start_values(ws, sample.cov, sample.mean)[5:]
         assert np.all(psi2 >= 0.1 * variances)
@@ -699,7 +743,7 @@ def test_start_along_the_means_leaves_each_unique_variance_a_tenth():
 
 
 def samples_of(population, n=300, seeds=range(3)):
-    return [compute_moments(draw_sample(population, n, Seed(seed))) for seed in seeds]
+    return draw_moments(population, n, [Seed(seed) for seed in seeds])
 
 
 def reference_loadings_with_means(means):
@@ -735,7 +779,7 @@ DEFAULT_START_CASES = {
         replace(reference_model_spec(), factor_means=(fixed(10.0),)),
         samples_of(reference_population("model1")),
     ),
-    "two_factors": lambda: (two_factor_spec(), [two_factor_sample()]),
+    "two_factors": lambda: (two_factor_spec(), two_factor_sample()),
     # means whose signs disagree with the positive correlations lead R + m m',
     # and the fit of the correlations along that direction gives c^2 < 0
     "signs_against_the_covariances": lambda: (
@@ -749,7 +793,7 @@ DEFAULT_START_CASES = {
 def test_start_outside_the_rule_keeps_the_default_starts(case):
     spec, samples = DEFAULT_START_CASES[case]()
     ws = _workspace(spec)
-    for sample in samples:
+    for sample in rows_of(samples):
         assert _start_values(ws, sample.cov, sample.mean).tobytes() == default_starts(ws, sample).tobytes()
 
 
@@ -773,7 +817,7 @@ def test_start_along_uninformative_means_reaches_the_same_minimum(n):
     spec = reference_model_spec()
     ws = _workspace(spec)
     samples = samples_of(reference_loadings_with_means(np.zeros(5)), n, range(50))
-    for sample, row in zip(samples, fit_many(spec, samples, FitOptions(), [0] * len(samples))):
+    for sample, row in zip(rows_of(samples), fit_many(spec, samples, FitOptions(), [0] * 50), strict=True):
         assert not np.allclose(_start_values(ws, sample.cov, sample.mean), default_starts(ws, sample))
         default = fit(one_factor_spec(5, loading_starts=0.5 * np.sqrt(np.diag(sample.cov))), sample)
         assert row.converged and default.converged
@@ -781,24 +825,21 @@ def test_start_along_uninformative_means_reaches_the_same_minimum(n):
 
 
 def table1_samples():
-    """300 samples of the Table 1 populations, 50 per population and sample size."""
-    return [
-        sample
+    """Covariances (300, 5, 5) and means (300, 5) of the Table 1 populations, 50 per population and sample size."""
+    blocks = [
+        draw_moments(reference_population(key), n, [Seed(rng.derive_seed(31, n, r)) for r in range(50)])
         for key in ("model1", "model2")
         for n in (150, 300, 900)
-        for sample in draw_moments(
-            reference_population(key), n, [Seed(rng.derive_seed(31, n, r)) for r in range(50)]
-        )
     ]
+    return np.concatenate([block.cov for block in blocks]), np.concatenate([block.mean for block in blocks])
 
 
 def test_stacked_linear_algebra_gives_each_slice_its_own_bits():
     # fit_many's promise rests on these: a slice of a stacked call is the
     # lone call on that slice, bit for bit
-    samples = table1_samples()
-    covs = np.array([sample.cov for sample in samples])
+    covs, means = table1_samples()
     sd = np.sqrt(covs.diagonal(0, 1, 2))
-    m = np.array([sample.mean for sample in samples]) / sd
+    m = means / sd
     # R + m m', the matrix of the start along the means
     moments = covs / (sd[:, :, None] * sd[:, None, :]) + m[:, :, None] * m[:, None, :]
     for stack in (covs, moments):
@@ -816,7 +857,7 @@ def test_stacked_linear_algebra_gives_each_slice_its_own_bits():
     i, j = np.triu_indices(5, 1)
     vv = v[:, i] * v[:, j]
     fit_dot, norm = _dot(moments[:, i, j], vv), _dot(vv, vv)
-    for k in range(len(samples)):
+    for k in range(len(covs)):
         pairs, products = moments[k][i, j], v[k][i] * v[k][j]
         assert fit_dot[k] == pairs @ products
         assert norm[k] == products @ products
@@ -855,11 +896,11 @@ def test_linear_algebra_helpers_fail_only_the_failing_row():
 
 
 def test_start_values_of_a_batch_are_the_starts_alone():
-    samples = table1_samples()
+    covs, means = table1_samples()
     ws = _workspace(reference_model_spec())
-    batch = _start_values(ws, np.array([s.cov for s in samples]), np.array([s.mean for s in samples]))
-    for sample, row in zip(samples, batch):
-        assert row.tobytes() == _start_values(ws, sample.cov, sample.mean).tobytes()
+    batch = _start_values(ws, covs, means)
+    for cov, mean, row in zip(covs, means, batch, strict=True):
+        assert row.tobytes() == _start_values(ws, cov, mean).tobytes()
 
 
 def spy_on_failed_seeds(monkeypatch):
@@ -903,7 +944,7 @@ def test_no_runaway_fit_converges_above_the_independence_bound():
     rep_seeds = [rng.derive_seed(77, 150, r) for r in (6, 13, 20, 27)]
     samples = draw_moments(population, 150, [Seed(rep_seed) for rep_seed in rep_seeds])
     seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
-    for sample, row in zip(samples, fit_many(reference_model_spec(), samples, FitOptions(), seeds)):
+    for sample, row in zip(rows_of(samples), fit_many(reference_model_spec(), samples, FitOptions(), seeds)):
         assert not row.converged or row.f_min <= independence_bound(sample) + 1e-9
 
 
@@ -1038,7 +1079,7 @@ def reference_fit(spec, sample, options):
 
 
 def assert_rows_follow_the_reference(spec, samples, options, seeds, batch):
-    for sample, seed, row in zip(samples, seeds, batch):
+    for sample, seed, row in zip(rows_of(samples), seeds, batch, strict=True):
         want = reference_fit(spec, sample, replace(options, seed=seed))
         if isinstance(want, SmmError):
             assert (type(row), row.message) == (type(want), want.message)
@@ -1076,7 +1117,7 @@ def test_a_runaway_batch_evaluates_once_a_round(monkeypatch):
     fit_many(spec, samples, options, seeds)
     batch = len(calls)
     alone = []
-    for sample, seed in zip(samples, seeds):
+    for sample, seed in zip(rows_of(samples), seeds):
         calls.clear()
         fit(spec, sample, replace(options, seed=seed))
         alone.append(len(calls))
@@ -1102,8 +1143,7 @@ def test_evaluate_gives_an_overflowing_row_inf_in_its_own_row():
     # finite, and the rows around it keep the bits of their lone calls
     spec, samples, _, _ = bundled_replications("table1_model2_n300", range(3))
     ws = _workspace(spec)
-    covs = np.array([sample.cov for sample in samples])
-    means = np.array([sample.mean for sample in samples])
+    covs, means = samples.cov, samples.mean
     z = ws.to_unconstrained(_start_values(ws, covs, means))
     z[1, ws.log_pos[0]] = 710.0
     with np.errstate(all="ignore"):
@@ -1119,15 +1159,14 @@ def test_evaluate_gives_an_overflowing_row_inf_in_its_own_row():
 
 def test_fit_many_returns_the_error_of_a_failing_row():
     spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(4))
-    values = draw_sample(reference_population("model1"), 100, Seed(91)).values.copy()
+    values = draw_sample(reference_population("model1"), 900, Seed(91)).values.copy()
     values[:, 2] = 5.0
     with pytest.warns(UserWarning):
         singular = compute_moments(Dataset(values=values, variable_names=("x1", "x2", "x3", "x4", "x5")))
-    samples.insert(2, singular)
-    seeds.insert(2, 0)
-    batch = fit_many(spec, samples, options, seeds)
+    rows = rows_of(samples)
+    batch = fit_many(spec, block_of(rows[:2] + [singular] + rows[2:]), options, seeds[:2] + [0] + seeds[2:])
     assert isinstance(batch[2], NotPositiveDefiniteError)
-    del samples[2], seeds[2], batch[2]
+    del batch[2]
     assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
 
 
@@ -1136,28 +1175,28 @@ def test_a_sample_whose_start_fails_sinks_only_its_own_fit():
     # that row keeps the default starts, and its neighbours their bits
     spec, options = reference_model_spec(), FitOptions()
     samples = draw_moments(reference_population("model2"), 150, [Seed(0), Seed(1), Seed(2)])
-    samples[1] = replace(samples[1], mean=samples[1].mean * 1e160)
+    means = samples.mean.copy()
+    means[1] *= 1e160
+    samples = replace(samples, mean=means)
     seeds = [rng.derive_seed(r, rng.STREAM_JITTER) for r in range(3)]
     batch = fit_many(spec, samples, options, seeds)
     assert isinstance(batch[1], SmmError) or not batch[1].converged
-    del samples[1], seeds[1], batch[1]
-    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch)
+    assert_rows_fit_alone_alike(spec, take(samples, [0, 2]), options, seeds[::2], batch[::2])
 
 
 def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
     spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(3))
-    good = samples[0]
+    good = take(samples, 0)
     asymmetric = good.cov.copy()
     asymmetric[0, 1] += 1e-3
     indefinite = good.cov.copy()
     indefinite[0, 1] = indefinite[1, 0] = 10.0
     bad = [
-        SampleMoments(n=100, mean=good.mean, cov=asymmetric),
-        SampleMoments(n=100, mean=good.mean, cov=indefinite),
-        SampleMoments(n=100, mean=good.mean, cov=np.diag([1.0, 1.0, 1e-13, 1.0, 1.0])),
+        SampleMoments(n=good.n, mean=good.mean, cov=asymmetric),
+        SampleMoments(n=good.n, mean=good.mean, cov=indefinite),
+        SampleMoments(n=good.n, mean=good.mean, cov=np.diag([1.0, 1.0, 1e-13, 1.0, 1.0])),
     ]
-    wrong_size = SampleMoments(n=100, mean=np.zeros(3), cov=np.eye(3))
-    batch = fit_many(spec, bad + samples + [wrong_size], options, [0] * 3 + seeds + [0])
+    batch = fit_many(spec, block_of(bad + rows_of(samples)), options, [0] * 3 + seeds)
     for sample, row in zip(bad, batch):
         with pytest.raises(SmmError) as alone:
             cholesky(sample.cov)
@@ -1165,8 +1204,25 @@ def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
         assert (row.code, row.message) == (alone.value.code, alone.value.message)
     codes = ["ASYMMETRIC_MATRIX", "NOT_POSITIVE_DEFINITE", "NOT_POSITIVE_DEFINITE"]
     assert [row.code for row in batch[:3]] == codes
-    assert batch[-1].code == "DIMENSION_MISMATCH"
-    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch[3:-1])
+    assert_rows_fit_alone_alike(spec, samples, options, seeds, batch[3:])
+
+
+def test_fit_many_rejects_a_block_of_the_wrong_p():
+    spec, options = reference_model_spec(), FitOptions()
+    wrong_size = SampleMoments(n=100, mean=np.zeros((2, 3)), cov=np.array([np.eye(3), 2.0 * np.eye(3)]))
+    with pytest.raises(SmmError, match="DIMENSION_MISMATCH"):
+        fit_many(spec, wrong_size, options, [0, 1])
+
+
+def test_fit_many_gives_each_row_of_a_strided_block_its_lone_fit():
+    # every other row of a larger block: fit_many steps C-contiguous copies
+    # of the rows, so each keeps the bits of its lone fit
+    spec, samples, options, seeds = bundled_replications("table1_model2_n150", range(20))
+    strided = take(samples, slice(None, None, 2))
+    assert not strided.cov.flags.c_contiguous and not strided.mean.flags.c_contiguous
+    batch = fit_many(spec, strided, options, seeds[::2])
+    assert len(batch) == 10
+    assert_rows_fit_alone_alike(spec, strided, options, seeds[::2], batch)
 
 
 def sign_convention_by_columns(spec, lam, theta, phi):

@@ -51,12 +51,28 @@ def test_rejects_non_finite_values():
         ("3", [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], "TOO_FEW_ROWS"),
         (100, [np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]], "NON_FINITE_VALUES"),
         (100, [0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "NON_FINITE_VALUES"),
+        # a block (R, p) and (R, p, p) is checked as a whole
+        (100, [[0.0, 0.0], [0.0, np.nan]], [np.eye(2), np.eye(2)], "NON_FINITE_VALUES"),
+        (100, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)), "DIMENSION_MISMATCH"),
+        (100, np.zeros((3, 2)), [np.eye(2), np.eye(2)], "DIMENSION_MISMATCH"),
+        (100, np.zeros((2, 2)), np.eye(2), "DIMENSION_MISMATCH"),
+        (100, [0.0, 0.0], [np.eye(2)], "DIMENSION_MISMATCH"),
     ],
-    ids=["n=0", "n=1", "n=2.5", "n=str", "nan_mean", "inf_cov"],
+    ids=[
+        "n=0", "n=1", "n=2.5", "n=str", "nan_mean", "inf_cov", "nan_in_a_block",
+        "mean_3d", "block_of_3_covs_of_2", "block_of_one_cov", "one_mean_of_a_block_cov",
+    ],
 )
 def test_sample_moments_rejects_bad_input(n, mean, cov, code):
     with pytest.raises(SmmError, match=code):
         SampleMoments(n=n, mean=np.array(mean), cov=np.array(cov))
+
+
+def test_sample_moments_holds_one_sample_or_a_block():
+    one = SampleMoments(n=50, mean=np.zeros(3), cov=np.eye(3))
+    block = SampleMoments(n=50, mean=np.zeros((4, 3)), cov=np.tile(np.eye(3), (4, 1, 1)))
+    assert one.p == block.p == 3
+    assert block.mean.shape == (4, 3) and block.cov.shape == (4, 3, 3)
 
 
 def test_sample_moments_takes_numpy_integers_as_ints():

@@ -114,6 +114,24 @@ def test_run_study_is_deterministic_across_parallelism():
     assert canonical_json(summary_to_dict(serial)) == canonical_json(summary_to_dict(parallel))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_error_in_a_pool_worker_reaches_the_caller_as_it_does_inline():
+    # a mean of 1e306 overflows the sample means to inf, so every block
+    # raises NON_FINITE_VALUES; the sum warns of the overflow first, and a
+    # forked worker inherits the warning filters of the test
+    doc = serialize.load_json(study_path("table1_model1_n900"))
+    doc["population"]["means"] = {"mean_vector": [1e306, 4, 5, 6, 7]}
+    doc.update(replications=2 * MIN_BLOCK, reference=None)
+    config = serialize.study_from_dict(doc)
+    raised = []
+    for parallelism in (1, 2):
+        with pytest.raises(SmmError) as error:
+            run_study(replace(config, max_parallelism=parallelism))
+        raised.append((type(error.value), error.value.code, error.value.message))
+    assert raised[0] == raised[1]
+    assert raised[0][:2] == (SmmError, "NON_FINITE_VALUES")
+
+
 @pytest.mark.filterwarnings("error")
 def test_numpy_integer_seeds_give_the_summary_of_the_int():
     # a numpy master used to overflow in derive_seed or in splitmix64, and

@@ -7,7 +7,7 @@ import pytest
 from smm import rng, simulate
 from smm.errors import SmmError, NotPositiveDefiniteError
 from smm.fixtures import reference_population
-from smm.moments import compute_moments
+from smm.moments import SampleMoments, compute_moments
 from smm.simulate import (
     Seed,
     cholesky,
@@ -153,6 +153,17 @@ def test_structured_and_explicit_same_moments_same_sample():
     assert np.array_equal(a.values, b.values)
 
 
+def assert_rows_are_the_samples_alone(block, alone):
+    """block is one SampleMoments whose row i has the n and the bits of the sample alone[i]."""
+    assert isinstance(block, SampleMoments)
+    assert block.mean.shape == (len(alone), alone[0].p)
+    assert block.cov.shape == (len(alone), alone[0].p, alone[0].p)
+    for mean, cov, want in zip(block.mean, block.cov, alone, strict=True):
+        assert block.n == want.n
+        assert mean.tobytes() == want.mean.tobytes()
+        assert cov.tobytes() == want.cov.tobytes()
+
+
 def test_draw_moments_factors_the_population_once(monkeypatch):
     pop = one_factor_population(means_up=False)
     seeds = [Seed(rng.derive_seed(5, r)) for r in range(6)]
@@ -161,10 +172,7 @@ def test_draw_moments_factors_the_population_once(monkeypatch):
     monkeypatch.setattr(simulate, "cholesky", lambda sigma: factored.append(1) or cholesky(sigma))
     block = draw_moments(pop, 150, seeds)
     assert len(factored) == 1
-    for got, want in zip(block, alone):
-        assert got.n == want.n
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.cov.tobytes() == want.cov.tobytes()
+    assert_rows_are_the_samples_alone(block, alone)
 
 
 @pytest.mark.parametrize("key", ["model1", "model2"])
@@ -173,11 +181,8 @@ def test_every_row_of_a_block_is_its_sample_alone(key, n):
     # n = 3 and 301 give an odd n * p, whose last Box-Muller pair is cut
     pop = reference_population(key)
     seeds = [Seed(rng.derive_seed(17, n, r)) for r in range(10)]
-    for seed, got in zip(seeds, draw_moments(pop, n, seeds), strict=True):
-        want = compute_moments(draw_sample(pop, n, seed))
-        assert got.n == n
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.cov.tobytes() == want.cov.tobytes()
+    alone = [compute_moments(draw_sample(pop, n, seed)) for seed in seeds]
+    assert_rows_are_the_samples_alone(draw_moments(pop, n, seeds), alone)
 
 
 def test_draw_moments_rejects_zero_rows():
@@ -202,7 +207,7 @@ def test_draw_moments_memory_grows_with_the_block_not_the_samples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(block) == 400
+    assert block.cov.shape == (400, 5, 5)
     assert peak < 2_000_000
 
 
