@@ -27,12 +27,12 @@ import numpy as np
 
 from . import fixtures, serialize
 from .errors import SmmError, BAD_INPUT, DIVISION_BY_NEAR_ZERO_LOADING
-from .estimator import fit
 from .model_spec import ParameterIndex, fixed, free
 from .moments import compute_moments
-from .montecarlo import compare_to_reference, run_study
 from .simulate import Seed, draw_sample
-from .smm_core import LOADING_FLOOR, factor_means_ls, proportionality_report
+
+# a handler imports the estimator, the closed-form diagnostics or the Monte
+# Carlo harness itself, so each command loads only what it calls
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,6 +60,8 @@ def _print_fit(result) -> None:
 
 
 def cmd_fit(args) -> int:
+    from .estimator import fit
+
     spec = serialize.model_from_dict(serialize.load_json(args.model))
     data = serialize.read_csv(args.data)
     sample = compute_moments(data)
@@ -70,6 +72,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_means(args) -> int:
+    from .smm_core import LOADING_FLOOR, factor_means_ls, proportionality_report
+
     spec = serialize.model_from_dict(serialize.load_json(args.model))
     data = serialize.read_csv(args.data)
     sample = compute_moments(data)
@@ -153,6 +157,8 @@ def cmd_replicate(args) -> int:
         for name in fixtures.bundled_studies():
             print(name)
         return EXIT_OK
+    from .montecarlo import compare_to_reference, run_study
+
     config = serialize.study_from_dict(serialize.load_json(_resolve_study(args.study)))
     if args.seed is not None:
         config = replace(config, seed=Seed(args.seed))
@@ -201,6 +207,9 @@ def _proportionality_to_json(report) -> dict:
 
 
 def cmd_diagnose(args) -> int:
+    from .estimator import fit
+    from .smm_core import proportionality_report
+
     spec = serialize.model_from_dict(serialize.load_json(args.model))
     if spec.q != 1:
         raise SmmError(BAD_INPUT, "diagnose requires a one-factor model")

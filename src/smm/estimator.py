@@ -701,7 +701,9 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
                            g_inf=np.zeros(count), it=np.full(count, -1))
     with np.errstate(all="ignore"):
-        v0 = _start_values(ws, covs[rows], means[rows])
+        # one C-contiguous copy of the moments of the rows to fit, for the start and every round
+        cov, mean = covs[rows], means[rows]
+        v0 = _start_values(ws, cov, mean)
         # one row per unfinished fit. zt is its pending point: a trial of its
         # line search, or an attempt's start, where f = inf, slope = 0 and
         # it = seeded = -1 make the start a trial that is accepted where F is
@@ -709,7 +711,7 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
         # the last Fisher seed, -1 when there is none. v0 is the raw start
         # that restarts jitter.
         s = SimpleNamespace(
-            row=np.array(rows, dtype=int), cov=covs[rows], mean=means[rows], v0=v0,
+            row=np.array(rows, dtype=int), cov=cov, mean=mean, v0=v0,
             zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
             g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), point=np.zeros((k, ws.t)),
             h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),

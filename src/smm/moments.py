@@ -109,13 +109,27 @@ def covariances(cross: np.ndarray, n: int, variable_names) -> np.ndarray:
     return cov
 
 
+def _center_in_place(x: np.ndarray, mean: np.ndarray, cross: np.ndarray) -> None:
+    """Write the column means of x (n, p) to mean (p,), center x on them, and write x'x to cross (p, p).
+
+    The sum, then the division, is what np.mean computes. Values whose sum
+    overflows give inf and NaN here without a numpy warning, and
+    SampleMoments rejects them as NON_FINITE_VALUES.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.reduce(x, axis=0, out=mean)
+        mean /= len(x)
+        x -= mean
+        np.matmul(x.T, x, out=cross)
+
+
 def compute_moments(data: Dataset) -> SampleMoments:
     """Sample mean and covariance (denominator n - 1).
 
     The covariance is finished by covariances: exactly symmetric, with a
     warning for each zero-variance column.
     """
-    mean = data.values.mean(axis=0)
-    centered = data.values - mean
-    cov = covariances(centered.T @ centered, data.n, data.variable_names)
-    return SampleMoments(n=data.n, mean=mean, cov=cov)
+    mean, cross = np.empty(data.p), np.empty((data.p, data.p))
+    # a copy in the layout of the data, which fixes the order of its sums
+    _center_in_place(data.values.copy(order="K"), mean, cross)
+    return SampleMoments(n=data.n, mean=mean, cov=covariances(cross, data.n, data.variable_names))

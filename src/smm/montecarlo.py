@@ -336,10 +336,8 @@ def _sd_row(n, quantity, artifact, paper_sd, r_eff):
     )
 
 
-def compare_to_reference(
-    summary: StudySummary, reference: ReferenceTable = REFERENCE_TABLE
-) -> ComparisonReport:
-    """Compare a study summary against a reference block.
+def compare_to_reference(summary: StudySummary) -> ComparisonReport:
+    """Compare a study summary against its reference block in REFERENCE_TABLE.
 
     Mean quantities are gated: a loading or factor-mean row passes when
     its deviation is within max(4 * (SD + 0.005)/sqrt(R), 0.005), where
@@ -352,7 +350,7 @@ def compare_to_reference(
     """
     if summary.reference is None:
         raise SmmError(MISSING_REFERENCE_CONDITION, "study declares no reference block")
-    blocks = reference.blocks.get(summary.reference)
+    blocks = REFERENCE_TABLE.blocks.get(summary.reference)
     if blocks is None:
         raise SmmError(
             MISSING_REFERENCE_CONDITION, f"no reference block named {summary.reference!r}"

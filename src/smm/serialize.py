@@ -13,15 +13,19 @@ import csv
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SmmError, BAD_INPUT
-from .estimator import FitResult
 from .model_spec import ModelSpec, ParameterCell, fixed, free
 from .moments import Dataset
-from .montecarlo import ComparisonReport, StudyConfig, StudySummary
 from .simulate import PopulationModel, Seed, explicit, structured
+
+if TYPE_CHECKING:
+    # annotations only: reading a model, a population or data loads neither
+    from .estimator import FitResult
+    from .montecarlo import ComparisonReport, StudyConfig, StudySummary
 
 CSV_FORMAT = "%.17g"
 
@@ -173,6 +177,8 @@ def _json_int(value, field: str) -> int:
 
 
 def study_from_dict(doc: dict) -> StudyConfig:
+    from .montecarlo import StudyConfig
+
     try:
         return StudyConfig(
             population=population_from_dict(doc["population"]),

@@ -30,7 +30,7 @@ from .errors import (
     NONPOSITIVE_UNIQUE_VARIANCE,
     NotPositiveDefiniteError,
 )
-from .moments import Dataset, SampleMoments, covariances
+from .moments import Dataset, SampleMoments, _center_in_place, covariances
 
 STRUCTURED = "structured"
 EXPLICIT = "explicit"
@@ -222,9 +222,5 @@ def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
     for z, mean, row in zip(rng.normals_into(np.empty((n, pop.p)), masters), means, cross):
         np.matmul(z, lower_t, out=x)
         x += m
-        # the sum, then the division, is what np.mean computes
-        np.add.reduce(x, axis=0, out=mean)
-        mean /= n
-        x -= mean
-        np.matmul(x.T, x, out=row)
+        _center_in_place(x, mean, row)
     return SampleMoments(n=n, mean=means, cov=covariances(cross, n, pop.variable_names))

@@ -132,7 +132,7 @@ def test_fit_rejects_a_nonpositive_variance_start(start, data_files, tmp_path, c
 
 
 def test_fit_nonconvergence_exit_code(model_file, data_files, monkeypatch):
-    import smm.cli
+    import smm.estimator
 
     def fake_fit(spec, sample, options=None):
         return FitResult(
@@ -155,7 +155,8 @@ def test_fit_nonconvergence_exit_code(model_file, data_files, monkeypatch):
             labels=tuple(f"p{i}" for i in range(11)),
         )
 
-    monkeypatch.setattr(smm.cli, "fit", fake_fit)
+    # cmd_fit imports fit from the estimator when it runs
+    monkeypatch.setattr(smm.estimator, "fit", fake_fit)
     code = main(["fit", model_file, data_files["model1"]])
     assert code == 2
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from smm.errors import SmmError
 from smm.moments import Dataset, SampleMoments, compute_moments
+from smm.simulate import Seed, draw_moments, draw_sample, explicit
 
 
 def test_single_column_hand_values():
@@ -38,6 +39,19 @@ def test_rejects_single_row():
 def test_rejects_non_finite_values():
     with pytest.raises(SmmError, match="NON_FINITE"):
         Dataset(values=np.array([[1.0], [np.nan]]), variable_names=("a",))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path", ["compute_moments", "draw_moments"])
+def test_an_overflowing_sum_is_non_finite_values_without_a_numpy_warning(path):
+    # finite rows near 1e306 whose column sum overflows: the SmmError comes
+    # first, not a RuntimeWarning from the mean or the crossproduct
+    pop = explicit(np.full((5, 1), 0.5), np.eye(1), np.ones(5), mean_vector=np.array([1e306, 4.0, 5.0, 6.0, 7.0]))
+    with pytest.raises(SmmError, match="NON_FINITE_VALUES"):
+        if path == "compute_moments":
+            compute_moments(draw_sample(pop, 900, Seed(1)))
+        else:
+            draw_moments(pop, 300, [Seed(1), Seed(2)])
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import importlib
 import os
 import statistics
 import subprocess
@@ -232,3 +233,79 @@ def test_import_smm_leaves_multiprocessing_unloaded():
     # only run_study with a pool of two or more workers needs it
     code = "import sys, smm; print(sorted(m for m in ('multiprocessing', 'socket', 'subprocess') if m in sys.modules))"
     assert run_python(code).split() == ["[]"]
+
+
+def test_import_smm_loads_no_submodule():
+    code = "import sys, smm; print(sorted(m for m in sys.modules if m.startswith('smm.')))"
+    assert run_python(code).split() == ["[]"]
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """The population and model of a bundled study, and a sample of it, as the CLI reads them."""
+    from smm.fixtures import study_path
+    from smm.serialize import canonical_json, load_json, population_from_dict, write_csv
+    from smm.simulate import Seed, draw_sample
+
+    study = load_json(study_path("table1_model1_n900"))
+    files = {key: tmp_path / f"{key}.json" for key in ("population", "model")}
+    for key, path in files.items():
+        path.write_text(canonical_json(study[key]))
+    files["data"] = tmp_path / "data.csv"
+    write_csv(draw_sample(population_from_dict(study["population"]), 300, Seed(1)), files["data"])
+    return {key: str(path) for key, path in files.items()}
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("simulate", ["smm.estimator", "smm.montecarlo"]),
+        ("means", ["smm.estimator", "smm.montecarlo"]),
+        ("fit", ["smm.montecarlo"]),
+        ("diagnose", ["smm.montecarlo"]),
+    ],
+)
+def test_a_cli_command_loads_only_what_it_calls(command, unloaded, cli_files, tmp_path):
+    if command == "simulate":
+        argv = ["simulate", cli_files["population"], "--n", "300", "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = [command, cli_files["model"], cli_files["data"]]
+    code = (
+        "import sys\n"
+        "from smm.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(code, sorted(m for m in {unloaded!r} if m in sys.modules))"
+    )
+    assert run_python(code).splitlines()[-1].split() == ["0", "[]"]
+
+
+EXPORTED = [
+    "SmmError", "InvalidModelError", "NotPositiveDefiniteError",
+    "FitOptions", "FitResult", "ImpliedMoments", "fit", "fit_many", "implied_moments",
+    "ml_discrepancy", "numeric_gradient",
+    "ModelSpec", "ParameterCell", "ParameterIndex", "ValidationReport", "fix_intercept_variant",
+    "fixed", "free", "one_factor_spec", "validate",
+    "Dataset", "SampleMoments", "compute_moments",
+    "REFERENCE_TABLE", "ComparisonReport", "ReplicationSummary", "StudyConfig", "StudySummary",
+    "aggregate", "compare_to_reference", "run_study",
+    "PopulationModel", "Seed", "cholesky", "draw_sample", "explicit", "population_moments",
+    "structured",
+    "ProportionalityReport", "equal_loading_mean", "expected_means", "factor_means_ls",
+    "proportionality_report",
+]
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    import smm
+
+    assert smm.__all__ == EXPORTED
+    for module, names in smm._EXPORTS.items():
+        for name in names:
+            assert getattr(smm, name) is getattr(importlib.import_module(f"smm.{module}"), name)
+    namespace = {}
+    exec("from smm import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+    assert set(EXPORTED) <= set(dir(smm))
+    assert smm.rng is importlib.import_module("smm.rng")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        smm.no_such_name
