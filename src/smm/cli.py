@@ -59,12 +59,29 @@ def _print_fit(result) -> None:
         print(f"{label:<{width}}  {value:10.4f}")
 
 
+def _model_and_sample(args):
+    """The model of args.model and the sample moments of args.data.
+
+    A header naming the model's variables in another order is BAD_INPUT:
+    the columns are read by position, so every estimate would be labelled
+    with the wrong variable. A header with other names stays positional.
+    """
+    spec = serialize.model_from_dict(serialize.load_json(args.model))
+    data = serialize.read_csv(args.data)
+    names = data.variable_names
+    if names != spec.variable_names and sorted(names) == sorted(spec.variable_names):
+        raise SmmError(
+            BAD_INPUT,
+            f"{args.data}: columns {', '.join(names)} hold the model's variables in another "
+            f"order than {', '.join(spec.variable_names)}",
+        )
+    return spec, compute_moments(data)
+
+
 def cmd_fit(args) -> int:
     from .estimator import fit
 
-    spec = serialize.model_from_dict(serialize.load_json(args.model))
-    data = serialize.read_csv(args.data)
-    sample = compute_moments(data)
+    spec, sample = _model_and_sample(args)
     result = fit(spec, sample)
     _print_fit(result)
     _write_json(args.json, serialize.fit_result_to_dict(result))
@@ -74,9 +91,7 @@ def cmd_fit(args) -> int:
 def cmd_means(args) -> int:
     from .smm_core import LOADING_FLOOR, factor_means_ls, proportionality_report
 
-    spec = serialize.model_from_dict(serialize.load_json(args.model))
-    data = serialize.read_csv(args.data)
-    sample = compute_moments(data)
+    spec, sample = _model_and_sample(args)
     base = ParameterIndex(spec).base_matrices()
     lam, nu = base.loadings, base.intercepts
     theta = factor_means_ls(lam, sample.mean, nu)
@@ -157,7 +172,7 @@ def cmd_replicate(args) -> int:
         for name in fixtures.bundled_studies():
             print(name)
         return EXIT_OK
-    from .montecarlo import compare_to_reference, run_study
+    from .montecarlo import _reference_block, compare_to_reference, run_study
 
     config = serialize.study_from_dict(serialize.load_json(_resolve_study(args.study)))
     if args.seed is not None:
@@ -166,6 +181,9 @@ def cmd_replicate(args) -> int:
         config = replace(config, replications=args.reps)
     if args.parallelism is not None:
         config = replace(config, max_parallelism=args.parallelism)
+    if args.compare_paper:
+        # a study the reference cannot judge fails before its replications run
+        _reference_block(config.reference, config.sample_sizes)
     summary = run_study(config)
     _print_summary(summary)
     doc = {"summary": serialize.summary_to_dict(summary)}
@@ -210,11 +228,9 @@ def cmd_diagnose(args) -> int:
     from .estimator import fit
     from .smm_core import proportionality_report
 
-    spec = serialize.model_from_dict(serialize.load_json(args.model))
+    spec, sample = _model_and_sample(args)
     if spec.q != 1:
         raise SmmError(BAD_INPUT, "diagnose requires a one-factor model")
-    data = serialize.read_csv(args.data)
-    sample = compute_moments(data)
     result = fit(spec, sample)
     _print_fit(result)
 

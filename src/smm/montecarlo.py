@@ -297,42 +297,44 @@ def run_study(config: StudyConfig) -> StudySummary:
     )
 
 
-def _mean_row(n, quantity, artifact, paper_mean, paper_sd, r_eff):
-    # The printed SD may understate the true one by up to the rounding
-    # (lambda[x1] of model1 at n=900 prints as 0.01 and measures 0.0134, so
-    # a gate of 4 printed SEs is about 3 true ones), so the SE uses the
-    # largest SD that prints as paper_sd.
-    se = (paper_sd + REFERENCE_ROUNDING) / np.sqrt(r_eff)
-    deviation = artifact - paper_mean
-    z = deviation / se
-    tolerance = max(4.0 * se, REFERENCE_ROUNDING)
+def _reference_block(reference: str | None, sample_sizes) -> dict:
+    """The REFERENCE_TABLE block a study names, {n: ReferenceEntry}.
+
+    Raises MISSING_REFERENCE_CONDITION when the study names no block, an
+    unknown one, or one without an entry for some sample size, so a study
+    can be checked before it runs.
+    """
+    if reference is None:
+        raise SmmError(MISSING_REFERENCE_CONDITION, "study declares no reference block")
+    block = REFERENCE_TABLE.blocks.get(reference)
+    if block is None:
+        raise SmmError(MISSING_REFERENCE_CONDITION, f"no reference block named {reference!r}")
+    for n in sample_sizes:
+        if n not in block:
+            raise SmmError(
+                MISSING_REFERENCE_CONDITION,
+                f"reference block {reference!r} has no n={n} condition",
+            )
+    return block
+
+
+def _row(n, quantity, artifact, paper, se, floor=None):
+    """One comparison row: the deviation from the paper and its z = deviation / se.
+
+    With a floor the row is gated at |deviation| <= max(4 se, floor); with
+    floor None it is reported, not gated. z is None where se is 0.
+    """
+    deviation = artifact - paper
+    tolerance = None if floor is None else max(4.0 * se, floor)
     return ComparisonRow(
         n=n,
         quantity=quantity,
         artifact=artifact,
-        paper=paper_mean,
-        deviation=deviation,
-        z=z,
-        tolerance=tolerance,
-        passed=bool(abs(deviation) <= tolerance),
-    )
-
-
-def _sd_row(n, quantity, artifact, paper_sd, r_eff):
-    # SDs of estimates are reported for context, not gated: the sampling
-    # error of an SD (about sd/sqrt(2R)) plus two-decimal rounding of the
-    # reference makes a hard threshold unreliable.
-    se = paper_sd / np.sqrt(2.0 * r_eff) if paper_sd > 0 else 0.0
-    deviation = artifact - paper_sd
-    return ComparisonRow(
-        n=n,
-        quantity=quantity,
-        artifact=artifact,
-        paper=paper_sd,
+        paper=paper,
         deviation=deviation,
         z=deviation / se if se > 0 else None,
-        tolerance=None,
-        passed=None,
+        tolerance=tolerance,
+        passed=None if tolerance is None else bool(abs(deviation) <= tolerance),
     )
 
 
@@ -348,21 +350,10 @@ def compare_to_reference(summary: StudySummary) -> ComparisonReport:
     the n vs n-1 statistic convention. SD rows carry z-scores (scaled by
     SD/sqrt(2R)) but no verdict. df must match exactly.
     """
-    if summary.reference is None:
-        raise SmmError(MISSING_REFERENCE_CONDITION, "study declares no reference block")
-    blocks = REFERENCE_TABLE.blocks.get(summary.reference)
-    if blocks is None:
-        raise SmmError(
-            MISSING_REFERENCE_CONDITION, f"no reference block named {summary.reference!r}"
-        )
+    block = _reference_block(summary.reference, [n for n, _ in summary.conditions])
     rows = []
     for n, cond in summary.conditions:
-        entry = blocks.get(n)
-        if entry is None:
-            raise SmmError(
-                MISSING_REFERENCE_CONDITION,
-                f"reference block {summary.reference!r} has no n={n} condition",
-            )
+        entry = block[n]
         labels = list(cond.parameters)
         loading_labels = [lab for lab in labels if lab.startswith("lambda[")]
         theta_labels = [lab for lab in labels if lab.startswith("theta[")]
@@ -372,43 +363,31 @@ def compare_to_reference(summary: StudySummary) -> ComparisonReport:
                 "study parameters do not line up with the reference layout "
                 f"({len(loading_labels)} loadings, {len(theta_labels)} factor means)",
             )
-        r_eff = cond.r_effective
-        for lab, (paper_mean, paper_sd) in zip(loading_labels, entry.loadings):
-            mean, sd = cond.parameters[lab]
-            rows.append(_mean_row(n, f"{lab} mean", mean, paper_mean, paper_sd, r_eff))
-            rows.append(_sd_row(n, f"{lab} sd", sd, paper_sd, r_eff))
-        fm_mean, fm_sd = cond.parameters[theta_labels[0]]
-        rows.append(
-            _mean_row(n, "factor mean", fm_mean, entry.factor_mean[0], entry.factor_mean[1], r_eff)
+        root_r = np.sqrt(cond.r_effective)
+        root_2r = np.sqrt(2.0 * cond.r_effective)
+        quantities = [
+            (f"{lab} mean", f"{lab} sd", cond.parameters[lab], paper)
+            for lab, paper in zip(loading_labels, entry.loadings)
+        ]
+        quantities.append(
+            ("factor mean", "factor mean sd", cond.parameters[theta_labels[0]], entry.factor_mean)
         )
-        rows.append(_sd_row(n, "factor mean sd", fm_sd, entry.factor_mean[1], r_eff))
-
-        chi_se = entry.chi_square[1] / np.sqrt(r_eff)
-        chi_dev = cond.chi_square_mean - entry.chi_square[0]
-        chi_tol = max(4.0 * chi_se, 0.01 * entry.chi_square[0])
+        for mean_name, sd_name, (mean, sd), (paper_mean, paper_sd) in quantities:
+            # The printed SD may understate the true one by up to the rounding
+            # (lambda[x1] of model1 at n=900 prints as 0.01 and measures 0.0134,
+            # so a gate of 4 printed SEs is about 3 true ones), so the SE uses
+            # the largest SD that prints as paper_sd.
+            se = (paper_sd + REFERENCE_ROUNDING) / root_r
+            rows.append(_row(n, mean_name, mean, paper_mean, se, REFERENCE_ROUNDING))
+            # SDs of estimates are reported for context, not gated: the
+            # sampling error of an SD (about sd/sqrt(2R)) plus two-decimal
+            # rounding of the reference makes a hard threshold unreliable.
+            rows.append(_row(n, sd_name, sd, paper_sd, paper_sd / root_2r))
+        chi_mean, chi_sd = entry.chi_square
+        chi_se = chi_sd / root_r
         rows.append(
-            ComparisonRow(
-                n=n,
-                quantity="chi-square mean",
-                artifact=cond.chi_square_mean,
-                paper=entry.chi_square[0],
-                deviation=chi_dev,
-                z=chi_dev / chi_se if chi_se > 0 else None,
-                tolerance=chi_tol,
-                passed=bool(abs(chi_dev) <= chi_tol),
-            )
+            _row(n, "chi-square mean", cond.chi_square_mean, chi_mean, chi_se, 0.01 * chi_mean)
         )
-        rows.append(_sd_row(n, "chi-square sd", cond.chi_square_sd, entry.chi_square[1], r_eff))
-        rows.append(
-            ComparisonRow(
-                n=n,
-                quantity="df",
-                artifact=float(cond.df),
-                paper=float(entry.df),
-                deviation=float(cond.df - entry.df),
-                z=None,
-                tolerance=0.0,
-                passed=bool(cond.df == entry.df),
-            )
-        )
+        rows.append(_row(n, "chi-square sd", cond.chi_square_sd, chi_sd, chi_sd / root_2r))
+        rows.append(_row(n, "df", float(cond.df), float(entry.df), 0.0, 0.0))
     return ComparisonReport(reference=summary.reference, rows=tuple(rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -249,19 +250,7 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
     return {
         "reference": report.reference,
         "all_pass": report.all_pass,
-        "rows": [
-            {
-                "n": row.n,
-                "quantity": row.quantity,
-                "artifact": row.artifact,
-                "paper": row.paper,
-                "deviation": row.deviation,
-                "z": finite_or_none(row.z),
-                "tolerance": row.tolerance,
-                "passed": row.passed,
-            }
-            for row in report.rows
-        ],
+        "rows": [{**asdict(row), "z": finite_or_none(row.z)} for row in report.rows],
     }
 
 

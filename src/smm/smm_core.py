@@ -135,11 +135,7 @@ class ProportionalityReport:
     warnings: tuple = ()
 
 
-def proportionality_report(
-    lambda_hat: np.ndarray,
-    xbar: np.ndarray,
-    cv_threshold: float = CV_THRESHOLD,
-) -> ProportionalityReport:
+def proportionality_report(lambda_hat: np.ndarray, xbar: np.ndarray) -> ProportionalityReport:
     """Check whether observed means are proportional to loadings.
 
     A one-factor mean structure with zero intercepts forces E(x) to be
@@ -183,7 +179,7 @@ def proportionality_report(
         warnings_ = warnings_ + ("rank correlation undefined: constant input",)
     else:
         rho = rank_correlation(abs_lam, m)
-    verdict = CONSISTENT if cv <= cv_threshold else INCONSISTENT
+    verdict = CONSISTENT if cv <= CV_THRESHOLD else INCONSISTENT
     return ProportionalityReport(
         ratios=ratios,
         mean_ratio=mean_ratio,

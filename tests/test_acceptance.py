@@ -31,7 +31,7 @@ from smm.fixtures import (
     study_path,
 )
 from smm.moments import SampleMoments, compute_moments
-from smm.montecarlo import REFERENCE_TABLE, StudyConfig, run_study
+from smm.montecarlo import REFERENCE_TABLE, StudyConfig, compare_to_reference, run_study
 from smm.simulate import Seed, draw_sample, explicit, population_moments
 from smm.smm_core import equal_loading_mean, expected_means, factor_means_ls
 
@@ -141,6 +141,19 @@ def test_4_anchor_choice_scales_factor_mean(summaries):
             _within("mean factor mean, x5 anchored", rep_x5.parameters["theta[F1]"][0], 4.32, 0.06),
         ],
     )
+
+
+def test_reference_gate_passes_on_every_table1_study(summaries):
+    checks = []
+    for name, summary in summaries.items():
+        if summary.reference is None:
+            continue
+        report = compare_to_reference(summary)
+        failed = [row.quantity for row in report.rows if row.passed is False]
+        text = f"{name} against {summary.reference!r}: failed rows {failed}"
+        checks.append((text, report.all_pass))
+    assert len(checks) == 4
+    _report("reference gate", checks)
 
 
 def test_5_exact_fit_recovery():

@@ -17,6 +17,7 @@ from smm.serialize import (
     canonical_json,
     model_to_dict,
     population_to_dict,
+    read_csv,
     write_csv,
 )
 from smm.moments import Dataset
@@ -161,6 +162,36 @@ def test_fit_nonconvergence_exit_code(model_file, data_files, monkeypatch):
     assert code == 2
 
 
+@pytest.fixture
+def reversed_model2_file(data_files, tmp_path):
+    """The model2 sample with its columns, header included, in reverse order."""
+    data = read_csv(data_files["model2"])
+    path = tmp_path / "reversed.csv"
+    write_csv(Dataset(values=data.values[:, ::-1], variable_names=data.variable_names[::-1]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fit", "means", "diagnose"])
+def test_columns_in_another_order_than_the_model_are_bad_input(
+    command, model_file, reversed_model2_file, capsys
+):
+    assert main([command, model_file, reversed_model2_file]) == 1
+    captured = capsys.readouterr()
+    assert "BAD_INPUT" in captured.err
+    assert "x5, x4, x3, x2, x1" in captured.err
+    assert captured.out == ""
+
+
+def test_fit_reads_columns_of_other_names_by_position(model_file, data_files, tmp_path, capsys):
+    lines = Path(data_files["model1"]).read_text().splitlines(keepends=True)
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("a,b,c,d,e\n" + "".join(lines[1:]))
+    assert main(["fit", model_file, str(renamed)]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["fit", model_file, data_files["model1"]]) == 0
+    assert capsys.readouterr().out == by_name
+
+
 def test_fit_malformed_model_json(tmp_path, data_files, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "loadings": [\n}\n')
@@ -299,6 +330,29 @@ def test_replicate_compare_exit_code_matches_report(tmp_path, capsys):
     assert code == (0 if doc["comparison"]["all_pass"] else 3)
     printed = capsys.readouterr().out
     assert ("overall: PASS" in printed) == doc["comparison"]["all_pass"]
+
+
+@pytest.mark.parametrize("reference, sample_sizes", [(None, [900]), ("model1", [60, 900])])
+def test_replicate_compare_paper_checks_the_reference_before_running(
+    reference, sample_sizes, tmp_path, monkeypatch, capsys
+):
+    import smm.montecarlo
+
+    study = json.loads(smm.fixtures.study_path("anchor_x1_model2_n900").read_text())
+    study.update(reference=reference, sample_sizes=sample_sizes)
+    path = tmp_path / "study.json"
+    path.write_text(canonical_json(study))
+    calls = []
+    # cmd_replicate imports run_study from the harness when it runs
+    monkeypatch.setattr(smm.montecarlo, "run_study", lambda config: calls.append(config))
+    out = tmp_path / "a.json"
+    code = main(["replicate", str(path), "--reps", "20", "--compare-paper", "--json", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "MISSING_REFERENCE_CONDITION" in captured.err
+    assert captured.out == ""
+    assert calls == []
+    assert not out.exists()
 
 
 def test_replicate_study_from_path(tmp_path, population_files, model_file, capsys):

@@ -175,13 +175,12 @@ def test_proportionality_excludes_near_zero_loadings():
     assert report.mean_ratio == pytest.approx(10.0)
 
 
-def test_proportionality_cv_threshold_is_configurable():
+def test_proportionality_verdict_compares_cv_with_the_threshold():
     lam = np.array([0.3, 0.4])
-    m = np.array([3.0, 4.4])
-    strict = proportionality_report(lam, m, cv_threshold=0.01)
-    loose = proportionality_report(lam, m, cv_threshold=0.5)
-    assert strict.verdict == "INCONSISTENT"
-    assert loose.verdict == "CONSISTENT"
+    # ratios 10 and 11: cv = 0.067, above CV_THRESHOLD = 0.05
+    assert proportionality_report(lam, np.array([3.0, 4.4])).verdict == "INCONSISTENT"
+    # ratios 10 and 10.4: cv = 0.028
+    assert proportionality_report(lam, np.array([3.0, 4.16])).verdict == "CONSISTENT"
 
 
 @pytest.mark.parametrize("ties", [False, True])
