@@ -41,8 +41,8 @@ _EXPORTS = {
         "population_moments", "structured",
     ),
     "smm_core": (
-        "ProportionalityReport", "equal_loading_mean", "expected_means",
-        "factor_means_ls", "proportionality_report",
+        "ProportionalityReport", "equal_loading_mean", "factor_means_ls",
+        "proportionality_report",
     ),
 }
 

@@ -138,7 +138,7 @@ def _print_summary(summary) -> None:
         print(
             f"  chi-square mean (sd) = {cond.chi_square_mean:.2f} ({cond.chi_square_sd:.2f})"
         )
-        width = max(len(name) for name in cond.parameters)
+        width = max(len(name) for name in cond.parameters) if cond.parameters else 0
         for name, (mean, sd) in cond.parameters.items():
             print(f"  {name:<{width}}  {mean:9.4f}  ({sd:.4f})")
 

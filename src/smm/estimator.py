@@ -78,12 +78,15 @@ trial Sigma not positive definite, a mean design gone singular as the
 loadings shrink) gives NaN in its own row only, so that fit's F or seed
 reads inf or NaN and the other rows go on. Attempt counts and best
 attempts are arrays over the fits as well: Python runs per fit only to
-draw a restart's jitter and to build its result, and finished fits leave
-the arrays. The fits of a batch share one FitOptions, each with its own
-jitter seed. The set-up (sample checks, starts) and the wrap-up (result
-matrices, sign convention) are stacked too. Nearly all of the cost on
-5x5 matrices is numpy's per-call overhead, so a stacked call costs
-little more than a single one. fit is fit_many on one sample. Every
+draw a restart's jitter, and finished fits leave the arrays. The fits of
+a batch share one FitOptions, each with its own jitter seed. The set-up
+(sample checks, starts) and the wrap-up are stacked too: the wrap-up
+forms the matrices, sign convention and free values of every fit at once
+into one FitResult block, which a Monte Carlo condition keeps whole up
+to its summary. Python builds a FitResult per fit only for fit_many and
+fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
+overhead, so a stacked call costs little more than a single one. fit is
+fit_many on one sample. Every
 stacked operation (matmul over contiguous rows, cholesky, eigh, solve,
 inv, elementwise ufuncs, sums over trailing axes) gives each row the
 same bits as it would alone, so a result does not depend on the batch it
@@ -187,6 +190,18 @@ class ImpliedMoments:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The fit of one sample, or a block of fits of samples of one size n.
+
+    One fit, as fit and fit_many give it, holds Python floats, ints and
+    bools, free_values (t,) and estimates without leading axes. A block
+    of R fits has a leading (R,) axis on every field but df, n and labels:
+    numpy arrays f_min, chi_square, converged, iterations, grad_inf_norm
+    and retries_used (R,), free_values (R, t) and estimates whose matrices
+    lead with R. Row i is the fit of sample i; a row whose fit raised has
+    zero free values, F and counts and is not converged.
+    montecarlo.aggregate reduces blocks and single fits alike.
+    """
+
     estimates: ParameterMatrices
     f_min: float
     chi_square: float
@@ -668,8 +683,20 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     overflows or fails its row's LAPACK call reads F = inf and is
     rejected, not reported. The attempt counts and best attempts are
     arrays over the samples too; Python runs per fit only to draw a
-    restart's jitter and to build its FitResult. The wrap-up forms the
-    matrices, sign convention and free values of every best point at once.
+    restart's jitter. The wrap-up forms the matrices, sign convention and
+    free values of every best point at once, as one FitResult block
+    (_fit_block), and each entry here is a row of it.
+    """
+    block, errors = _fit_block(spec, samples, options, seeds)
+    return [_fit_row(block, i) if error is None else error for i, error in enumerate(errors)]
+
+
+def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds) -> tuple[FitResult, list]:
+    """The lockstep loop of fit_many: the block of every sample's fit, and each row's error.
+
+    Row i of the FitResult block is the fit of sample i (see FitResult);
+    the list holds the SmmError of each row whose fit raised, None
+    elsewhere.
     """
     ws = _workspace(spec)
     if not ws.report.is_valid:
@@ -680,7 +707,7 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     count = len(means)
     if len(seeds) != count:
         raise SmmError(BAD_INPUT, f"{count} samples but {len(seeds)} jitter seeds")
-    results: list = [None] * count
+    errors: list = [None] * count
     # a sample covariance that simulate.cholesky rejects fails its row with its error
     rows = list(range(count))
     try:
@@ -690,8 +717,8 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
             try:
                 cholesky(covs[i])
             except SmmError as error:
-                results[i] = error
-        rows = [i for i in rows if results[i] is None]
+                errors[i] = error
+        rows = [i for i in rows if errors[i] is None]
 
     tc, k = ws.tc, len(rows)
     last, tol, jitter = options.max_restarts if tc else 0, options.gradient_tolerance, options.jitter_fraction
@@ -799,24 +826,31 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
             if np.count_nonzero(ended):
                 vars(s).update({name: array[~ended] for name, array in vars(s).items()})
 
-    it, f_min, g_inf, retries = best.it.tolist(), best.f.tolist(), best.g_inf.tolist(), attempt.tolist()
+    started = best.it >= 0
     for i in rows:
-        if it[i] < 0:
+        if not started[i]:
             message = "every optimization attempt failed; last error: no finite discrepancy at the start"
-            results[i] = NotPositiveDefiniteError(message)
-    done = [i for i in rows if it[i] >= 0]
-    if done:
-        mats = _sign_convention(ws, ws.index.insert(best.point[done]))
-        free_values = ws.index.extract(mats)
-        for k, i in enumerate(done):
-            f, n = f_min[i], samples.n
-            results[i] = FitResult(
-                estimates=ParameterMatrices(*(block[k] for block in vars(mats).values())),
-                f_min=f, chi_square=(n - 1) * f, df=ws.report.df, n=n, converged=g_inf[i] <= tol,
-                iterations=it[i], grad_inf_norm=g_inf[i], retries_used=retries[i],
-                free_values=free_values[k], labels=ws.labels,
-            )
-    return results
+            errors[i] = NotPositiveDefiniteError(message)
+    mats = _sign_convention(ws, ws.index.insert(best.point))
+    f_min = np.where(started, best.f, 0.0)
+    block = FitResult(
+        estimates=mats, f_min=f_min, chi_square=(samples.n - 1) * f_min, df=ws.report.df, n=samples.n,
+        converged=started & (best.g_inf <= tol), iterations=np.where(started, best.it, 0),
+        grad_inf_norm=best.g_inf, retries_used=np.where(started, attempt, 0),
+        free_values=ws.index.extract(mats), labels=ws.labels,
+    )
+    return block, errors
+
+
+def _fit_row(block: FitResult, i: int) -> FitResult:
+    """Row i of a block as the fit of one sample, its numbers as Python scalars."""
+    return FitResult(
+        estimates=ParameterMatrices(*(matrix[i] for matrix in vars(block.estimates).values())),
+        f_min=float(block.f_min[i]), chi_square=float(block.chi_square[i]), df=block.df, n=block.n,
+        converged=bool(block.converged[i]), iterations=int(block.iterations[i]),
+        grad_inf_norm=float(block.grad_inf_norm[i]), retries_used=int(block.retries_used[i]),
+        free_values=block.free_values[i], labels=block.labels,
+    )
 
 
 def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:

@@ -6,11 +6,14 @@ aggregates the converged fits. Each replication owns a seed derived from
 does not depend on scheduling. A condition's replications are drawn in
 order from one factorization of the population and reduced to one block
 of sample moments, a SampleMoments with a row per replication (the
-datasets are not kept, so memory stays O(R p^2)), which
-estimator.fit_many takes whole and steps in lockstep. With
-max_parallelism > 1 and enough replications (at least MIN_BLOCK per
-worker) each worker process takes one contiguous block of replications
-and fits it the same way. A replication's result does not
+datasets are not kept, so memory stays O(R p^2)), which the estimator's
+lockstep loop (the one behind fit_many) takes whole. Its outcome stays
+one block too: a FitResult with a row per replication, a row whose fit
+raised not converged, which aggregate reduces as it is. No per-fit
+object is built on the way. With max_parallelism > 1 and enough
+replications (at least MIN_BLOCK per worker) each worker process takes
+one contiguous block of replications, fits it the same way and sends
+its FitResult block back, a few arrays. A replication's result does not
 depend on the batch it was fitted in, so summaries are byte-identical
 whether the study runs on one process or eight.
 
@@ -38,7 +41,7 @@ from .errors import (
     MISSING_REFERENCE_CONDITION,
     InvalidModelError,
 )
-from .estimator import FitOptions, fit_many
+from .estimator import FitOptions, _fit_block
 from .model_spec import ModelSpec, validate
 from .simulate import PopulationModel, Seed, draw_moments
 
@@ -54,8 +57,11 @@ from .simulate import PopulationModel, Seed, draw_moments
 #   R = 500: 1.37-1.43x, 0.99-1.16x, 1.35-1.48x
 # The n = 900 designs, where sampling is most of a worker's time, still
 # cross near R = 200. The n = 150 design, whose samples are cheapest,
-# now only breaks even up to R = 500: a larger MIN_BLOCK would give it
-# about 5% and take 30% from the n = 900 designs at R = 256-511.
+# broke even only up to R = 500 while each worker pickled one FitResult
+# per fit back to the parent. Sending one FitResult block, a few arrays,
+# it ran at 1.12-1.16x at R = 256 and 1.27x at R = 500 (medians of 9-15
+# alternated runs, three sessions). A larger MIN_BLOCK would take 30%
+# from the n = 900 designs at R = 256-511.
 MIN_BLOCK = 128
 
 
@@ -187,46 +193,47 @@ def _replicate_block(population, spec, fit_options, master, condition_index, n, 
 
     The population is factored once for the block (simulate.draw_moments),
     and each replication's sample is the one its own seed gives alone; the
-    block's moments pass to fit_many as one SampleMoments. The fits share
-    fit_options, each with the jitter seed its own seed derives.
-    Returns a FitResult per replication, or None where the fit raised.
+    block's moments pass to the lockstep fit as one SampleMoments. The fits
+    share fit_options, each with the jitter seed its own seed derives.
+    Returns the FitResult block, a row per replication; a row whose fit
+    raised is not converged.
     """
     rep_seeds = [rng.derive_seed(master, condition_index, rep) for rep in reps]
     samples = draw_moments(population, n, [Seed(rep_seed) for rep_seed in rep_seeds])
     seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
-    return [
-        None if isinstance(result, SmmError) else result
-        for result in fit_many(spec, samples, fit_options, seeds)
-    ]
+    return _fit_block(spec, samples, fit_options, seeds)[0]
 
 
 def aggregate(results: list, total_replications: int | None = None) -> ReplicationSummary:
-    """Means and SDs over the converged results in a list of FitResult.
+    """Means and SDs over the converged fits in a list of FitResult, each one fit or a block.
 
     total_replications lets the caller account for replications that
-    produced no FitResult at all (hard errors); failures are everything
-    that did not converge.
+    produced no FitResult at all (hard errors); by default it is the
+    number of fits in results. Failures are everything that did not
+    converge.
     """
-    total = len(results) if total_replications is None else total_replications
-    converged = [r for r in results if r.converged]
-    if not converged:
+    # every result's fits stacked in order, a single fit as a block of one
+    converged = np.hstack([np.zeros(0, dtype=bool), *(r.converged for r in results)])
+    r_eff = int(np.count_nonzero(converged))
+    if not r_eff:
         raise SmmError(EMPTY_CONVERGED_SET, "no converged replications to aggregate")
-    labels = converged[0].labels
-    r_eff = len(converged)
+    total = converged.size if total_replications is None else total_replications
+    values = np.column_stack(
+        [np.vstack([r.free_values for r in results]), np.hstack([r.chi_square for r in results])]
+    )
     # one contiguous row per free value and the chi-square: a reduction over
     # a contiguous row sums in the order np.mean and np.std take on a lone
     # column, so the summary keeps those bits
-    values = np.column_stack([[r.free_values for r in converged], [r.chi_square for r in converged]])
-    columns = np.ascontiguousarray(values.T)
+    columns = np.ascontiguousarray(values[converged].T)
     means = columns.mean(axis=1).tolist()
     sds = [0.0] * len(columns) if r_eff == 1 else columns.std(axis=1, ddof=1).tolist()
     return ReplicationSummary(
-        parameters=dict(zip(labels, zip(means, sds))),
+        parameters=dict(zip(results[0].labels, zip(means, sds))),
         chi_square_mean=means[-1],
         chi_square_sd=sds[-1],
         convergence_failures=total - r_eff,
         r_effective=r_eff,
-        df=converged[0].df,
+        df=results[0].df,
     )
 
 
@@ -274,18 +281,16 @@ def run_study(config: StudyConfig) -> StudySummary:
                 condition_index, n,
             )
             if pool is None:
-                results = block(range(config.replications))
+                blocks = [block(range(config.replications))]
             else:
                 bounds = [config.replications * k // workers for k in range(workers + 1)]
-                blocks = pool.map(block, [range(a, b) for a, b in zip(bounds, bounds[1:])])
-                results = [r for rows in blocks for r in rows]
-            fitted = [r for r in results if r is not None]
-            if not any(r.converged for r in fitted):
+                blocks = list(pool.map(block, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
+            if not any(b.converged.any() for b in blocks):
                 raise SmmError(
                     CONDITION_DEGENERATE,
                     f"all {config.replications} replications failed for n={n}",
                 )
-            conditions.append((n, aggregate(fitted, total_replications=config.replications)))
+            conditions.append((n, aggregate(blocks)))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -39,19 +39,6 @@ CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
 
 
-def expected_means(lam: np.ndarray, theta: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Model-implied means nu + Lambda theta."""
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if lam.shape[1] != theta.shape[0] or lam.shape[0] != nu.shape[0]:
-        raise SmmError(
-            DIMENSION_MISMATCH,
-            f"loadings {lam.shape} incompatible with theta {theta.shape} / nu {nu.shape}",
-        )
-    return nu + lam @ theta
-
-
 def factor_means_ls(lam: np.ndarray, m: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Least-squares factor means (Lambda' Lambda)^-1 Lambda' (m - nu).
 

@@ -371,6 +371,23 @@ def test_replicate_study_from_path(tmp_path, population_files, model_file, capsy
     assert "n = 60" in capsys.readouterr().out
 
 
+def test_replicate_a_model_without_free_parameters(tmp_path, capsys):
+    study = json.loads(smm.fixtures.study_path("table1_model1_n900").read_text())
+    population = study["population"]
+    study["model"].update(
+        loadings=[[{"fixed": row[0]}] for row in population["loadings"]],
+        factor_means=[{"fixed": value} for value in population["means"]["factor_means"]],
+        unique_variances=[{"fixed": value} for value in population["unique_variances"]],
+    )
+    study.update(reference=None, replications=20)
+    path, out = tmp_path / "fixed.json", tmp_path / "out.json"
+    path.write_text(canonical_json(study))
+    assert main(["replicate", str(path), "--json", str(out)]) == 0
+    assert "20 converged, 0 failed, df = 20" in capsys.readouterr().out
+    (condition,) = json.loads(out.read_text())["summary"]["conditions"]
+    assert condition["parameters"] == []
+
+
 def test_replicate_rejects_parallelism_below_one(capsys):
     code = main(["replicate", "table1_model1_n900", "--reps", "2", "--parallelism", "-3"])
     assert code == 1

@@ -1,13 +1,14 @@
 import concurrent.futures
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from smm import serialize
+from smm import estimator, montecarlo, serialize
 from smm.errors import SmmError
-from smm.estimator import FitOptions, FitResult
+from smm.estimator import FitOptions, FitResult, fit_many
 from smm.fixtures import reference_model_spec, reference_population, study_path
 from smm.model_spec import ParameterMatrices
 from smm.montecarlo import (
@@ -20,8 +21,9 @@ from smm.montecarlo import (
     compare_to_reference,
     run_study,
 )
+from smm.rng import STREAM_JITTER, derive_seed
 from smm.serialize import canonical_json, summary_to_dict
-from smm.simulate import Seed
+from smm.simulate import Seed, draw_moments
 
 
 def fake_result(theta, chi, converged=True):
@@ -90,6 +92,86 @@ def test_aggregate_counts_hard_failures_via_total():
 def test_aggregate_rejects_empty_converged_set():
     with pytest.raises(SmmError, match="EMPTY_CONVERGED_SET"):
         aggregate([fake_result(1.0, 1.0, converged=False)])
+
+
+def bundled_block(reps=40):
+    """The FitResult block of the first reps replications of table1_model1_n900, and its config."""
+    config = serialize.study_from_dict(serialize.load_json(study_path("table1_model1_n900")))
+    block = montecarlo._replicate_block(
+        config.population, config.spec, config.fit_options, config.seed.master, 0,
+        config.sample_sizes[0], range(reps),
+    )
+    return block, config
+
+
+def test_aggregate_of_a_block_equals_aggregate_of_its_rows():
+    block, config = bundled_block()
+    n, reps = config.sample_sizes[0], range(40)
+    rep_seeds = [derive_seed(config.seed.master, 0, rep) for rep in reps]
+    samples = draw_moments(config.population, n, [Seed(s) for s in rep_seeds])
+    seeds = [derive_seed(s, STREAM_JITTER) for s in rep_seeds]
+    rows = fit_many(config.spec, samples, config.fit_options, seeds)
+    assert block.free_values.shape == (40, len(block.labels))
+    for i, row in enumerate(rows):
+        assert row.f_min == block.f_min[i] and row.converged == block.converged[i]
+        np.testing.assert_array_equal(row.free_values, block.free_values[i])
+    from_block, from_rows = aggregate([block]), aggregate(rows)
+    assert from_block == from_rows
+    # the pool's split: blocks in replication order give the summary of the whole
+    halves = [montecarlo._replicate_block(
+        config.population, config.spec, config.fit_options, config.seed.master, 0, n, half,
+    ) for half in (range(0, 17), range(17, 40))]
+    assert aggregate(halves) == from_block
+
+
+def test_a_block_survives_pickling():
+    block, _ = bundled_block()
+    copy = pickle.loads(pickle.dumps(block))
+    for name, value in vars(block).items():
+        if name == "estimates":
+            for matrix, copied in zip(vars(value).values(), vars(copy.estimates).values()):
+                np.testing.assert_array_equal(copied, matrix)
+        else:
+            np.testing.assert_array_equal(getattr(copy, name), value)
+
+
+def test_a_raising_row_of_a_block_is_a_convergence_failure():
+    spec = reference_model_spec()
+    samples = draw_moments(reference_population("model1"), 200, [Seed(k) for k in range(6)])
+    cov = samples.cov.copy()
+    cov[2] = np.ones((5, 5))  # rank one: simulate.cholesky rejects it
+    block, errors = estimator._fit_block(spec, replace(samples, cov=cov), FitOptions(), list(range(6)))
+    assert [error is None for error in errors] == [True, True, False, True, True, True]
+    assert errors[2].code == "NOT_POSITIVE_DEFINITE"
+    assert not block.converged[2]
+    assert block.f_min[2] == block.iterations[2] == block.retries_used[2] == 0
+    assert not block.free_values[2].any()
+    summary = aggregate([block])
+    assert (summary.r_effective, summary.convergence_failures) == (5, 1)
+
+
+def test_aggregate_of_nothing_converged_is_empty():
+    block, errors = estimator._fit_block(
+        reference_model_spec(),
+        replace(draw_moments(reference_population("model1"), 200, [Seed(1)] * 2), cov=np.ones((2, 5, 5))),
+        FitOptions(), [0, 1],
+    )
+    assert all(isinstance(error, SmmError) for error in errors)
+    for results in ([], [block], [block, fake_result(1.0, 1.0, converged=False)]):
+        with pytest.raises(SmmError, match="EMPTY_CONVERGED_SET"):
+            aggregate(results)
+
+
+def test_run_study_builds_no_fit_of_one_sample(monkeypatch):
+    def no_row(block, i):
+        raise AssertionError("a one-fit FitResult was built")
+
+    monkeypatch.setattr(estimator, "_fit_row", no_row)
+    (_, cond), = run_study(small_config(replications=6)).conditions
+    assert cond.r_effective + cond.convergence_failures == 6
+    with pytest.raises(AssertionError, match="one-fit"):
+        fit_many(reference_model_spec(), draw_moments(reference_population("model1"), 60, [Seed(1)]),
+                 FitOptions(), [0])
 
 
 def test_run_study_produces_sane_summary():

@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from smm.errors import SmmError
 from smm.smm_core import (
     equal_loading_mean,
-    expected_means,
     factor_means_ls,
     proportionality_report,
     rank_correlation,
@@ -23,30 +22,6 @@ from smm.smm_core import (
 LOADINGS = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
 MEANS_UP = np.array([3.0, 4.0, 5.0, 6.0, 7.0])
 MEANS_DOWN = np.array([7.0, 6.0, 5.0, 4.0, 3.0])
-
-
-def test_expected_means_one_factor():
-    np.testing.assert_allclose(
-        expected_means(LOADINGS[:, None], [10.0], np.zeros(5)), MEANS_UP
-    )
-
-
-def test_expected_means_zero_theta_returns_intercepts():
-    nu = np.array([1.0, -2.0, 0.5])
-    out = expected_means(np.full((3, 1), 0.4), [0.0], nu)
-    np.testing.assert_array_equal(out, nu)
-
-
-def test_expected_means_two_factor_hand_case():
-    lam = np.array([[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(
-        expected_means(lam, [3.0, 4.0], [1.0, 1.0]), [4.0, 9.0]
-    )
-
-
-def test_expected_means_dimension_mismatch():
-    with pytest.raises(SmmError, match="DIMENSION"):
-        expected_means(np.ones((3, 2)), [1.0], np.zeros(3))
 
 
 def test_factor_means_ls_recovers_generating_mean():
@@ -129,7 +104,7 @@ def test_round_trip_recovers_theta(lam, data):
         return
     theta = np.array(data.draw(st.lists(st.floats(-20, 20), min_size=q, max_size=q)))
     nu = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=p, max_size=p)))
-    mu = expected_means(lam, theta, nu)
+    mu = nu + lam @ theta
     recovered = factor_means_ls(lam, mu, nu)
     np.testing.assert_allclose(recovered, theta, atol=1e-10)
 
@@ -289,7 +264,7 @@ EXPORTED = [
     "aggregate", "compare_to_reference", "run_study",
     "PopulationModel", "Seed", "cholesky", "draw_sample", "explicit", "population_moments",
     "structured",
-    "ProportionalityReport", "equal_loading_mean", "expected_means", "factor_means_ls",
+    "ProportionalityReport", "equal_loading_mean", "factor_means_ls",
     "proportionality_report",
 ]
 
