@@ -39,9 +39,10 @@ evaluation appends A to the triangular solve that whitens S - Sigma and
 d0, sets beta to that optimum and returns the concentrated F with its
 gradient over the covariance parameters, which the envelope theorem
 makes exact: the mean block of the joint gradient vanishes at beta. The
-bilinear lambda theta no longer bends the optimizer's path (anchor_x1:
-a median of 9 iterations over 500 fits, the slowest 11, against 40 and
-88 when beta was walked jointly).
+bilinear lambda theta no longer bends the optimizer's path (anchor_x1
+from loadings at half a standard deviation: a median of 9 iterations
+over 500 fits, the slowest 11, against 40 and 88 when beta was walked
+jointly).
 
 The minimizer is a quasi-Newton loop in numpy over the covariance
 parameters. Its inverse-Hessian approximation starts from the inverse of
@@ -60,10 +61,11 @@ half a standard deviation, unique variances at half a variance);
 intercepts and factor means need none. In one-factor models with a free
 factor mean and fixed intercepts the loadings start along the observed
 mean residuals instead, to which the structured-means model makes them
-proportional (see _start_values). The median fit of a Table 1 design
-then takes 4-7 iterations (the slowest of 500: 5-10), where loadings at
-half a standard deviation took 13-19 (22-29), and the anchored designs
-take 9 (11).
+proportional, and in other one-factor models at an iterated
+principal-axis solution of the correlations (see _start_values). The
+median fit of a Table 1 design then takes 4-7 iterations (the slowest of
+500: 5-10), where loadings at half a standard deviation took 13-19
+(22-29), and the anchored designs take 5 (7), against 9 (11).
 
 Fits run in lockstep. fit_many fits a block of samples (one
 SampleMoments with a row per sample, as simulate.draw_moments draws a
@@ -121,11 +123,21 @@ from .simulate import cholesky
 # short of it, inside the flag, where the decrease left is below F_ROUNDING.
 OPTIMIZER_GTOL = 1e-8
 # Iterations between refreshes of the inverse Hessian from the Fisher
-# information. Over 500 replications, seeding only once takes anchor_x1 and
-# anchor_x5 a median of 15 iterations (the slowest 17-18), against 9 (11)
-# with this refresh, and leaves the Table 1 medians as they are; pure
-# Fisher scoring converges only linearly under misspecification.
+# information; pure Fisher scoring converges only linearly under
+# misspecification. While the anchored loadings started at half a standard
+# deviation, seeding only once took anchor_x1 and anchor_x5 a median of 15
+# iterations over 500 replications (the slowest 17-18), against 9 (11)
+# with this refresh. From the principal-axis start it takes them 5 (6-7),
+# against 5 (7), and the Table 1 designs 4-7 (5-9), against 4-7 (5-10):
+# no bundled fit needs the refresh now, but dropping it moves the bits of
+# every Table 1 fit that reaches iteration 5.
 FISHER_REFRESH = 5
+# Refinements of the principal-axis start (see _start_values). Lockstep
+# rounds of a 15-replication anchor_x1 block (seeds 1-300) by steps:
+# 0 -> 9.12, 1 -> 8.16, 2 -> 7.55, 3 -> 7.07, 4 -> 6.79, 6 -> 6.51,
+# 8 -> 6.49; 11.22 from loadings at half a standard deviation. Each step
+# is one stacked eigendecomposition.
+PRINCIPAL_AXIS_STEPS = 4
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
 # The rounding of F: its error is about eps * sum|b_i| over the eigenvalues
@@ -260,22 +272,27 @@ class _Workspace:
         default = ~index.own_start
         self.default_lambda = default & (matrix == "lambda")
         self.default_psi2 = default & (matrix == "psi2")
-        # with one factor and a free factor mean, the default loadings of the
-        # variables J whose intercept is fixed start from the sample's means
-        # as well as its correlations (see _start_values); at least two are
-        # needed to fix the scale of the loadings
+        # with one factor, the default loadings of the variables J start from
+        # the sample's correlations (see _start_values), along its means as
+        # well where the factor mean is free and at least two of J have a
+        # fixed intercept, and at a principal-axis solution otherwise; at
+        # least two are needed to fix the scale of the loadings
         fixed_nu = np.array([not cell.is_free for cell in spec.intercepts])
         from_means = np.flatnonzero(self.default_lambda & fixed_nu[self.rows])
-        if spec.q > 1 or not spec.factor_means[0].is_free or from_means.size < 2:
-            from_means = from_means[:0]
-        self.means_lambda = from_means
-        self.means_rows = self.rows[from_means]
-        self.means_psi2 = np.flatnonzero(self.default_psi2 & np.isin(self.rows, self.means_rows))
-        self.means_psi2_of = np.searchsorted(self.means_rows, self.rows[self.means_psi2])
-        self.means_nu = index.template[index.slices[3]][self.means_rows]
+        along_means = spec.q == 1 and spec.factor_means[0].is_free and from_means.size >= 2
+        start_lambda = from_means if along_means else np.flatnonzero(self.default_lambda)
+        if spec.q > 1 or start_lambda.size < 2:
+            start_lambda = start_lambda[:0]
+        # no mean residuals: the start iterates principal axes instead
+        self.principal_axis = not along_means
+        self.start_lambda = start_lambda
+        self.start_rows = self.rows[start_lambda]
+        self.start_psi2 = np.flatnonzero(self.default_psi2 & np.isin(self.rows, self.start_rows))
+        self.start_psi2_of = np.searchsorted(self.start_rows, self.rows[self.start_psi2])
+        self.start_nu = index.template[index.slices[3]][self.start_rows]
         # the factor variance, or its start
-        self.means_phi = float(index.template[index.slices[1].start])
-        self.means_pairs_i, self.means_pairs_j = np.triu_indices(self.means_rows.size, 1)
+        self.start_phi = float(index.template[index.slices[1].start])
+        self.start_pairs_i, self.start_pairs_j = np.triu_indices(self.start_rows.size, 1)
         # the factors whose sign may flip: each cell the flip touches is free or 0
         touched = [[row[k] for row in spec.loadings] + [spec.factor_means[k]]
                    + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
@@ -566,6 +583,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _leading_axis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leading eigenvalue (..., 1) and eigenvector (..., k) of symmetric matrices (..., k, k).
+
+    The eigenvector's sign makes its sum nonnegative.
+    """
+    w, vectors = _eigh(matrix)
+    v = vectors[..., -1]
+    return w[..., -1:], np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
+
+
 def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Raw starts of the covariance parameters for the first attempt, one row per sample.
 
@@ -576,44 +603,65 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     it. Other free loadings and unique variances start at the default
     times the sample standard deviation and variance of their variable.
 
-    One-factor specs with a free factor mean do better on the variables J
-    whose loading has no start of its own and whose intercept nu_j is
-    fixed, when there are at least two. With zero unique-factor means, as
-    the structured-means model has them, the mean residuals
-    xbar - nu = theta lambda are proportional to the loadings, and
+    One-factor specs do better on the variables J whose loading has no
+    start of their own, when there are at least two. Where the factor mean
+    is free, J is the variables whose intercept nu_j is fixed, if at least
+    two are. With zero unique-factor means, as the structured-means model
+    has them, the mean residuals xbar - nu = theta lambda are proportional
+    to the loadings, and
     S + (xbar - nu)(xbar - nu)' = (phi + theta^2) lambda lambda' + Psi is
-    itself a one-factor structure. On J, with
-    standardized mean residuals m_j = (xbar_j - nu_j) / sd_j, correlations
-    R and the factor variance (or its start) phi0, the start is
-    lambda_j = c v_j sd_j along the leading eigenvector v of R + m m'
-    (column sum nonnegative), c^2 = sum_{i<j} r_ij v_i v_j /
-    (phi0 sum_{i<j} (v_i v_j)^2) the least-squares fit of the
-    correlations, and psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj). With
-    means near nu this is a principal-axis start. Rows where c^2 is not
-    positive and finite, among them rows whose eigendecomposition fails
-    (NaN), keep the default starts. Either way a fit of
-    rescaled or permuted data starts at the rescaled or permuted point.
+    itself a one-factor structure. On J, with standardized mean residuals
+    m_j = (xbar_j - nu_j) / sd_j, correlations R and the factor variance
+    (or its start) phi0, the start is lambda_j = c v_j sd_j along the
+    leading eigenvector v of R + m m' (column sum nonnegative),
+    c^2 = sum_{i<j} r_ij v_i v_j / (phi0 sum_{i<j} (v_i v_j)^2) the
+    least-squares fit of the correlations, and
+    psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj).
+
+    Where the means cannot place the loadings (the factor mean is fixed,
+    or fewer than two of the loadings without a start have a fixed
+    intercept, as in the anchored designs), J is all of those loadings,
+    m = 0, and the start is an iterated principal-axis solution of R:
+    PRINCIPAL_AXIS_STEPS times, the communalities phi0 c^2 v_j^2 (at most
+    0.995) replace R's unit diagonal, v becomes the leading eigenvector of
+    that matrix (column sum nonnegative) and phi0 c^2 its eigenvalue. This
+    is the classical start of ML factor analysis, and it lies near the
+    minimum of the covariance fit.
+
+    Rows where c^2 is not positive and finite, among them rows whose
+    eigendecomposition fails (NaN), keep the default starts. Either way a
+    fit of rescaled or permuted data starts at the rescaled or permuted
+    point.
     """
     v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
     variances = cov.diagonal(0, -2, -1)
     lam_rows, psi2_rows = ws.rows[ws.default_lambda], ws.rows[ws.default_psi2]
     v0[..., ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[..., lam_rows])
     v0[..., ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[..., psi2_rows]
-    rows = ws.means_rows
+    rows = ws.start_rows
     if rows.size:
         sd = np.sqrt(variances[..., rows])
         corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
-        m = (mean[..., rows] - ws.means_nu) / sd
-        v = _eigh(corr + m[..., :, None] * m[..., None, :])[1][..., -1]
-        v = np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
-        i, j = ws.means_pairs_i, ws.means_pairs_j
+        moments = corr
+        if not ws.principal_axis:
+            m = (mean[..., rows] - ws.start_nu) / sd
+            moments = corr + m[..., :, None] * m[..., None, :]
+        v = _leading_axis(moments)[1]
+        i, j = ws.start_pairs_i, ws.start_pairs_j
         vv = v[..., i] * v[..., j]
-        c2 = (_dot(corr[..., i, j], vv) / (ws.means_phi * _dot(vv, vv)))[..., None]
+        c2 = (_dot(corr[..., i, j], vv) / (ws.start_phi * _dot(vv, vv)))[..., None]
+        if ws.principal_axis:
+            reduced, diagonal = corr.copy(), np.arange(rows.size)
+            for _ in range(PRINCIPAL_AXIS_STEPS):
+                # the communalities on the diagonal, kept below 1
+                reduced[..., diagonal, diagonal] = np.minimum(ws.start_phi * c2 * v**2, 0.995)
+                w, v = _leading_axis(reduced)
+                c2 = w / ws.start_phi
         ok = np.isfinite(c2) & (c2 > 0)
         lam = np.sqrt(np.where(ok, c2, 0.0)) * v * sd
-        psi2 = np.maximum(variances[..., rows] - ws.means_phi * lam**2, 0.1 * variances[..., rows])
-        v0[..., ws.means_lambda] = np.where(ok, lam, v0[..., ws.means_lambda])
-        v0[..., ws.means_psi2] = np.where(ok, psi2[..., ws.means_psi2_of], v0[..., ws.means_psi2])
+        psi2 = np.maximum(variances[..., rows] - ws.start_phi * lam**2, 0.1 * variances[..., rows])
+        v0[..., ws.start_lambda] = np.where(ok, lam, v0[..., ws.start_lambda])
+        v0[..., ws.start_psi2] = np.where(ok, psi2[..., ws.start_psi2_of], v0[..., ws.start_psi2])
     return v0[..., : ws.tc]
 
 

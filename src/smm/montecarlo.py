@@ -212,14 +212,17 @@ def aggregate(results: list, total_replications: int | None = None) -> Replicati
     number of fits in results. Failures are everything that did not
     converge.
     """
-    # every result's fits stacked in order, a single fit as a block of one
-    converged = np.hstack([np.zeros(0, dtype=bool), *(r.converged for r in results)])
+    # every result's fits stacked in order, a single fit as a block of one;
+    # a list of single fits takes one array call per field
+    single = not any(isinstance(r.converged, np.ndarray) for r in results)
+    join, join_rows = (np.array, np.array) if single else (np.hstack, np.vstack)
+    converged = join([r.converged for r in results]).astype(bool)
     r_eff = int(np.count_nonzero(converged))
     if not r_eff:
         raise SmmError(EMPTY_CONVERGED_SET, "no converged replications to aggregate")
     total = converged.size if total_replications is None else total_replications
     values = np.column_stack(
-        [np.vstack([r.free_values for r in results]), np.hstack([r.chi_square for r in results])]
+        [join_rows([r.free_values for r in results]), join([r.chi_square for r in results])]
     )
     # one contiguous row per free value and the chi-square: a reduction over
     # a contiguous row sums in the order np.mean and np.std take on a lone
