@@ -53,19 +53,26 @@ the Fisher information
 
 (Jennrich & Robinson 1969), is refreshed from it every few iterations
 and is corrected by BFGS updates in between; a backtracking Armijo
-search finishes each step. A seed fails where the information is not
-positive definite, as on the way to a runaway factor mean, and ends its
-attempt, as a start without a finite F does. A free cell with a start of
-its own keeps it. The other starts are scaled to the sample (loadings at
-half a standard deviation, unique variances at half a variance);
-intercepts and factor means need none. In one-factor models with a free
-factor mean and fixed intercepts the loadings start along the observed
-mean residuals instead, to which the structured-means model makes them
-proportional, and in other one-factor models at an iterated
-principal-axis solution of the correlations (see _start_values). The
-median fit of a Table 1 design then takes 4-7 iterations (the slowest of
-500: 5-10), where loadings at half a standard deviation took 13-19
-(22-29), and the anchored designs take 5 (7), against 9 (11).
+search finishes each step. An attempt ends in one of three ways. It
+converges where the gradient is within FitOptions.gradient_tolerance and
+the next step predicts less decrease than F resolves (F_ROUNDING); there
+is no other gradient target, so it stops where F stops resolving a step.
+It fails where a search from a fresh seed gives up, where a seed fails
+(the information is not positive definite, as on the way to a runaway
+factor mean) or where its start has no finite F. Or it reaches
+max_iterations.
+
+A free cell with a start of its own keeps it. The other starts are
+scaled to the sample (loadings at half a standard deviation, unique
+variances at half a variance); intercepts and factor means need none.
+In one-factor models with a free factor mean and fixed intercepts the
+loadings start along the observed mean residuals instead, to which the
+structured-means model makes them proportional, and in other one-factor
+models at an iterated principal-axis solution of the correlations (see
+_start_values). The median fit of a Table 1 design then takes 4-7
+iterations (the slowest of 500: 5-10), where loadings at half a standard
+deviation took 13-19 (22-29), and the anchored designs take 5 (7),
+against 9 (11).
 
 Fits run in lockstep. fit_many fits a block of samples (one
 SampleMoments with a row per sample, as simulate.draw_moments draws a
@@ -118,19 +125,18 @@ from .model_spec import DEFAULT_STARTS, ModelSpec, ParameterIndex, ParameterMatr
 from .moments import SampleMoments
 from .simulate import cholesky
 
-# The optimizer aims an order of magnitude past the convergence flag so
-# that "converged" results sit well inside the acceptance region. It stops
-# short of it, inside the flag, where the decrease left is below F_ROUNDING.
-OPTIMIZER_GTOL = 1e-8
 # Iterations between refreshes of the inverse Hessian from the Fisher
 # information; pure Fisher scoring converges only linearly under
-# misspecification. While the anchored loadings started at half a standard
-# deviation, seeding only once took anchor_x1 and anchor_x5 a median of 15
-# iterations over 500 replications (the slowest 17-18), against 9 (11)
-# with this refresh. From the principal-axis start it takes them 5 (6-7),
-# against 5 (7), and the Table 1 designs 4-7 (5-9), against 4-7 (5-10):
-# no bundled fit needs the refresh now, but dropping it moves the bits of
-# every Table 1 fit that reaches iteration 5.
+# misspecification. The refresh is where a runaway attempt ends: its
+# periodic seed is where the information fails on the way to a huge factor
+# mean. Seeded once per attempt, BFGS walks on instead: 3 of 200 fits at
+# n = 150 of the population of
+# test_no_runaway_fit_converges_above_the_independence_bound (the rows 92,
+# 159 and 189 it fits) then report convergence 1.17-1.70 above the
+# independence bound, a false optimum; with the refresh none do. The
+# bundled fits barely need it: seeded once, they take 5 (6-7) iterations
+# on the anchored designs and 4-7 (5-9) on Table 1, against 5 (7) and
+# 4-7 (5-10).
 FISHER_REFRESH = 5
 # Refinements of the principal-axis start (see _start_values). Lockstep
 # rounds of a 15-replication anchor_x1 block (seeds 1-300) by steps:
@@ -170,7 +176,14 @@ class FitOptions:
     intercepts and factor means follow them in closed form. A fit counts
     as converged when the largest component of the gradient over the
     covariance parameters is at most gradient_tolerance; the mean block of
-    the joint gradient is zero up to rounding at every reported point.
+    the joint gradient is zero up to rounding at every reported point. An
+    attempt runs until its step predicts less decrease than F resolves, so
+    a tolerance is reached where F resolves it. Over 50 samples of each
+    bundled design, every fit converges at 1e-8 but one (model2 at
+    n = 150), and at 1e-9 every model1 and anchored fit and 44-48 of each
+    model2 design. Below that the rounding of F decides: at 1e-10, 28 of
+    the 50 table1_model2_n150 fits converge, and at 1e-11 13-46 of each
+    design's 50.
     Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
     finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
@@ -542,10 +555,16 @@ def numeric_gradient(
 
     free_values is raw scale; the derivative is taken after the log
     transform of unique variances, matching what the optimizer sees. The
-    value is analytic, not a finite difference, and is the same gradient
-    fit uses. It takes the checks of implied_moments, sample must be one
-    sample of the spec's variables, and a point whose implied covariance
-    is not positive definite raises.
+    value is analytic, not a finite difference: the joint gradient over
+    every free parameter at the point as given. fit steps on the
+    concentrated F, whose gradient is this one's covariance block only
+    where the intercepts and factor means are at their GLS optimum, as at
+    every point fit reports. Off it they differ: for model2 at n = 300,
+    Seed(4), with the factor mean 0.5 off that optimum, the covariance
+    block reads 3.9 and the concentrated gradient 1.9e-8. It takes the
+    checks of implied_moments, sample must be one sample of the spec's
+    variables, and a point whose implied covariance is not positive
+    definite raises.
     """
     ws = _workspace(spec)
     values, sigma, mu = _checked_point(ws, free_values)
@@ -714,13 +733,13 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     shortens the step to the minimizer of the quadratic through F, the slope
     and the trial, within [0.1, 0.5] of the step, one without a finite F
     halves it, and no step is found once the decrease asked for is below
-    F_ROUNDING. An attempt fails without a finite F at its start, and ends
-    when the largest gradient component reaches OPTIMIZER_GTOL, at
-    max_iterations, when a seed fails or no step is found along a fresh
-    seed's direction, or, before a search, when the gradient is within
-    gradient_tolerance and the step predicts a decrease (-slope / 2) within
-    F_ROUNDING. Up to max_restarts more attempts follow one that fails or
-    ends unconverged, attempt a from the first start jittered by up to
+    F_ROUNDING. An attempt converges, before a search, when the largest
+    gradient component is within gradient_tolerance and the step predicts a
+    decrease (-slope / 2) within F_ROUNDING. It fails when a seed fails, when
+    no step is found along a fresh seed's direction, or without a finite F
+    at its start. Otherwise it runs to max_iterations: there is no other
+    gradient target. Up to max_restarts more attempts follow one that fails
+    or ends unconverged, attempt a from the first start jittered by up to
     jitter_fraction, drawn from derive_seed(seed, rng.STREAM_JITTER, a), and
     the best is reported: converged first, then the lowest F. Without free
     covariance parameters the start's one evaluation is the result; a sample
@@ -826,7 +845,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
                 s.it += accept
             while np.count_nonzero(head):
-                run = head & (s.g_inf > OPTIMIZER_GTOL) & (s.it < options.max_iterations)
+                run = head & (s.it < options.max_iterations)
                 due = run & ((s.seeded < 0) | ((s.it % FISHER_REFRESH == 0) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
                     s.h[due] = _inverse_information(ws, s.point[due])

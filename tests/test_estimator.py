@@ -13,7 +13,6 @@ from smm.estimator import (
     ARMIJO,
     F_ROUNDING,
     FISHER_REFRESH,
-    OPTIMIZER_GTOL,
     FitOptions,
     ImpliedMoments,
     _cholesky,
@@ -424,6 +423,21 @@ def test_numeric_gradient_near_zero_at_truth():
     assert np.max(np.abs(grad)) < 1e-6
 
 
+def test_numeric_gradient_is_the_joint_gradient():
+    # fit steps on the concentrated gradient, which reads the covariance
+    # parameters only: numeric_gradient's covariance block equals it where
+    # the factor mean is at its GLS optimum, as at a fitted point, and not
+    # elsewhere
+    spec, sample = reference_model_spec(), drawn_sample("model2", 300, 4)
+    ws, values = _workspace(spec), fit(spec, sample).free_values.copy()
+    z = ws.to_unconstrained(values[None, : ws.tc])
+    concentrated = _evaluate(ws, z, sample.cov[None], sample.mean[None])[1][0]
+    np.testing.assert_allclose(numeric_gradient(spec, values, sample)[: ws.tc], concentrated, atol=1e-12)
+    values[-1] += 0.5
+    assert np.abs(concentrated).max() < 1e-6
+    assert np.abs(numeric_gradient(spec, values, sample)[: ws.tc]).max() > 1.0
+
+
 def test_fit_recovers_exact_population():
     result = fit(reference_model_spec(), population_sample("model1"))
     assert result.converged
@@ -608,10 +622,14 @@ def test_fit_rejects_overflowing_trials_quietly():
     assert fit(config.spec, sample).converged
 
 
-def bundled_replications(name, reps):
-    """Spec, block of samples, options and per-replication jitter seeds of a bundled study, as run_study makes them."""
+def bundled_replications(name, reps, master=None):
+    """Spec, block of samples, options and per-replication jitter seeds of a bundled study, as run_study makes them.
+
+    master replaces the study's recorded seed where given.
+    """
     config = serialize.study_from_dict(serialize.load_json(study_path(name)))
-    rep_seeds = [rng.derive_seed(config.seed.master, 0, rep) for rep in reps]
+    master = config.seed.master if master is None else master
+    rep_seeds = [rng.derive_seed(master, 0, rep) for rep in reps]
     samples = draw_moments(config.population, config.sample_sizes[0], [Seed(rep_seed) for rep_seed in rep_seeds])
     seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
     return config.spec, samples, config.fit_options, seeds
@@ -1019,10 +1037,12 @@ def independence_bound(sample):
 def test_no_runaway_fit_converges_above_the_independence_bound():
     # on this population the ML fit has no finite optimum: F tends to F_inf
     # as the loadings shrink and the factor mean grows, so a fit that
-    # converges above F_inf stops at a false optimum (these four did, 1.6-2.4
-    # above it, when a failed seed was replaced by a scaled identity)
+    # converges above F_inf stops at a false optimum. The first four did,
+    # 1.6-2.4 above it, when a failed seed was replaced by a scaled identity;
+    # the last three did, 1.17-1.70 above it, when the inverse Hessian was
+    # seeded once per attempt and never refreshed (see FISHER_REFRESH)
     population = reference_loadings_with_means([3, -2, 1, 4, -5])
-    rep_seeds = [rng.derive_seed(77, 150, r) for r in (6, 13, 20, 27)]
+    rep_seeds = [rng.derive_seed(77, 150, r) for r in (6, 13, 20, 27, 92, 159, 189)]
     samples = draw_moments(population, 150, [Seed(rep_seed) for rep_seed in rep_seeds])
     seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
     for sample, row in zip(rows_of(samples), fit_many(reference_model_spec(), samples, FitOptions(), seeds)):
@@ -1104,7 +1124,7 @@ def reference_attempt(ws, z, sample, options):
     f, g, point = start
     iterations, h, seeded = 0, None, -1
     g_inf = np.abs(g).max(initial=0.0)
-    while g_inf > OPTIMIZER_GTOL and iterations < options.max_iterations:
+    while iterations < options.max_iterations:
         if h is None or (iterations % FISHER_REFRESH == 0 and seeded != iterations):
             h, seeded = reference_seed(ws, point), iterations
         direction = -(h @ g)
@@ -1172,6 +1192,17 @@ def assert_rows_follow_the_reference(spec, samples, options, seeds, batch):
 def test_fit_many_follows_the_reference_loop(name):
     spec, samples, options, seeds = bundled_replications(name, range(40))
     assert_rows_follow_the_reference(spec, samples, options, seeds, fit_many(spec, samples, options, seeds))
+
+
+@pytest.mark.parametrize("name", ["table1_model1_n900", "anchor_x1_model2_n900"])
+def test_a_tolerance_below_1e_8_converges(name):
+    # an attempt runs on until its step predicts less decrease than F
+    # resolves, so a tolerance F can resolve is reached: with attempts that
+    # also ended at a gradient of 1e-8, 45 and 39 of these 50 fits converged
+    # (62 and 59 restarts), against 50 and 50 (16 and 2)
+    spec, samples, options, seeds = bundled_replications(name, range(50), master=1)
+    options = replace(options, gradient_tolerance=1e-9)
+    assert all(row.converged for row in fit_many(spec, samples, options, seeds))
 
 
 def test_restarts_give_ups_and_failed_seeds_follow_the_reference_loop(monkeypatch):
