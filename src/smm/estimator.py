@@ -35,14 +35,14 @@ and factor means beta, mu = mu0 + A beta with a column e_j of A for each
 free nu_j and Lambda[:, k] for each free theta_k, so at any point of the
 covariance parameters (lambda, phi, psi2) the best beta is the GLS
 solution of (UA)'(UA) beta = (UA)' U d0, with d0 = xbar - mu0. Every
-evaluation appends A to the triangular solve that whitens S - Sigma and
-d0, sets beta to that optimum and returns the concentrated F with its
-gradient over the covariance parameters, which the envelope theorem
-makes exact: the mean block of the joint gradient vanishes at beta. The
-bilinear lambda theta no longer bends the optimizer's path (anchor_x1
-from loadings at half a standard deviation: a median of 9 iterations
-over 500 fits, the slowest 11, against 40 and 88 when beta was walked
-jointly).
+evaluation forms U = L^-1 once, as the Fisher seed below does, whitens A
+with it as it whitens S - Sigma and d0, sets beta to that optimum and
+returns the concentrated F with its gradient over the covariance
+parameters, which the envelope theorem makes exact: the mean block of
+the joint gradient vanishes at beta. The bilinear lambda theta no longer
+bends the optimizer's path (anchor_x1 from loadings at half a standard
+deviation: a median of 9 iterations over 500 fits, the slowest 11,
+against 40 and 88 when beta was walked jointly).
 
 The minimizer is a quasi-Newton loop in numpy over the covariance
 parameters. Its inverse-Hessian approximation starts from the inverse of
@@ -96,11 +96,12 @@ to its summary. Python builds a FitResult per fit only for fit_many and
 fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
 overhead, so a stacked call costs little more than a single one. fit is
 fit_many on one sample. Every
-stacked operation (matmul over contiguous rows, cholesky, eigh, solve,
-inv, elementwise ufuncs, sums over trailing axes) gives each row the
-same bits as it would alone, so a result does not depend on the batch it
-was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled design takes
-about 2-4 ms, and in a batch of 500 about 0.08-0.16 ms per fit.
+stacked operation (matmul over contiguous rows, cholesky, inv, eigvalsh,
+eigh, solve of the small normal equations, elementwise ufuncs, sums over
+trailing axes) gives each row the same bits as it would alone, so a
+result does not depend on the batch it was fitted in. On a 2-vCPU x86 VM
+a lone fit of a bundled design takes about 2-4 ms, and in a batch of 500
+about 0.08-0.16 ms per fit.
 """
 
 from __future__ import annotations
@@ -179,11 +180,10 @@ class FitOptions:
     the joint gradient is zero up to rounding at every reported point. An
     attempt runs until its step predicts less decrease than F resolves, so
     a tolerance is reached where F resolves it. Over 50 samples of each
-    bundled design, every fit converges at 1e-8 but one (model2 at
-    n = 150), and at 1e-9 every model1 and anchored fit and 44-48 of each
-    model2 design. Below that the rounding of F decides: at 1e-10, 28 of
-    the 50 table1_model2_n150 fits converge, and at 1e-11 13-46 of each
-    design's 50.
+    bundled design, every fit converges at 1e-8, and at 1e-9 every model1
+    and anchored fit and 48-49 of each model2 design. Below that the
+    rounding of F decides: at 1e-10, 30 of the 50 table1_model2_n150 fits
+    converge (30-50 per design), and at 1e-11 9-44 of each design's 50.
     Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
     finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
@@ -258,12 +258,11 @@ class _Workspace:
         self.labels = index.labels()
         self.p, self.q = spec.p, spec.q
         # the scatter of ParameterIndex.insert as a matrix: parameter k
-        # collects the cells it fills
+        # collects the cells it fills. The gradient and the Fisher seed map
+        # cell derivatives to parameters through it, so a free off-diagonal
+        # phi sums the derivatives of both of its cells
         self.gather = np.zeros((self.t, index.template.size))
         self.gather[index.src, index.slots] = 1.0
-        # its adjoint on the filled cells: the gradient of a parameter sums
-        # the derivatives of the (at most two) cells it fills
-        self.collect = np.ascontiguousarray(self.gather[:, index.slots].T)
 
         matrix = np.array([e.matrix for e in index.entries], dtype=object)
         self.rows = np.array([e.row for e in index.entries], dtype=int)
@@ -392,13 +391,6 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-@functools.lru_cache(maxsize=8)
-def _identity(p: int) -> np.ndarray:
-    eye = np.eye(p)
-    eye.flags.writeable = False
-    return eye
-
-
 @functools.lru_cache(maxsize=64)
 def _workspace(spec: ModelSpec) -> _Workspace:
     """The layout of spec, made once per spec (ModelSpec is frozen and hashable)."""
@@ -417,26 +409,22 @@ def _discrepancy_terms(
 
     lower is the Cholesky factor L of sigma, and design (..., p, m) holds
     the columns A of m mean parameters beta concentrated out of F (m may be
-    0). One solve L y = [S - Sigma | xbar - mu | A | I] gives B, U d0, U A
-    and U; beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the mean
-    residual, and U d = U d0 - UA beta. Every argument may carry the same
-    leading axes. The gradient reuses U, B and U d, so F is computed one
-    way on every path. Returns F, U, B, U d and beta; all of them are NaN
-    in a row where L is NaN (Sigma not positive definite), and beta, U d
-    and F where the normal equations are singular.
+    0). U = L^-1 is the whitener the Fisher seed takes
+    (_Workspace.concentrated_information), so both get the same U at a
+    point; U A, U d0 and B are stacked products with it. beta solves
+    (UA)'(UA) beta = (UA)' U d0, the GLS fit of the mean residual, and
+    U d = U d0 - UA beta. Every argument may carry the same leading axes.
+    The gradient reuses U, B and U d, so F is computed one way on every
+    path. Returns F, U, B, U d and beta; all of them are NaN in a row where
+    L is NaN (Sigma not positive definite), and beta, U d and F where the
+    normal equations are singular.
     """
-    lead, p, m = lower.shape[:-2], lower.shape[-1], design.shape[-1]
-    rhs = np.empty(lead + (p, 2 * p + 1 + m))
-    rhs[..., :p] = sample_cov - sigma
-    rhs[..., p] = xbar - mu
-    rhs[..., p + 1 : p + 1 + m] = design
-    rhs[..., p + 1 + m :] = _identity(p)
-    y = _solve(lower, rhs)
-    ua, u = y[..., p + 1 : p + 1 + m], y[..., p + 1 + m :]
+    u = _inv(lower)
+    ua, ud0 = u @ design, u @ (xbar - mu)[..., None]
     ua_t = _mT(ua)
-    beta = _solve(ua_t @ ua, ua_t @ y[..., p, None])
-    ud = y[..., p] - (ua @ beta)[..., 0]
-    b = y[..., :p] @ _mT(u)
+    beta = _solve(ua_t @ ua, ua_t @ ud0)
+    ud = (ud0 - ua @ beta)[..., 0]
+    b = u @ (sample_cov - sigma) @ _mT(u)
     eig = _eigvalsh(b)
     f = (eig - np.log1p(eig)).sum(axis=-1) + (ud * ud).sum(axis=-1)
     return f, u, b, ud, beta[..., 0]
@@ -488,9 +476,7 @@ def _discrepancy_and_gradient(
         ],
         axis=1,
     )
-    # adjoint of the scatter in ParameterIndex.insert: a phi value that
-    # fills two cells collects the derivative of both
-    return f, d_full[:, ws.index.slots] @ ws.collect
+    return f, d_full @ ws.gather.T
 
 
 def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
