@@ -95,11 +95,9 @@ into one FitResult block, which a Monte Carlo condition keeps whole up
 to its summary. Python builds a FitResult per fit only for fit_many and
 fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
 overhead, so a stacked call costs little more than a single one. fit is
-fit_many on one sample. Every
-stacked operation (matmul over contiguous rows, cholesky, inv, eigvalsh,
-eigh, solve of the small normal equations, elementwise ufuncs, sums over
-trailing axes) gives each row the same bits as it would alone, so a
-result does not depend on the batch it was fitted in. On a 2-vCPU x86 VM
+fit_many on one sample. Each row of a stacked operation gets the bits it
+would get alone (see the linalg module), so a result does not depend on
+the batch it was fitted in. On a 2-vCPU x86 VM
 a lone fit of a bundled design takes about 2-4 ms, and in a batch of 500
 about 0.08-0.16 ms per fit.
 """
@@ -111,9 +109,8 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from . import rng
+from . import linalg, rng
 from .errors import (
     SmmError,
     BAD_INPUT,
@@ -152,17 +149,6 @@ ARMIJO = 1e-4
 # sum|b_i| is at most 1.8. A line search gives up once it asks for less,
 # and a converged attempt ends before a search that predicts less.
 F_ROUNDING = np.finfo(float).eps
-
-
-# np.linalg's own gufuncs without the callback that makes np.linalg raise for
-# a whole stack: a matrix that fails (not positive definite, singular) gets
-# NaN in its own row, and the other rows keep their bits. These names exist in
-# numpy 1.24 and 2.x. Outside np.errstate(invalid="ignore") a failure warns.
-_cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")  # lower factor
-_solve = functools.partial(_umath_linalg.solve, signature="dd->d")  # (..., p, p), (..., p, k)
-_inv = functools.partial(_umath_linalg.inv, signature="d->d")
-_eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d")  # from the lower triangle
-_eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")  # (eigenvalues, eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -359,7 +345,7 @@ class _Workspace:
         """
         mats, sigma, _ = self.build(values)
         lead, p, q, k = values.shape[:-1], self.p, self.q, self.p * self.p
-        u = _inv(_cholesky(sigma))
+        u = linalg.whitener(sigma)
         ul = u @ mats.loadings
         u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
         cells = np.zeros(lead + (self.index.template.size, k + p))
@@ -381,7 +367,7 @@ class _Workspace:
         m = self.gather @ cells
         m[..., self.log_pos, :] *= values[..., self.log_pos, None]
         m_c, m_m = m[..., : self.tc, :], m[..., self.tc :, k:]
-        proj = _solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
+        proj = linalg.solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
         m_c[..., k:] -= _mT(proj) @ m_m
         return m_c @ _mT(m_c)
 
@@ -398,7 +384,6 @@ def _workspace(spec: ModelSpec) -> _Workspace:
 
 
 def _discrepancy_terms(
-    lower: np.ndarray,
     sigma: np.ndarray,
     mu: np.ndarray,
     sample_cov: np.ndarray,
@@ -407,25 +392,24 @@ def _discrepancy_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """F from the whitened residuals, with U = L^-1, B = U (S - Sigma) U' and U d.
 
-    lower is the Cholesky factor L of sigma, and design (..., p, m) holds
-    the columns A of m mean parameters beta concentrated out of F (m may be
-    0). U = L^-1 is the whitener the Fisher seed takes
-    (_Workspace.concentrated_information), so both get the same U at a
-    point; U A, U d0 and B are stacked products with it. beta solves
-    (UA)'(UA) beta = (UA)' U d0, the GLS fit of the mean residual, and
-    U d = U d0 - UA beta. Every argument may carry the same leading axes.
-    The gradient reuses U, B and U d, so F is computed one way on every
-    path. Returns F, U, B, U d and beta; all of them are NaN in a row where
-    L is NaN (Sigma not positive definite), and beta, U d and F where the
-    normal equations are singular.
+    design (..., p, m) holds the columns A of m mean parameters beta
+    concentrated out of F (m may be 0). U = L^-1 is linalg.whitener(sigma),
+    as the Fisher seed (_Workspace.concentrated_information) takes it, so
+    both get the same U at a point; U A, U d0 and B are stacked products
+    with it. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the
+    mean residual, and U d = U d0 - UA beta. Every argument may carry the
+    same leading axes. The gradient reuses U, B and U d, so F is computed
+    one way on every path. Returns F, U, B, U d and beta; all of them are
+    NaN in a row where Sigma is not positive definite, and beta, U d and F
+    where the normal equations are singular.
     """
-    u = _inv(lower)
+    u = linalg.whitener(sigma)
     ua, ud0 = u @ design, u @ (xbar - mu)[..., None]
     ua_t = _mT(ua)
-    beta = _solve(ua_t @ ua, ua_t @ ud0)
+    beta = linalg.solve(ua_t @ ua, ua_t @ ud0)
     ud = (ud0 - ua @ beta)[..., 0]
     b = u @ (sample_cov - sigma) @ _mT(u)
-    eig = _eigvalsh(b)
+    eig = linalg.eigvalsh(b)
     f = (eig - np.log1p(eig)).sum(axis=-1) + (ud * ud).sum(axis=-1)
     return f, u, b, ud, beta[..., 0]
 
@@ -452,9 +436,7 @@ def _discrepancy_and_gradient(
         design = np.empty((rows,) + ws.design.shape)
         design[...] = ws.design
         design[..., ws.theta_cols] = lam[..., ws.theta_rows]
-    f, u, b, ud, beta = _discrepancy_terms(
-        _cholesky(sigma), sigma, mu, sample_cov, xbar, design
-    )
+    f, u, b, ud, beta = _discrepancy_terms(sigma, mu, sample_cov, xbar, design)
     if concentrate:
         values[:, ws.tc :] += beta
         # of the mean parameters, only the factor means enter the gradient
@@ -522,15 +504,15 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
 
     Nonnegative, and zero exactly when Sigma = S and mu = xbar. sample is
     one sample of the p variables of implied. Both matrices must be
-    positive definite; the Cholesky in simulate is used for the checks so
+    positive definite: simulate.cholesky raises for either one, so
     near-singular matrices fail loudly instead of returning a huge but
     finite value.
     """
     _check_one_sample(sample, implied.sigma, implied.mu_model)
     cholesky(sample.cov)
-    lower = cholesky(implied.sigma)
+    cholesky(implied.sigma)
     no_means = np.empty((sample.p, 0))
-    f = _discrepancy_terms(lower, implied.sigma, implied.mu_model, sample.cov, sample.mean, no_means)[0]
+    f = _discrepancy_terms(implied.sigma, implied.mu_model, sample.cov, sample.mean, no_means)[0]
     return float(f)
 
 
@@ -593,7 +575,7 @@ def _leading_axis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The eigenvector's sign makes its sum nonnegative.
     """
-    w, vectors = _eigh(matrix)
+    w, vectors = linalg.eigh(matrix)
     v = vectors[..., -1]
     return w[..., -1:], np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
 
@@ -690,7 +672,7 @@ def _inverse_information(ws: _Workspace, values: np.ndarray) -> np.ndarray:
     A row where that fails is NaN: its direction has no slope, so the
     attempt that seeded it ends (see fit_many).
     """
-    inv_lower = _inv(_cholesky(ws.concentrated_information(values)))
+    inv_lower = linalg.whitener(ws.concentrated_information(values))
     return _mT(inv_lower) @ inv_lower
 
 
@@ -705,8 +687,8 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     what FitOptions.seed is to fit (options.seed is not read here).
     Returns one entry per sample: its FitResult, or the SmmError its fit
     raised. The set-up checks every sample covariance in one
-    simulate.cholesky call, and each alone only if that raises, so a
-    failing sample gets its own error. It copies the rows it fits into
+    linalg.checked_cholesky call, and a failing sample gets the error
+    simulate.cholesky raises for it alone. It copies the rows it fits into
     C-contiguous stacks, so each row of a strided block gets the bits of
     its lone fit, and forms every start in one pass (see _start_values).
 
@@ -760,18 +742,10 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
     count = len(means)
     if len(seeds) != count:
         raise SmmError(BAD_INPUT, f"{count} samples but {len(seeds)} jitter seeds")
-    errors: list = [None] * count
     # a sample covariance that simulate.cholesky rejects fails its row with its error
-    rows = list(range(count))
-    try:
-        cholesky(covs)
-    except SmmError:
-        for i in rows:
-            try:
-                cholesky(covs[i])
-            except SmmError as error:
-                errors[i] = error
-        rows = [i for i in rows if errors[i] is None]
+    codes = linalg.checked_cholesky(covs)[1]
+    errors = [linalg.failure(code) if code else None for code in codes.tolist()]
+    rows = [i for i, error in enumerate(errors) if error is None]
 
     tc, k = ws.tc, len(rows)
     last, tol, jitter = options.max_restarts if tc else 0, options.gradient_tolerance, options.jitter_fraction

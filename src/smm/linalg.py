@@ -1,0 +1,72 @@
+"""Stacked linear algebra that fails per matrix.
+
+np.linalg raises for a whole stack when one of its matrices fails. The
+functions here are np.linalg's own gufuncs without the callback that makes
+it raise: a matrix that fails (not positive definite, singular) gets NaN in
+its own row, and the other rows keep their bits. These gufuncs exist in
+numpy 1.24 and 2.x. Outside np.errstate(invalid="ignore") a failure warns.
+Every stacked operation of the fit (matmul over contiguous rows, cholesky,
+inv, eigvalsh, eigh, solve of the small normal equations, elementwise
+ufuncs, sums over trailing axes) gives each row the same bits as it would
+alone, so a result does not depend on the batch it was fitted in.
+checked_cholesky is the one check of a Cholesky factor: simulate.cholesky
+raises from its codes, and fit_many gives each failing sample its error.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+from .errors import ASYMMETRIC_MATRIX, DIMENSION_MISMATCH, NotPositiveDefiniteError, SmmError
+
+cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")  # lower factor
+solve = functools.partial(_umath_linalg.solve, signature="dd->d")  # (..., p, p), (..., p, k)
+inv = functools.partial(_umath_linalg.inv, signature="d->d")
+eigvalsh = functools.partial(_umath_linalg.eigvalsh_lo, signature="d->d")  # from the lower triangle
+eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")  # (eigenvalues, eigenvectors)
+
+# Cholesky pivots at or below this are treated as rank deficiency.
+PIVOT_FLOOR = 1e-12
+
+# The codes of checked_cholesky; across a stack the smallest failing one is raised.
+ASYMMETRIC, INDEFINITE, BELOW_PIVOT_FLOOR = 1, 2, 3
+
+
+def whitener(a: np.ndarray) -> np.ndarray:
+    """U = L^-1 of the Cholesky factor L of each symmetric matrix of a (..., p, p); NaN in a failing row."""
+    return inv(cholesky(a))
+
+
+def checked_cholesky(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factors of one matrix or a stack (..., p, p), and a code per matrix.
+
+    A code is 0 where the factor holds, ASYMMETRIC where the matrix is not
+    symmetric to 1e-8 of its largest entry, INDEFINITE where the
+    factorization fails (numpy fills that factor with NaN, so a 1 x 1 NaN
+    reads as one too), and BELOW_PIVOT_FLOOR where a pivot is at or below PIVOT_FLOOR. Only
+    input that is not square raises.
+    """
+    stack = np.atleast_2d(np.asarray(stack, dtype=float))
+    if stack.shape[-1] != stack.shape[-2]:
+        raise SmmError(DIMENSION_MISMATCH, "matrix must be square")
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(stack).max(axis=(-2, -1))
+        asymmetry = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
+        lower = cholesky(stack)
+    # a matrix that fails in more than one way gets the smallest code
+    codes = np.where((lower.diagonal(0, -2, -1) ** 2 <= PIVOT_FLOOR).any(axis=-1), BELOW_PIVOT_FLOOR, 0)
+    codes[np.isnan(lower).all(axis=(-2, -1))] = INDEFINITE
+    codes[asymmetry > 1e-8 * np.where(scale == 0.0, 1.0, scale)] = ASYMMETRIC
+    return lower, codes
+
+
+def failure(code: int) -> SmmError:
+    """The error of a matrix whose checked_cholesky code is not 0."""
+    if code == ASYMMETRIC:
+        return SmmError(ASYMMETRIC_MATRIX, "matrix is not symmetric")
+    if code == INDEFINITE:
+        return NotPositiveDefiniteError("matrix is not positive definite")
+    return NotPositiveDefiniteError(f"matrix is numerically singular (pivot below {PIVOT_FLOOR:g})")

@@ -22,21 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    SmmError,
-    ASYMMETRIC_MATRIX,
-    DIMENSION_MISMATCH,
-    INVALID_SAMPLE_SIZE,
-    NONPOSITIVE_UNIQUE_VARIANCE,
-    NotPositiveDefiniteError,
-)
+from .errors import SmmError, DIMENSION_MISMATCH, INVALID_SAMPLE_SIZE, NONPOSITIVE_UNIQUE_VARIANCE
+from .linalg import checked_cholesky, failure
 from .moments import Dataset, SampleMoments, _center_in_place, covariances
 
 STRUCTURED = "structured"
 EXPLICIT = "explicit"
-
-# Cholesky pivots at or below this are treated as rank deficiency.
-PIVOT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,24 +151,14 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
 
     Rejects asymmetric input outright and reports non-positive-definite
     matrices, including the nearly singular case where a pivot falls at or
-    below PIVOT_FLOOR. A stack is checked in one step and raises if any of
-    its matrices fails.
+    below linalg.PIVOT_FLOOR. A stack is checked in one step
+    (linalg.checked_cholesky) and raises if any of its matrices fails:
+    asymmetry anywhere first, then a matrix that is not positive definite,
+    then a pivot at the floor.
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.shape[-1] != sigma.shape[-2]:
-        raise SmmError(DIMENSION_MISMATCH, "matrix must be square")
-    scale = np.abs(sigma).max(axis=(-2, -1))
-    asymmetry = np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(asymmetry > 1e-8 * np.where(scale == 0.0, 1.0, scale)):
-        raise SmmError(ASYMMETRIC_MATRIX, "matrix is not symmetric")
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    if np.any(lower.diagonal(0, -2, -1) ** 2 <= PIVOT_FLOOR):
-        raise NotPositiveDefiniteError(
-            f"matrix is numerically singular (pivot below {PIVOT_FLOOR:g})"
-        )
+    lower, codes = checked_cholesky(sigma)
+    if codes.any():
+        raise failure(codes[codes > 0].min())
     return lower
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smm import estimator, rng, serialize
+from smm import estimator, linalg, rng, serialize
 from smm.cli import _covariance_only_variant
 from smm.errors import SmmError, InvalidModelError, NotPositiveDefiniteError
 from smm.estimator import (
@@ -15,16 +15,11 @@ from smm.estimator import (
     FISHER_REFRESH,
     FitOptions,
     ImpliedMoments,
-    _cholesky,
     _discrepancy_terms,
     _dot,
-    _eigh,
-    _eigvalsh,
     _evaluate,
-    _inv,
     _inverse_information,
     _sign_convention,
-    _solve,
     _start_values,
     _workspace,
     fit,
@@ -1021,10 +1016,11 @@ def test_stacked_linear_algebra_gives_each_slice_its_own_bits():
 
 
 def test_linear_algebra_helpers_fail_only_the_failing_row():
-    # the estimator calls np.linalg's gufuncs without its error callback:
-    # each row gets the bits np.linalg gives its matrix alone, and a matrix
-    # that fails gets NaN in its own row while the others keep their bits.
-    # This guards against a numpy that renames or changes those gufuncs.
+    # smm.linalg calls np.linalg's gufuncs without its error callback: each
+    # row gets the bits np.linalg gives its matrix alone, and a matrix that
+    # fails gets NaN (and checked_cholesky its code) in its own row while the
+    # others keep their bits. This guards against a numpy that renames or
+    # changes those gufuncs.
     generator = np.random.default_rng(13)
     x = generator.normal(size=(40, 6, 6))
     spd = x @ x.swapaxes(1, 2) + 0.1 * np.eye(6)
@@ -1034,11 +1030,13 @@ def test_linear_algebra_helpers_fail_only_the_failing_row():
     singular[7, 2] = 0.0
     undefined[7, 3, 1] = np.nan
     cases = [
-        (_cholesky, np.linalg.cholesky, (spd,), (indefinite,)),
-        (_solve, np.linalg.solve, (spd, rhs), (singular, rhs)),
-        (_inv, np.linalg.inv, (spd,), (singular,)),
-        (_eigvalsh, np.linalg.eigvalsh, (spd,), (undefined,)),
-        (lambda a: _eigh(a)[1], lambda a: np.linalg.eigh(a)[1], (spd,), (undefined,)),
+        (linalg.cholesky, np.linalg.cholesky, (spd,), (indefinite,)),
+        (lambda a: linalg.checked_cholesky(a)[0], np.linalg.cholesky, (spd,), (indefinite,)),
+        (linalg.whitener, lambda a: np.linalg.inv(np.linalg.cholesky(a)), (spd,), (indefinite,)),
+        (linalg.solve, np.linalg.solve, (spd, rhs), (singular, rhs)),
+        (linalg.inv, np.linalg.inv, (spd,), (singular,)),
+        (linalg.eigvalsh, np.linalg.eigvalsh, (spd,), (undefined,)),
+        (lambda a: linalg.eigh(a)[1], lambda a: np.linalg.eigh(a)[1], (spd,), (undefined,)),
     ]
     for helper, lone, args, failing in cases:
         stacked = helper(*args)
@@ -1050,6 +1048,19 @@ def test_linear_algebra_helpers_fail_only_the_failing_row():
             rows = helper(*failing)
         assert np.isnan(rows[7]).all()
         assert np.delete(rows, 7, axis=0).tobytes() == np.delete(stacked, 7, axis=0).tobytes()
+    # each way to fail has its code in its own row; the factor of a row
+    # checked_cholesky rejects for asymmetry alone (it reads the lower
+    # triangle) or a pivot at the floor is still the factor
+    mixed = indefinite.copy()
+    mixed[8, 0, 1] += 1.0
+    mixed[9] = np.diag([1.0] * 5 + [1e-13])
+    lower, codes = linalg.checked_cholesky(mixed)
+    expected = np.zeros(40, dtype=int)
+    expected[7:10] = [linalg.INDEFINITE, linalg.ASYMMETRIC, linalg.BELOW_PIVOT_FLOOR]
+    assert codes.tolist() == expected.tolist()
+    good = np.delete(np.linalg.cholesky(spd), [7, 9], axis=0)
+    assert np.delete(lower, [7, 9], axis=0).tobytes() == good.tobytes()
+    assert lower[9].tobytes() == np.linalg.cholesky(mixed[9]).tobytes()
 
 
 def test_evaluation_and_fisher_seed_share_the_whitener():
@@ -1064,10 +1075,8 @@ def test_evaluation_and_fisher_seed_share_the_whitener():
     values[3, ws.log_pos[0]] = -10.0
     _, sigma, mu = ws.build(values)
     with np.errstate(invalid="ignore"):
-        whitener = _inv(_cholesky(sigma))
-        _, u, b, ud, _ = _discrepancy_terms(
-            _cholesky(sigma), sigma, mu, samples.cov, samples.mean, ws.design[:, :0]
-        )
+        whitener = linalg.inv(linalg.cholesky(sigma))
+        _, u, b, ud, _ = _discrepancy_terms(sigma, mu, samples.cov, samples.mean, ws.design[:, :0])
     assert u.tobytes() == whitener.tobytes()
     assert b.tobytes() == (whitener @ (samples.cov - sigma) @ whitener.swapaxes(1, 2)).tobytes()
     assert ud.tobytes() == (whitener @ (samples.mean - mu)[..., None])[..., 0].tobytes()
@@ -1376,7 +1385,7 @@ def test_a_sample_whose_start_fails_sinks_only_its_own_fit():
     assert_rows_fit_alone_alike(spec, take(samples, [0, 2]), options, seeds[::2], batch[::2])
 
 
-def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
+def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it(monkeypatch):
     spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(3))
     good = take(samples, 0)
     asymmetric = good.cov.copy()
@@ -1388,7 +1397,18 @@ def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it():
         SampleMoments(n=good.n, mean=good.mean, cov=indefinite),
         SampleMoments(n=good.n, mean=good.mean, cov=np.diag([1.0, 1.0, 1e-13, 1.0, 1.0])),
     ]
-    batch = fit_many(spec, block_of(bad + rows_of(samples)), options, [0] * 3 + seeds)
+    block = block_of(bad + rows_of(samples))
+    # the block's covariances are factored in one call, failing rows and all
+    factored = []
+    factor = linalg.cholesky
+    monkeypatch.setattr(linalg, "cholesky", lambda a: factored.append(np.copy(a)) or factor(a))
+    batch = fit_many(spec, block, options, [0] * 3 + seeds)
+    monkeypatch.undo()
+    checks = [
+        a for a in factored
+        if a.shape[-1] == spec.p and any((a == cov).all(axis=(-2, -1)).any() for cov in block.cov)
+    ]
+    assert len(checks) == 1 and checks[0].tobytes() == block.cov.tobytes()
     for sample, row in zip(bad, batch):
         with pytest.raises(SmmError) as alone:
             cholesky(sample.cov)

@@ -212,10 +212,21 @@ def test_draw_moments_memory_grows_with_the_block_not_the_samples():
 
 
 def test_cholesky_of_a_stack_fails_when_one_matrix_fails():
-    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
-    with pytest.raises(NotPositiveDefiniteError):
+    indefinite, asymmetric = [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.2, 1.0]]
+    stack = np.array([np.eye(2), indefinite])
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
         cholesky(stack)
     np.testing.assert_array_equal(cholesky(stack[:1]), stack[:1])
+    # in a matrix and across a stack asymmetry anywhere wins, then a matrix
+    # that is not positive definite, then a pivot at the floor
+    with pytest.raises(SmmError, match="ASYMMETRIC_MATRIX"):
+        cholesky(np.array([indefinite, asymmetric]))
+    with pytest.raises(SmmError, match="ASYMMETRIC_MATRIX"):
+        cholesky(np.array([[1.0, 0.0], [2.0, 1.0]]))  # its lower triangle is indefinite
+    with pytest.raises(NotPositiveDefiniteError, match="pivot below 1e-12"):
+        cholesky(np.array([np.eye(2), np.diag([1.0, 1e-13])]))
+    with pytest.raises(NotPositiveDefiniteError, match="matrix is not positive definite"):
+        cholesky(np.array([np.diag([1.0, 1e-13]), indefinite]))
 
 
 def test_seed_bounds():
