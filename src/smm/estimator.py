@@ -35,71 +35,40 @@ and factor means beta, mu = mu0 + A beta with a column e_j of A for each
 free nu_j and Lambda[:, k] for each free theta_k, so at any point of the
 covariance parameters (lambda, phi, psi2) the best beta is the GLS
 solution of (UA)'(UA) beta = (UA)' U d0, with d0 = xbar - mu0. Every
-evaluation forms U = L^-1 once, as the Fisher seed below does, whitens A
-with it as it whitens S - Sigma and d0, sets beta to that optimum and
-returns the concentrated F with its gradient over the covariance
-parameters, which the envelope theorem makes exact: the mean block of
-the joint gradient vanishes at beta. The bilinear lambda theta no longer
-bends the optimizer's path (anchor_x1 from loadings at half a standard
-deviation: a median of 9 iterations over 500 fits, the slowest 11,
-against 40 and 88 when beta was walked jointly).
+evaluation forms U = L^-1 once, whitens A, S - Sigma and d0 with it,
+sets beta to that optimum and returns the concentrated F with its
+gradient over the covariance parameters, which the envelope theorem
+makes exact.
 
-The minimizer is a quasi-Newton loop in numpy over the covariance
-parameters. Its inverse-Hessian approximation starts from the inverse of
-the concentrated information, the Schur complement on the mean block of
-the Fisher information
+The minimizer is BFGS in numpy over the covariance parameters, with a
+backtracking Armijo search. Its inverse Hessian is seeded with the
+inverse of the exact Hessian of the concentrated F, a Newton step (Lee &
+Jennrich 1979), formed from the U, B and U d of the evaluation that
+accepted the point; where that Hessian is not positive definite, with
+the inverse of its Fisher part (Jennrich & Robinson 1969). The seed is
+renewed every SEED_REFRESH iterations. Under misspecification, as in the
+paper's model 2, whose means are not proportional to its loadings, the
+Fisher information is not the Hessian: seeded from it a model 2 fit took
+a median of 7 iterations, and seeded from the Hessian it takes 4. An
+attempt converges where the gradient is within
+FitOptions.gradient_tolerance and the next step predicts less decrease
+than F resolves (F_ROUNDING). It fails where a search from a fresh seed
+gives up, where a seed fails (as on the way to a runaway factor mean) or
+where its start has no finite F. Otherwise it runs to max_iterations.
 
-    H_kl = tr(W dSigma_k W dSigma_l) + 2 dmu_k' W dmu_l
+Starts are scaled to the sample, and in one-factor models placed along
+the mean residuals or at a principal-axis solution (see _start_values).
+A bundled fit takes a median of 3-4 iterations (the slowest of 500: 4-5).
 
-(Jennrich & Robinson 1969), is refreshed from it every few iterations
-and is corrected by BFGS updates in between; a backtracking Armijo
-search finishes each step. An attempt ends in one of three ways. It
-converges where the gradient is within FitOptions.gradient_tolerance and
-the next step predicts less decrease than F resolves (F_ROUNDING); there
-is no other gradient target, so it stops where F stops resolving a step.
-It fails where a search from a fresh seed gives up, where a seed fails
-(the information is not positive definite, as on the way to a runaway
-factor mean) or where its start has no finite F. Or it reaches
-max_iterations.
-
-A free cell with a start of its own keeps it. The other starts are
-scaled to the sample (loadings at half a standard deviation, unique
-variances at half a variance); intercepts and factor means need none.
-In one-factor models with a free factor mean and fixed intercepts the
-loadings start along the observed mean residuals instead, to which the
-structured-means model makes them proportional, and in other one-factor
-models at an iterated principal-axis solution of the correlations (see
-_start_values). The median fit of a Table 1 design then takes 4-7
-iterations (the slowest of 500: 5-10), where loadings at half a standard
-deviation took 13-19 (22-29), and the anchored designs take 5 (7),
-against 9 (11).
-
-Fits run in lockstep. fit_many fits a block of samples (one
+Fits run in lockstep: fit_many steps a block of samples (one
 SampleMoments with a row per sample, as simulate.draw_moments draws a
-Monte Carlo condition's replications) with one optimizer whose state is
-arrays over the unfinished fits, one row per fit: points, gradients,
-inverse Hessians, directions, step lengths and counters. Every round evaluates F
-and its gradient at each fit's pending point in one stacked numpy call
-over the leading (R, ...) axis, seeds the fits due a Fisher refresh in
-another, and takes Armijo acceptance, step shortening, the BFGS update
-and the next direction as masks over all rows. A matrix that fails (a
-trial Sigma not positive definite, a mean design gone singular as the
-loadings shrink) gives NaN in its own row only, so that fit's F or seed
-reads inf or NaN and the other rows go on. Attempt counts and best
-attempts are arrays over the fits as well: Python runs per fit only to
-draw a restart's jitter, and finished fits leave the arrays. The fits of
-a batch share one FitOptions, each with its own jitter seed. The set-up
-(sample checks, starts) and the wrap-up are stacked too: the wrap-up
-forms the matrices, sign convention and free values of every fit at once
-into one FitResult block, which a Monte Carlo condition keeps whole up
-to its summary. Python builds a FitResult per fit only for fit_many and
-fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
-overhead, so a stacked call costs little more than a single one. fit is
-fit_many on one sample. Each row of a stacked operation gets the bits it
-would get alone (see the linalg module), so a result does not depend on
-the batch it was fitted in. On a 2-vCPU x86 VM
-a lone fit of a bundled design takes about 2-4 ms, and in a batch of 500
-about 0.08-0.16 ms per fit.
+Monte Carlo condition) as rows of arrays. Nearly all of the cost on 5x5
+matrices is numpy's per-call overhead, so a stacked call costs little
+more than a single one. A matrix that fails gives NaN in its own row
+only, and each row gets the bits it would get alone (see the linalg
+module), so a result does not depend on the batch it was fitted in. On a
+2-vCPU x86 VM a lone fit of a bundled design takes about 2-4 ms, and in
+a batch of 500 about 0.08-0.16 ms per fit.
 """
 
 from __future__ import annotations
@@ -123,19 +92,15 @@ from .model_spec import DEFAULT_STARTS, ModelSpec, ParameterIndex, ParameterMatr
 from .moments import SampleMoments
 from .simulate import cholesky
 
-# Iterations between refreshes of the inverse Hessian from the Fisher
-# information; pure Fisher scoring converges only linearly under
-# misspecification. The refresh is where a runaway attempt ends: its
-# periodic seed is where the information fails on the way to a huge factor
-# mean. Seeded once per attempt, BFGS walks on instead: 3 of 200 fits at
-# n = 150 of the population of
-# test_no_runaway_fit_converges_above_the_independence_bound (the rows 92,
-# 159 and 189 it fits) then report convergence 1.17-1.70 above the
-# independence bound, a false optimum; with the refresh none do. The
-# bundled fits barely need it: seeded once, they take 5 (6-7) iterations
-# on the anchored designs and 4-7 (5-9) on Table 1, against 5 (7) and
-# 4-7 (5-10).
-FISHER_REFRESH = 5
+# Iterations between seeds of the inverse Hessian (see fit_many). Rounds
+# of a 15-replication block (seeds 1000-1299, Table 1 and anchor_x1) by
+# cadence: 2 -> 4.0-5.6, 3 -> 5.0-5.8, 4 -> 5.4-6.0; 3 fits fastest, as 2
+# seeds once more per block to save at most one round. The cadence also
+# ends runaway attempts, where the Hessian and its Fisher part both fail:
+# seeded once per attempt, rows 16 and 189 of the population of
+# test_no_runaway_fit_converges_above_the_independence_bound converge
+# 1.93 and 1.70 above the independence bound, a false optimum.
+SEED_REFRESH = 3
 # Refinements of the principal-axis start (see _start_values). Lockstep
 # rounds of a 15-replication anchor_x1 block (seeds 1-300) by steps:
 # 0 -> 9.12, 1 -> 8.16, 2 -> 7.55, 3 -> 7.07, 4 -> 6.79, 6 -> 6.51,
@@ -166,10 +131,9 @@ class FitOptions:
     the joint gradient is zero up to rounding at every reported point. An
     attempt runs until its step predicts less decrease than F resolves, so
     a tolerance is reached where F resolves it. Over 50 samples of each
-    bundled design, every fit converges at 1e-8, and at 1e-9 every model1
-    and anchored fit and 48-49 of each model2 design. Below that the
-    rounding of F decides: at 1e-10, 30 of the 50 table1_model2_n150 fits
-    converge (30-50 per design), and at 1e-11 9-44 of each design's 50.
+    bundled design, every fit converges at 1e-10, where the Fisher seed
+    left 30-50 of each design's 50, and at 1e-11 49-50 of each design's
+    50 (Fisher seed: 9-44). Below that the rounding of F decides.
     Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
     finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
@@ -229,10 +193,11 @@ class FitResult:
 class _Workspace:
     """The estimator's view of a spec's parameter layout (ParameterIndex).
 
-    The objective and its gradient, the concentrated information,
-    implied_moments and numeric_gradient form the implied moments through
-    build, one definition that includes the exact symmetrization of Sigma.
-    Every path computes F with _discrepancy_terms, ml_discrepancy included.
+    The objective and its gradient, implied_moments and numeric_gradient
+    form the implied moments through build, one definition that includes
+    the exact symmetrization of Sigma, and the seed reads the evaluation
+    that accepted its point. Every path computes F with _discrepancy_terms,
+    ml_discrepancy included.
     A spec's workspace is made once (see _workspace) and never modified
     afterwards.
     """
@@ -244,11 +209,12 @@ class _Workspace:
         self.labels = index.labels()
         self.p, self.q = spec.p, spec.q
         # the scatter of ParameterIndex.insert as a matrix: parameter k
-        # collects the cells it fills. The gradient and the Fisher seed map
-        # cell derivatives to parameters through it, so a free off-diagonal
-        # phi sums the derivatives of both of its cells
+        # collects the cells it fills. The gradient and the seed map cell
+        # derivatives to parameters through it, so a free off-diagonal phi
+        # sums the derivatives of both of its cells
         self.gather = np.zeros((self.t, index.template.size))
         self.gather[index.src, index.slots] = 1.0
+        self.pairs, self.sigma_map, self.mu_map, self.second_map = _seed_maps(index, self.gather)
 
         matrix = np.array([e.matrix for e in index.entries], dtype=object)
         self.rows = np.array([e.row for e in index.entries], dtype=int)
@@ -296,6 +262,8 @@ class _Workspace:
                    + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
         self.flippable = np.array([all(c.is_free or c.value == 0.0 for c in t) for t in touched])
         self.lower = np.tri(self.p, dtype=bool)
+        # the width of an evaluation: the joint point, U, B, G, U d and W d (see _evaluate)
+        self.width = self.t + 3 * self.p * self.p + 2 * self.p
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -329,47 +297,130 @@ class _Workspace:
         mu = mats.intercepts + (lam @ mats.factor_means[..., None])[..., 0]
         return mats, sigma, mu
 
-    def concentrated_information(self, values: np.ndarray) -> np.ndarray:
-        """Information on the covariance parameters, the mean parameters concentrated out.
+    def unpack(self, at: np.ndarray) -> tuple:
+        """The joint point, U, B, G, U d and W d of evaluations at (..., width), as _evaluate lays them out."""
+        t, p, k = self.t, self.p, self.p * self.p
+        square = at.shape[:-1] + (p, p)
+        u, b, g = (at[..., t + i * k : t + (i + 1) * k].reshape(square) for i in range(3))
+        return at[..., :t], u, b, g, at[..., t + 3 * k : t + 3 * k + p], at[..., t + 3 * k + p :]
 
-        The Schur complement H_cc - H_cm H_mm^-1 H_mc of the Fisher
-        information H (module docstring) on its mean block: the Hessian of
-        the concentrated F wherever the model fits exactly. With U = L^-1,
-        H = M M' where row k of M holds U dSigma_k U' and sqrt(2) U dmu_k
-        (per layout cell, gathered to parameters, with the chain rule
-        psi2 = exp(z)). The complement is P P' over the covariance (c) and
-        mean (m) rows of M, P = M_c - (M_c M_m')(M_m M_m')^-1 M_m, which
-        differs from M_c only in the U dmu columns. values (..., t) is a
-        joint point, the mean parameters at their optimum. NaN where Sigma
-        is not positive definite or the mean design is singular.
+    def _derivatives(self, at: np.ndarray) -> tuple:
+        """The matrices, B, G, U d, W d, vec A_k (..., t, p * p) and sqrt(2) m_k (..., t, p) at evaluations at.
+
+        A_k = U dSigma_k U' and m_k = U dmu_k for every parameter k, with
+        U of the evaluation (see _seed_maps); the chain rule psi2 = exp(z)
+        scales the rows of each log psi2.
         """
-        mats, sigma, _ = self.build(values)
-        lead, p, q, k = values.shape[:-1], self.p, self.q, self.p * self.p
-        u = linalg.whitener(sigma)
+        values, u, b, g, ud, wd = self.unpack(at)
+        mats = self.index.insert(values)
+        lead, p = values.shape[:-1], self.p
         ul = u @ mats.loadings
-        u_t, ul_t, ub_t = _mT(u), _mT(ul), _mT(ul @ mats.factor_cov)
-        cells = np.zeros(lead + (self.index.template.size, k + p))
-        d_sigma, d_mu = cells[..., :k], cells[..., k:]
-        lam, phi, psi2, nu, theta = self.index.slices
-        # dSigma/dlambda_ij = e_i (Lambda Phi)_j' + (Lambda Phi)_j e_i'
-        outer = u_t[..., :, None, :, None] * ub_t[..., None, :, None, :]
-        d_sigma[..., lam, :] = (outer + _mT(outer)).reshape(lead + (p * q, k))
-        d_mu[..., lam, :] = (u_t[..., :, None, :] * mats.factor_means[..., None, :, None]).reshape(lead + (-1, p))
-        # dSigma/dphi_ab = Lambda_a Lambda_b'; both cells of a free off-diagonal
-        # phi are gathered, so its whitened derivative is symmetric
-        d_sigma[..., phi, :] = (
-            ul_t[..., :, None, :, None] * ul_t[..., None, :, None, :]
-        ).reshape(lead + (q * q, k))
-        d_sigma[..., psi2, :] = (u_t[..., :, :, None] * u_t[..., :, None, :]).reshape(lead + (p, k))
-        d_mu[..., nu, :] = u_t
-        d_mu[..., theta, :] = ul_t
-        d_mu *= np.sqrt(2.0)
-        m = self.gather @ cells
-        m[..., self.log_pos, :] *= values[..., self.log_pos, None]
-        m_c, m_m = m[..., : self.tc, :], m[..., self.tc :, k:]
-        proj = linalg.solve(m_m @ _mT(m_m), m_m @ _mT(m_c[..., k:]))
-        m_c[..., k:] -= _mT(proj) @ m_m
-        return m_c @ _mT(m_c)
+        u_t, ul_t = _mT(u), _mT(ul)
+        pool = np.concatenate([u_t, ul_t, _mT(ul @ mats.factor_cov)], axis=-2)
+        outer = pool[..., self.pairs[0], :, None] * pool[..., self.pairs[1], None, :]
+        a = self.sigma_map @ outer.reshape(lead + (-1, p * p))
+        a[..., self.log_pos, :] *= values[..., self.log_pos, None]
+        thetas = (u_t[..., :, None, :] * mats.factor_means[..., None, :, None]).reshape(lead + (-1, p))
+        m = self.mu_map @ np.concatenate([u_t, ul_t, thetas], axis=-2)
+        return mats, b, g, ud, wd, a, m
+
+    def _concentrate(self, joint: np.ndarray) -> np.ndarray:
+        """The Schur complement H_cc - H_cm H_mm^-1 H_mc of symmetric joint matrices (..., t, t) on their mean block."""
+        tc = self.tc
+        cross = joint[..., :tc, tc:]
+        return joint[..., :tc, :tc] - cross @ linalg.solve(joint[..., tc:, tc:], _mT(cross))
+
+    def concentrated_information(self, at: np.ndarray) -> np.ndarray:
+        """The exact Hessian (..., tc, tc) of the concentrated F over z at evaluations at (..., width).
+
+        With U, B, e = U d, W d and G = dF/dSigma of the evaluation that
+        accepted each point (see _evaluate), A_k = U dSigma_k U' and
+        m_k = U dmu_k, the joint Hessian is
+
+            H_kl = tr(A_k A_l) + 2 tr(A_k B A_l) + 2 (m_k + A_k e)'(m_l + A_l e)
+                   + tr(G d2Sigma_kl) - 2 (W d)' d2mu_kl
+
+        (Lee & Jennrich 1979) plus dF/dz_j on the diagonal of each log
+        psi2_j (see _seed_maps). Its Schur complement on the mean block is
+        the Hessian of the concentrated F, since every evaluated point has
+        the mean parameters at their optimum. NaN where the mean design is
+        singular.
+        """
+        mats, b, g, ud, wd, a, m = self._derivatives(at)
+        lead, p, t = a.shape[:-2], self.p, self.t
+        # the rows of every A_k, stacked
+        rows = a.reshape(lead + (t * p, p))
+        # sqrt(2) (m_k + A_k e), and vec A_k (I + 2B)
+        v = m + np.sqrt(2.0) * (rows @ ud[..., None]).reshape(lead + (t, p))
+        left = a + 2.0 * (rows @ b).reshape(lead + (t, p * p))
+        sources = np.concatenate(
+            [
+                (g[..., :, None, :, None] * mats.factor_cov[..., None, :, None, :]).reshape(lead + (-1,)),
+                (g @ mats.loadings).reshape(lead + (-1,)),
+                wd,
+                g.diagonal(0, -2, -1) * mats.unique_variances,
+            ],
+            axis=-1,
+        )
+        second = (sources[..., None, :] @ self.second_map).reshape(lead + (t, t))
+        return self._concentrate(left @ _mT(a) + v @ _mT(v) + second)
+
+    def concentrated_fisher(self, at: np.ndarray) -> np.ndarray:
+        """The Fisher part (..., tc, tc) of concentrated_information at evaluations at (..., width).
+
+        The Schur complement of tr(A_k A_l) + 2 m_k' m_l (Jennrich &
+        Robinson 1969): the Hessian of the concentrated F wherever the model
+        fits exactly, and positive definite wherever A and m have full rank.
+        """
+        _, _, _, _, _, a, m = self._derivatives(at)
+        return self._concentrate(a @ _mT(a) + m @ _mT(m))
+
+
+def _seed_maps(index: ParameterIndex, gather: np.ndarray) -> tuple:
+    """The seed's maps from whitened vectors to parameters (see _Workspace.concentrated_information).
+
+    U dSigma U' of a layout cell is a sum of outer products of the whitened
+    vectors U e_i, U Lambda_a and U (Lambda Phi)_a: U e_i (U (Lambda Phi)_j)'
+    plus its transpose for lambda_ij, U Lambda_a (U Lambda_b)' for phi_ab
+    and U e_j (U e_j)' for psi2_j. U dmu is theta_j U e_i for lambda_ij,
+    U e_i for nu_i and U Lambda_j for theta_j. The second derivatives are
+    linear in the sources G_ik Phi_jl, (G Lambda)_ia, (W d)_i and
+    G_jj psi2_j (the chain-rule term of log psi2_j): the only ones not zero
+    are Phi_jl (e_i e_k' + e_k e_i') of Sigma for lambda_ij and lambda_kl,
+    e_i Lambda_b' [j = a] + Lambda_a e_i' [j = b] of Sigma for lambda_ij and
+    phi_ab, and e_i of mu for lambda_ij and theta_j. Returns the pairs
+    (r, s) of the outer products in use and, through gather, the maps to
+    parameters: sigma_map of those products to vec A, mu_map of the vectors
+    to sqrt(2) U dmu and second_map (sources, t t) of the sources.
+    """
+    p, q = index.spec.p, index.spec.q
+    lam, phi, psi2, nu, theta = (np.arange(s.start, s.stop) for s in index.slices)
+    cells, pool, pq = index.template.size, p + 2 * q, p * q
+    i, j = np.divmod(np.arange(pq), q)  # the row and factor of each loading cell
+    a, b = np.divmod(np.arange(q * q), q)  # the factors of each phi cell
+    outer = np.zeros((cells, pool, pool))
+    outer[lam, i, p + q + j] = outer[lam, p + q + j, i] = 1.0
+    outer[phi, p + a, p + b] = 1.0
+    outer[psi2, np.arange(p), np.arange(p)] = 1.0
+    sigma_map = gather @ outer.reshape(cells, -1)
+    used = np.flatnonzero(np.any(sigma_map != 0.0, axis=0))
+    vectors = np.zeros((cells, p + q + pq))
+    vectors[lam, p + q + np.arange(pq)] = np.sqrt(2.0)
+    vectors[nu, np.arange(p)] = np.sqrt(2.0)
+    vectors[theta, p + np.arange(q)] = np.sqrt(2.0)
+    # the sources G_ik Phi_jl (pq x pq), (G Lambda)_ia (p x q), (W d)_i and
+    # G_jj psi2_j, each set once below and mirrored. Per cell, lambda_ij
+    # and phi_ab take 2 (G Lambda)_ia [j = b], which the cells of a free
+    # phi sum to its derivative
+    half = np.zeros((pq * pq + pq + 2 * p, cells, cells))
+    kl, f = np.arange(pq * pq), np.arange(q)
+    half[kl, lam[kl // pq], lam[kl % pq]] = 1.0
+    half[pq * pq + np.arange(pq)[:, None], lam[i[:, None] * q + f], phi[j[:, None] * q + f]] = 2.0
+    half[pq * pq + pq + i, lam, theta[j]] = -2.0
+    half[pq * pq + pq + p + np.arange(p), psi2, psi2] = 0.5
+    second = half + half.transpose(0, 2, 1)
+    second_map = (gather @ second @ gather.T).reshape(len(second), -1)
+    return np.array(np.divmod(used, pool)), sigma_map[:, used], gather @ vectors, second_map
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -394,9 +445,9 @@ def _discrepancy_terms(
 
     design (..., p, m) holds the columns A of m mean parameters beta
     concentrated out of F (m may be 0). U = L^-1 is linalg.whitener(sigma),
-    as the Fisher seed (_Workspace.concentrated_information) takes it, so
-    both get the same U at a point; U A, U d0 and B are stacked products
-    with it. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the
+    and the seed (_Workspace.concentrated_information) reads U, B and U d
+    from the evaluation that made them; U A, U d0 and B are stacked
+    products with it. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the
     mean residual, and U d = U d0 - UA beta. Every argument may carry the
     same leading axes. The gradient reuses U, B and U d, so F is computed
     one way on every path. Returns F, U, B, U d and beta; all of them are
@@ -416,8 +467,8 @@ def _discrepancy_terms(
 
 def _discrepancy_and_gradient(
     ws: _Workspace, values: np.ndarray, sample_cov, xbar, concentrate: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """F (rows,) and its exact gradient (rows, t) in unconstrained coordinates.
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """F (rows,), its exact gradient (rows, t) in unconstrained coordinates, and U, B, G, U d and W d.
 
     values is a stack of raw points (rows, t), each with its own sample:
     sample_cov (rows, p, p) and xbar (rows, p). With concentrate, the free
@@ -427,7 +478,8 @@ def _discrepancy_and_gradient(
     parameters is exact by the envelope theorem, and the mean block of the
     gradient is zero up to rounding. F and the gradient are NaN in a row
     whose implied covariance is not positive definite or, with
-    concentrate, whose mean design is singular.
+    concentrate, whose mean design is singular. The seed takes U, B, U d,
+    W d and G = dF/dSigma from here (_Workspace.concentrated_information).
     """
     mats, sigma, mu = ws.build(values)
     lam, lam_t, rows = mats.loadings, _mT(mats.loadings), values.shape[0]
@@ -458,7 +510,7 @@ def _discrepancy_and_gradient(
         ],
         axis=1,
     )
-    return f, d_full @ ws.gather.T
+    return f, d_full @ ws.gather.T, (u, b, g, ud, wd)
 
 
 def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -527,9 +579,7 @@ def numeric_gradient(
     every free parameter at the point as given. fit steps on the
     concentrated F, whose gradient is this one's covariance block only
     where the intercepts and factor means are at their GLS optimum, as at
-    every point fit reports. Off it they differ: for model2 at n = 300,
-    Seed(4), with the factor mean 0.5 off that optimum, the covariance
-    block reads 3.9 and the concentrated gradient 1.9e-8. It takes the
+    every point fit reports, and differ off it. It takes the
     checks of implied_moments, sample must be one sample of the spec's
     variables, and a point whose implied covariance is not positive
     definite raises.
@@ -539,7 +589,7 @@ def numeric_gradient(
     _check_one_sample(sample, sigma, mu)
     cholesky(sample.cov)  # raises unless the sample covariance is positive definite
     with np.errstate(invalid="ignore"):
-        _, grad = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
+        _, grad, _ = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
     if np.isnan(grad).any():
         raise NotPositiveDefiniteError("implied covariance not positive definite")
     return grad[0]
@@ -653,26 +703,38 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
 
 
 def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
-    """F (k,), its gradient (k, tc) and the joint points (k, t) at covariance points z (k, tc).
+    """F (k,), its gradient (k, tc) and the evaluations (k, width) at covariance points z (k, tc).
 
-    F is inf where F or the gradient is not finite, as in a row whose Sigma
-    is not positive definite or whose mean design is singular; a mean
-    parameter that is not finite leaves F not finite. It never raises.
+    An evaluation is one row of the joint point (t), U, B and G (p * p
+    each), U d and W d (p each): everything the seed at that point needs
+    (_Workspace.unpack). F is inf where F or the gradient is not finite,
+    as in a row whose Sigma is not positive definite or whose mean design
+    is singular; a mean parameter that is not finite leaves F not finite.
+    It never raises.
     """
-    values = np.zeros((len(z), ws.t))
+    k = len(z)
+    values = np.zeros((k, ws.t))
     values[:, : ws.tc] = ws.to_raw(z)
-    f, g = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
+    f, g, terms = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
     g = g[:, : ws.tc]
-    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, values
+    at = np.concatenate([values] + [term.reshape(k, -1) for term in terms], axis=1)
+    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, at
 
 
-def _inverse_information(ws: _Workspace, values: np.ndarray) -> np.ndarray:
-    """Inverse concentrated information (rows, tc, tc) at joint points (rows, t), by Cholesky.
+def _inverse_information(ws: _Workspace, at: np.ndarray) -> np.ndarray:
+    """The seed of the inverse Hessian (rows, tc, tc) at evaluations at (rows, width), by Cholesky.
 
-    A row where that fails is NaN: its direction has no slope, so the
-    attempt that seeded it ends (see fit_many).
+    The inverse of the exact concentrated Hessian where its Cholesky
+    factor holds, and of the concentrated Fisher information elsewhere (see
+    _Workspace.concentrated_information). A row where both fail is NaN:
+    its direction has no slope, so the attempt that seeded it ends (see
+    fit_many).
     """
-    inv_lower = linalg.whitener(ws.concentrated_information(values))
+    lower = linalg.cholesky(ws.concentrated_information(at))
+    failed = np.isnan(lower).any(axis=(1, 2))
+    if np.count_nonzero(failed):
+        lower[failed] = linalg.cholesky(ws.concentrated_fisher(at[failed]))
+    inv_lower = linalg.inv(lower)
     return _mT(inv_lower) @ inv_lower
 
 
@@ -694,24 +756,28 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
 
     Each sample runs attempts of BFGS on the concentrated F over the
     covariance parameters in unconstrained coordinates. The inverse Hessian
-    is seeded from the inverse concentrated information, again every
-    FISHER_REFRESH iterations and whenever no step is found along the BFGS
-    direction. The line search tries the full step and accepts a trial that
-    lowers F strictly and meets the Armijo condition; a rejected trial
-    shortens the step to the minimizer of the quadratic through F, the slope
-    and the trial, within [0.1, 0.5] of the step, one without a finite F
-    halves it, and no step is found once the decrease asked for is below
-    F_ROUNDING. An attempt converges, before a search, when the largest
-    gradient component is within gradient_tolerance and the step predicts a
-    decrease (-slope / 2) within F_ROUNDING. It fails when a seed fails, when
-    no step is found along a fresh seed's direction, or without a finite F
-    at its start. Otherwise it runs to max_iterations: there is no other
-    gradient target. Up to max_restarts more attempts follow one that fails
-    or ends unconverged, attempt a from the first start jittered by up to
-    jitter_fraction, drawn from derive_seed(seed, rng.STREAM_JITTER, a), and
-    the best is reported: converged first, then the lowest F. Without free
-    covariance parameters the start's one evaluation is the result; a sample
-    whose every attempt fails gets a NotPositiveDefiniteError.
+    is seeded from the inverse of the exact Hessian of the concentrated F,
+    or of its Fisher part where the Hessian is not positive definite
+    (_inverse_information), again every SEED_REFRESH iterations and
+    whenever no step is found along the BFGS direction; a bundled fit
+    takes a median of 3-4 iterations (the slowest of 500: 4-5). The line
+    search tries the full step and accepts a trial that lowers F strictly
+    and meets the Armijo condition; a rejected trial shortens the step to
+    the minimizer of the quadratic through F, the slope and the trial,
+    within [0.1, 0.5] of the step, one without a finite F halves it, and
+    no step is found once the decrease asked for is below F_ROUNDING. An
+    attempt converges, before a search, when the largest gradient
+    component is within gradient_tolerance and the step predicts a
+    decrease (-slope / 2) within F_ROUNDING. It fails when a seed fails
+    (neither the Hessian nor its Fisher part is positive definite), when
+    no step is found along a fresh seed's direction, or without a finite
+    F at its start. Otherwise it runs to max_iterations. Up to
+    max_restarts more attempts follow one that fails or ends unconverged,
+    attempt a from the first start jittered by up to jitter_fraction,
+    drawn from derive_seed(seed, rng.STREAM_JITTER, a), and the best is
+    reported: converged first, then the lowest F. Without free covariance
+    parameters the start's one evaluation is the result; a sample whose
+    every attempt fails gets a NotPositiveDefiniteError.
 
     The rounds step the unfinished fits as rows of arrays (see the module
     docstring) with numpy's floating-point warnings off: a trial that
@@ -752,7 +818,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
     # per sample: its attempt, and its best attempt's joint point, F, max |g|
     # and iterations, where it = -1 while no attempt had a finite start
     attempt = np.zeros(count, dtype=int)
-    best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
+    best = SimpleNamespace(at=np.zeros((count, ws.width)), f=np.full(count, np.inf),
                            g_inf=np.zeros(count), it=np.full(count, -1))
     with np.errstate(all="ignore"):
         # one C-contiguous copy of the moments of the rows to fit, for the start and every round
@@ -767,12 +833,12 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
         s = SimpleNamespace(
             row=np.array(rows, dtype=int), cov=cov, mean=mean, v0=v0,
             zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
-            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), point=np.zeros((k, ws.t)),
+            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), at=np.zeros((k, ws.width)),
             h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),
             it=np.full(k, -1), seeded=np.full(k, -1),
         )
         while len(s.row):
-            f, g, point = _evaluate(ws, s.zt, s.cov, s.mean)
+            f, g, at = _evaluate(ws, s.zt, s.cov, s.mean)
             accept = (f < s.f) & (f <= s.f + ARMIJO * s.alpha * s.slope)
             head, ended, reject = accept, np.zeros(len(s.row), dtype=bool), ~accept
             if np.count_nonzero(reject):
@@ -800,15 +866,15 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 moved = accept[:, None]
                 np.copyto(s.z, s.zt, where=moved)
                 np.copyto(s.g, g, where=moved)
-                np.copyto(s.point, point, where=moved)
+                np.copyto(s.at, at, where=moved)
                 np.copyto(s.f, f, where=accept)
                 np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
                 s.it += accept
             while np.count_nonzero(head):
                 run = head & (s.it < options.max_iterations)
-                due = run & ((s.seeded < 0) | ((s.it % FISHER_REFRESH == 0) & (s.seeded != s.it)))
+                due = run & ((s.seeded < 0) | ((s.it % SEED_REFRESH == 0) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
-                    s.h[due] = _inverse_information(ws, s.point[due])
+                    s.h[due] = _inverse_information(ws, s.at[due])
                     np.copyto(s.seeded, s.it, where=due)
                 d = -(s.h @ s.g[..., None])[..., 0]
                 slope = _dot(s.g, d)
@@ -858,7 +924,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
         if not started[i]:
             message = "every optimization attempt failed; last error: no finite discrepancy at the start"
             errors[i] = NotPositiveDefiniteError(message)
-    mats = _sign_convention(ws, ws.index.insert(best.point))
+    mats = _sign_convention(ws, ws.index.insert(best.at[:, : ws.t]))
     f_min = np.where(started, best.f, 0.0)
     block = FitResult(
         estimates=mats, f_min=f_min, chi_square=(samples.n - 1) * f_min, df=ws.report.df, n=samples.n,
@@ -883,7 +949,7 @@ def _fit_row(block: FitResult, i: int) -> FitResult:
 def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:
     """Minimize the ML discrepancy over the free parameters of spec.
 
-    Runs the Fisher-seeded BFGS loop from starts scaled to the sample
+    Runs the Newton-seeded BFGS loop from starts scaled to the sample
     (see _start_values), retrying from jittered starts when an attempt
     fails to converge. The best attempt is always reported;
     converged=False survives into the result rather than raising, so

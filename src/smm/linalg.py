@@ -44,10 +44,12 @@ def checked_cholesky(stack) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factors of one matrix or a stack (..., p, p), and a code per matrix.
 
     A code is 0 where the factor holds, ASYMMETRIC where the matrix is not
-    symmetric to 1e-8 of its largest entry, INDEFINITE where the
-    factorization fails (numpy fills that factor with NaN, so a 1 x 1 NaN
-    reads as one too), and BELOW_PIVOT_FLOOR where a pivot is at or below PIVOT_FLOOR. Only
-    input that is not square raises.
+    symmetric to 1e-8 of its largest entry, INDEFINITE where a pivot of the
+    factor is NaN, and BELOW_PIVOT_FLOOR where a pivot is at or below
+    PIVOT_FLOOR. A factorization that fails is filled with NaN by numpy, and
+    a NaN in the lower triangle reaches a pivot without failing it
+    ([[1, nan], [nan, 1]] factors to [[1, 0], [nan, nan]]): both read as
+    INDEFINITE. Only input that is not square raises.
     """
     stack = np.atleast_2d(np.asarray(stack, dtype=float))
     if stack.shape[-1] != stack.shape[-2]:
@@ -57,8 +59,9 @@ def checked_cholesky(stack) -> tuple[np.ndarray, np.ndarray]:
         asymmetry = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
         lower = cholesky(stack)
     # a matrix that fails in more than one way gets the smallest code
-    codes = np.where((lower.diagonal(0, -2, -1) ** 2 <= PIVOT_FLOOR).any(axis=-1), BELOW_PIVOT_FLOOR, 0)
-    codes[np.isnan(lower).all(axis=(-2, -1))] = INDEFINITE
+    pivots = lower.diagonal(0, -2, -1)
+    codes = np.where((pivots**2 <= PIVOT_FLOOR).any(axis=-1), BELOW_PIVOT_FLOOR, 0)
+    codes[np.isnan(pivots).any(axis=-1)] = INDEFINITE
     codes[asymmetry > 1e-8 * np.where(scale == 0.0, 1.0, scale)] = ASYMMETRIC
     return lower, codes
 

@@ -110,17 +110,22 @@ def covariances(cross: np.ndarray, n: int, variable_names) -> np.ndarray:
 
 
 def _center_in_place(x: np.ndarray, mean: np.ndarray, cross: np.ndarray) -> None:
-    """Write the column means of x (n, p) to mean (p,), center x on them, and write x'x to cross (p, p).
+    """Write the column means of x to mean, center x on them, and write each x'x to cross.
 
+    x is one sample (n, p), with mean (p,) and cross (p, p), or a slab of k
+    samples of n rows (n, k, p), with mean (k, p) and cross (k, p, p). Both
+    are summed along their first axis as (n, k p): each column in its
+    sequential order, so a sample gets the same bits in a slab as alone.
     The sum, then the division, is what np.mean computes. Values whose sum
     overflows give inf and NaN here without a numpy warning, and
     SampleMoments rejects them as NON_FINITE_VALUES.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.reduce(x, axis=0, out=mean)
+        np.add.reduce(x.reshape(len(x), -1), axis=0, out=mean.reshape(-1))
         mean /= len(x)
         x -= mean
-        np.matmul(x.T, x, out=cross)
+        samples = x.swapaxes(0, -2)  # (..., n, p)
+        np.matmul(samples.swapaxes(-1, -2), samples, out=cross)
 
 
 def compute_moments(data: Dataset) -> SampleMoments:

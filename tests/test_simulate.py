@@ -62,6 +62,15 @@ def test_population_rejects_indefinite_factor_cov():
         )
 
 
+def test_population_rejects_a_factor_cov_with_nan_when_it_is_built():
+    # the NaN reaches the second pivot without failing the factorization:
+    # the factor [[1, 0], [nan, nan]] must not pass as one that holds, or
+    # draw_sample fails later with NON_FINITE_VALUES
+    nan = float("nan")
+    with pytest.raises(SmmError, match="NOT_POSITIVE_DEFINITE"):
+        structured(np.ones((4, 2)), [[1.0, nan], [nan, 1.0]], np.ones(4), np.zeros(4), np.zeros(2))
+
+
 def test_cholesky_hand_case():
     lower = cholesky(np.array([[4.0, 2.0], [2.0, 2.0]]))
     np.testing.assert_allclose(lower, [[2.0, 0.0], [1.0, 1.0]])
