@@ -35,10 +35,14 @@ and factor means beta, mu = mu0 + A beta with a column e_j of A for each
 free nu_j and Lambda[:, k] for each free theta_k, so at any point of the
 covariance parameters (lambda, phi, psi2) the best beta is the GLS
 solution of (UA)'(UA) beta = (UA)' U d0, with d0 = xbar - mu0. Every
-evaluation forms U = L^-1 once, whitens A, S - Sigma and d0 with it,
-sets beta to that optimum and returns the concentrated F with its
-gradient over the covariance parameters, which the envelope theorem
-makes exact.
+evaluation forms U = L^-1 once, whitens A with it as it whitens
+S - Sigma and d0, sets beta to that optimum and returns the concentrated
+F with its gradient over the covariance parameters, which the envelope
+theorem makes exact: the mean block of the joint gradient vanishes at
+beta. The bilinear lambda theta no longer bends the optimizer's path
+(anchor_x1 from loadings at half a standard deviation, seeded from the
+Fisher information: a median of 9 iterations over 500 fits, the slowest
+11, against 40 and 88 when beta was walked jointly).
 
 The minimizer is BFGS in numpy over the covariance parameters, with a
 backtracking Armijo search. Its inverse Hessian is seeded with the
@@ -56,19 +60,45 @@ than F resolves (F_ROUNDING). It fails where a search from a fresh seed
 gives up, where a seed fails (as on the way to a runaway factor mean) or
 where its start has no finite F. Otherwise it runs to max_iterations.
 
-Starts are scaled to the sample, and in one-factor models placed along
-the mean residuals or at a principal-axis solution (see _start_values).
-A bundled fit takes a median of 3-4 iterations (the slowest of 500: 4-5).
+A free cell with a start of its own keeps it. The other starts are
+scaled to the sample (loadings at half a standard deviation, unique
+variances at half a variance); intercepts and factor means need none.
+In one-factor models with a free factor mean and fixed intercepts the
+loadings start along the observed mean residuals instead, to which the
+structured-means model makes them proportional, and in other one-factor
+models at an iterated principal-axis solution of the correlations (see
+_start_values). Seeded from the Fisher information, the median fit of a
+Table 1 design then took 4-7 iterations (the slowest of 500: 5-10),
+where loadings at half a standard deviation took 13-19 (22-29), and the
+anchored designs 5 (7), against 9 (11). Seeded from the Hessian, a
+bundled fit takes a median of 3-4 iterations (the slowest of 500: 4-5).
 
-Fits run in lockstep: fit_many steps a block of samples (one
+Fits run in lockstep. fit_many fits a block of samples (one
 SampleMoments with a row per sample, as simulate.draw_moments draws a
-Monte Carlo condition) as rows of arrays. Nearly all of the cost on 5x5
-matrices is numpy's per-call overhead, so a stacked call costs little
-more than a single one. A matrix that fails gives NaN in its own row
-only, and each row gets the bits it would get alone (see the linalg
-module), so a result does not depend on the batch it was fitted in. On a
-2-vCPU x86 VM a lone fit of a bundled design takes about 2-4 ms, and in
-a batch of 500 about 0.08-0.16 ms per fit.
+Monte Carlo condition's replications) with one optimizer whose state is
+arrays over the unfinished fits, one row per fit: points, gradients,
+inverse Hessians, directions, step lengths and counters. Every round
+evaluates F and its gradient at each fit's pending point in one stacked
+numpy call over the leading (R, ...) axis, seeds the fits due a seed in
+another, and takes Armijo acceptance, step shortening, the BFGS update
+and the next direction as masks over all rows. A matrix that fails (a
+trial Sigma not positive definite, a mean design gone singular as the
+loadings shrink) gives NaN in its own row only, so that fit's F or seed
+reads inf or NaN and the other rows go on. Attempt counts and best
+attempts are arrays over the fits as well: Python runs per fit only to
+draw a restart's jitter, and finished fits leave the arrays. The fits of
+a batch share one FitOptions, each with its own jitter seed. The set-up
+(sample checks, starts) and the wrap-up are stacked too: the wrap-up
+forms the matrices, sign convention and free values of every fit at once
+into one FitResult block, which a Monte Carlo condition keeps whole up
+to its summary. Python builds a FitResult per fit only for fit_many and
+fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
+overhead, so a stacked call costs little more than a single one. fit is
+fit_many on one sample. Each row of a stacked operation gets the bits it
+would get alone (see the linalg module), so a result does not depend on
+the batch it was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled
+design takes about 2-4 ms, and in a batch of 500 about 0.08-0.16 ms per
+fit.
 """
 
 from __future__ import annotations
@@ -214,7 +244,8 @@ class _Workspace:
         # sums the derivatives of both of its cells
         self.gather = np.zeros((self.t, index.template.size))
         self.gather[index.src, index.slots] = 1.0
-        self.pairs, self.sigma_map, self.mu_map, self.second_map = _seed_maps(index, self.gather)
+        (self.pairs, self.sigma_map, self.mu_map,
+         (self.second_pairs, self.second_sources, self.second_scale)) = _seed_maps(index, self.gather)
 
         matrix = np.array([e.matrix for e in index.entries], dtype=object)
         self.rows = np.array([e.row for e in index.entries], dtype=int)
@@ -262,8 +293,8 @@ class _Workspace:
                    + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
         self.flippable = np.array([all(c.is_free or c.value == 0.0 for c in t) for t in touched])
         self.lower = np.tri(self.p, dtype=bool)
-        # the width of an evaluation: the joint point, U, B, G, U d and W d (see _evaluate)
-        self.width = self.t + 3 * self.p * self.p + 2 * self.p
+        # the width of an evaluation's packed terms U, B, G, U d and W d (see pack)
+        self.width = 3 * self.p * self.p + 2 * self.p
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -297,21 +328,26 @@ class _Workspace:
         mu = mats.intercepts + (lam @ mats.factor_means[..., None])[..., 0]
         return mats, sigma, mu
 
-    def unpack(self, at: np.ndarray) -> tuple:
-        """The joint point, U, B, G, U d and W d of evaluations at (..., width), as _evaluate lays them out."""
-        t, p, k = self.t, self.p, self.p * self.p
-        square = at.shape[:-1] + (p, p)
-        u, b, g = (at[..., t + i * k : t + (i + 1) * k].reshape(square) for i in range(3))
-        return at[..., :t], u, b, g, at[..., t + 3 * k : t + 3 * k + p], at[..., t + 3 * k + p :]
+    def pack(self, terms: tuple) -> np.ndarray:
+        """U, B, G (rows, p, p), U d and W d (rows, p) of evaluations as rows (rows, width)."""
+        return np.concatenate([term.reshape(len(term), -1) for term in terms], axis=1)
 
-    def _derivatives(self, at: np.ndarray) -> tuple:
-        """The matrices, B, G, U d, W d, vec A_k (..., t, p * p) and sqrt(2) m_k (..., t, p) at evaluations at.
+    def unpack(self, packed: np.ndarray) -> tuple:
+        """U, B, G, U d and W d of packed terms (..., width), as pack lays them out."""
+        p, k = self.p, self.p * self.p
+        square = packed.shape[:-1] + (p, p)
+        u, b, g = (packed[..., i * k : (i + 1) * k].reshape(square) for i in range(3))
+        return u, b, g, packed[..., 3 * k : 3 * k + p], packed[..., 3 * k + p :]
 
-        A_k = U dSigma_k U' and m_k = U dmu_k for every parameter k, with
-        U of the evaluation (see _seed_maps); the chain rule psi2 = exp(z)
-        scales the rows of each log psi2.
+    def _derivatives(self, values: np.ndarray, terms: np.ndarray) -> tuple:
+        """The matrices, B, G, U d, W d, vec A_k (..., t, p * p) and sqrt(2) m_k (..., t, p).
+
+        values (..., t) are joint points and terms (..., width) their
+        evaluations' packed terms. A_k = U dSigma_k U' and m_k = U dmu_k
+        for every parameter k, with U of the evaluation (see _seed_maps);
+        the chain rule psi2 = exp(z) scales the rows of each log psi2.
         """
-        values, u, b, g, ud, wd = self.unpack(at)
+        u, b, g, ud, wd = self.unpack(terms)
         mats = self.index.insert(values)
         lead, p = values.shape[:-1], self.p
         ul = u @ mats.loadings
@@ -324,35 +360,16 @@ class _Workspace:
         m = self.mu_map @ np.concatenate([u_t, ul_t, thetas], axis=-2)
         return mats, b, g, ud, wd, a, m
 
-    def _concentrate(self, joint: np.ndarray) -> np.ndarray:
-        """The Schur complement H_cc - H_cm H_mm^-1 H_mc of symmetric joint matrices (..., t, t) on their mean block."""
-        tc = self.tc
-        cross = joint[..., :tc, tc:]
-        return joint[..., :tc, :tc] - cross @ linalg.solve(joint[..., tc:, tc:], _mT(cross))
+    def _second_derivatives(self, mats: ParameterMatrices, g: np.ndarray, wd: np.ndarray) -> np.ndarray:
+        """tr(G d2Sigma_kl) - 2 (W d)' d2mu_kl (..., t, t), plus dF/dz_j on the diagonal of each log psi2_j.
 
-    def concentrated_information(self, at: np.ndarray) -> np.ndarray:
-        """The exact Hessian (..., tc, tc) of the concentrated F over z at evaluations at (..., width).
-
-        With U, B, e = U d, W d and G = dF/dSigma of the evaluation that
-        accepted each point (see _evaluate), A_k = U dSigma_k U' and
-        m_k = U dmu_k, the joint Hessian is
-
-            H_kl = tr(A_k A_l) + 2 tr(A_k B A_l) + 2 (m_k + A_k e)'(m_l + A_l e)
-                   + tr(G d2Sigma_kl) - 2 (W d)' d2mu_kl
-
-        (Lee & Jennrich 1979) plus dF/dz_j on the diagonal of each log
-        psi2_j (see _seed_maps). Its Schur complement on the mean block is
-        the Hessian of the concentrated F, since every evaluated point has
-        the mean parameters at their optimum. NaN where the mean design is
-        singular.
+        Each entry that is not zero is a source G_ik Phi_jl, (G Lambda)_ia,
+        (W d)_i or G_jj psi2_j times a constant, and no two sources meet in
+        one entry (see _seed_maps). The sources are scattered into the
+        matrix per row, so a spec needs memory of t^2 per row and nothing
+        more.
         """
-        mats, b, g, ud, wd, a, m = self._derivatives(at)
-        lead, p, t = a.shape[:-2], self.p, self.t
-        # the rows of every A_k, stacked
-        rows = a.reshape(lead + (t * p, p))
-        # sqrt(2) (m_k + A_k e), and vec A_k (I + 2B)
-        v = m + np.sqrt(2.0) * (rows @ ud[..., None]).reshape(lead + (t, p))
-        left = a + 2.0 * (rows @ b).reshape(lead + (t, p * p))
+        lead, t = g.shape[:-2], self.t
         sources = np.concatenate(
             [
                 (g[..., :, None, :, None] * mats.factor_cov[..., None, :, None, :]).reshape(lead + (-1,)),
@@ -362,36 +379,76 @@ class _Workspace:
             ],
             axis=-1,
         )
-        second = (sources[..., None, :] @ self.second_map).reshape(lead + (t, t))
-        return self._concentrate(left @ _mT(a) + v @ _mT(v) + second)
+        second = np.zeros(lead + (t * t,))
+        second[..., self.second_pairs] = sources[..., self.second_sources] * self.second_scale
+        return second.reshape(lead + (t, t))
 
-    def concentrated_fisher(self, at: np.ndarray) -> np.ndarray:
-        """The Fisher part (..., tc, tc) of concentrated_information at evaluations at (..., width).
+    def _concentrate(self, joint: np.ndarray) -> np.ndarray:
+        """The Schur complement H_cc - H_cm H_mm^-1 H_mc of symmetric joint matrices (..., t, t) on their mean block."""
+        tc = self.tc
+        cross = joint[..., :tc, tc:]
+        return joint[..., :tc, :tc] - cross @ linalg.solve(joint[..., tc:, tc:], _mT(cross))
+
+    def concentrated_information(self, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The exact Hessian (..., tc, tc) of the concentrated F over z at joint points values (..., t).
+
+        With U, B, e = U d, W d and G = dF/dSigma of the evaluation that
+        accepted each point, packed in terms (see _evaluate),
+        A_k = U dSigma_k U' and m_k = U dmu_k, the joint Hessian is
+
+            H_kl = tr(A_k A_l) + 2 tr(A_k B A_l) + 2 (m_k + A_k e)'(m_l + A_l e)
+                   + tr(G d2Sigma_kl) - 2 (W d)' d2mu_kl
+
+        (Lee & Jennrich 1979) plus dF/dz_j on the diagonal of each log
+        psi2_j (see _second_derivatives). Its Schur complement on the mean
+        block is the Hessian of the concentrated F, since every evaluated
+        point has the mean parameters at their optimum. NaN where the mean
+        design is singular.
+        """
+        mats, b, g, ud, wd, a, m = self._derivatives(values, terms)
+        lead, p, t = a.shape[:-2], self.p, self.t
+        # the rows of every A_k, stacked
+        rows = a.reshape(lead + (t * p, p))
+        # sqrt(2) (m_k + A_k e), and vec A_k (I + 2B)
+        v = m + np.sqrt(2.0) * (rows @ ud[..., None]).reshape(lead + (t, p))
+        left = a + 2.0 * (rows @ b).reshape(lead + (t, p * p))
+        return self._concentrate(left @ _mT(a) + v @ _mT(v) + self._second_derivatives(mats, g, wd))
+
+    def concentrated_fisher(self, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The Fisher part (..., tc, tc) of concentrated_information at the same arguments.
 
         The Schur complement of tr(A_k A_l) + 2 m_k' m_l (Jennrich &
         Robinson 1969): the Hessian of the concentrated F wherever the model
         fits exactly, and positive definite wherever A and m have full rank.
         """
-        _, _, _, _, _, a, m = self._derivatives(at)
+        _, _, _, _, _, a, m = self._derivatives(values, terms)
         return self._concentrate(a @ _mT(a) + m @ _mT(m))
 
 
 def _seed_maps(index: ParameterIndex, gather: np.ndarray) -> tuple:
-    """The seed's maps from whitened vectors to parameters (see _Workspace.concentrated_information).
+    """The seed's maps from whitened vectors and sources to derivatives (see _Workspace.concentrated_information).
 
     U dSigma U' of a layout cell is a sum of outer products of the whitened
     vectors U e_i, U Lambda_a and U (Lambda Phi)_a: U e_i (U (Lambda Phi)_j)'
     plus its transpose for lambda_ij, U Lambda_a (U Lambda_b)' for phi_ab
     and U e_j (U e_j)' for psi2_j. U dmu is theta_j U e_i for lambda_ij,
-    U e_i for nu_i and U Lambda_j for theta_j. The second derivatives are
-    linear in the sources G_ik Phi_jl, (G Lambda)_ia, (W d)_i and
-    G_jj psi2_j (the chain-rule term of log psi2_j): the only ones not zero
-    are Phi_jl (e_i e_k' + e_k e_i') of Sigma for lambda_ij and lambda_kl,
-    e_i Lambda_b' [j = a] + Lambda_a e_i' [j = b] of Sigma for lambda_ij and
-    phi_ab, and e_i of mu for lambda_ij and theta_j. Returns the pairs
-    (r, s) of the outer products in use and, through gather, the maps to
-    parameters: sigma_map of those products to vec A, mu_map of the vectors
-    to sqrt(2) U dmu and second_map (sources, t t) of the sources.
+    U e_i for nu_i and U Lambda_j for theta_j. The only second derivatives
+    that are not zero are Phi_jl (e_i e_k' + e_k e_i') of Sigma for
+    lambda_ij and lambda_kl, e_i Lambda_b' [j = a] + Lambda_a e_i' [j = b]
+    of Sigma for lambda_ij and phi_ab, and e_i of mu for lambda_ij and
+    theta_j, so over the cells tr(G d2Sigma) - 2 (W d)' d2mu is
+    2 G_ik Phi_jl for lambda_ij and lambda_kl, 2 (G Lambda)_ia [j = b] for
+    lambda_ij and phi_ab (the two cells of a free phi sum to its
+    derivative) and -2 (W d)_i for lambda_ij and theta_j, both ways round,
+    and the chain rule of log psi2_j adds G_jj psi2_j on its diagonal.
+    Every free parameter fills one cell but an off-diagonal phi_ab, and its
+    cells meet lambda_ib and lambda_ia, so each pair of parameters takes
+    one of these terms at most. Returns the pairs (r, s) of the outer
+    products in use and, through gather, the maps to parameters: sigma_map
+    of those products to vec A and mu_map of the vectors to sqrt(2) U dmu;
+    and, as flat indices, the pairs of free parameters (k t + l) of the
+    second derivatives with their sources and constants (the sources in
+    the order of _Workspace._second_derivatives).
     """
     p, q = index.spec.p, index.spec.q
     lam, phi, psi2, nu, theta = (np.arange(s.start, s.stop) for s in index.slices)
@@ -408,19 +465,23 @@ def _seed_maps(index: ParameterIndex, gather: np.ndarray) -> tuple:
     vectors[lam, p + q + np.arange(pq)] = np.sqrt(2.0)
     vectors[nu, np.arange(p)] = np.sqrt(2.0)
     vectors[theta, p + np.arange(q)] = np.sqrt(2.0)
-    # the sources G_ik Phi_jl (pq x pq), (G Lambda)_ia (p x q), (W d)_i and
-    # G_jj psi2_j, each set once below and mirrored. Per cell, lambda_ij
-    # and phi_ab take 2 (G Lambda)_ia [j = b], which the cells of a free
-    # phi sum to its derivative
-    half = np.zeros((pq * pq + pq + 2 * p, cells, cells))
-    kl, f = np.arange(pq * pq), np.arange(q)
-    half[kl, lam[kl // pq], lam[kl % pq]] = 1.0
-    half[pq * pq + np.arange(pq)[:, None], lam[i[:, None] * q + f], phi[j[:, None] * q + f]] = 2.0
-    half[pq * pq + pq + i, lam, theta[j]] = -2.0
-    half[pq * pq + pq + p + np.arange(p), psi2, psi2] = 0.5
-    second = half + half.transpose(0, 2, 1)
-    second_map = (gather @ second @ gather.T).reshape(len(second), -1)
-    return np.array(np.divmod(used, pool)), sigma_map[:, used], gather @ vectors, second_map
+    # each block of second derivatives as (row cell, column cell, source,
+    # constant), broadcast together. The source G_ik Phi_jl is at
+    # (i q + j) p q + k q + l, then come (G Lambda)_ia, (W d)_i and G_jj psi2_j
+    m, n = np.divmod(np.arange(pq * pq), pq)
+    f = np.arange(q)
+    lam_f, phi_f = lam[i[:, None] * q + f], phi[j[:, None] * q + f]
+    g_lam, wd, g_psi2 = pq * pq + np.arange(pq)[:, None], pq * pq + pq + i, pq * pq + pq + p + np.arange(p)
+    blocks = [(lam[m], lam[n], m * pq + n, 2.0), (lam_f, phi_f, g_lam, 2.0), (phi_f, lam_f, g_lam, 2.0),
+              (lam, theta[j], wd, -2.0), (theta[j], lam, wd, -2.0), (psi2, psi2, g_psi2, 1.0)]
+    flat = [[np.ravel(array) for array in np.broadcast_arrays(*block)] for block in blocks]
+    row, column, source, scale = map(np.concatenate, zip(*flat))
+    # the parameter of each cell, -1 where the cell is fixed
+    param = np.full(cells, -1)
+    param[index.slots] = index.src
+    kept = (param[row] >= 0) & (param[column] >= 0)
+    second = (param[row][kept] * index.t + param[column][kept], source[kept], scale[kept])
+    return np.array(np.divmod(used, pool)), sigma_map[:, used], gather @ vectors, second
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -579,7 +640,9 @@ def numeric_gradient(
     every free parameter at the point as given. fit steps on the
     concentrated F, whose gradient is this one's covariance block only
     where the intercepts and factor means are at their GLS optimum, as at
-    every point fit reports, and differ off it. It takes the
+    every point fit reports. Off it they differ: for model2 at n = 300,
+    Seed(4), with the factor mean 0.5 off that optimum, the covariance
+    block reads 3.9 and the concentrated gradient 2.9e-10. It takes the
     checks of implied_moments, sample must be one sample of the spec's
     variables, and a point whose implied covariance is not positive
     definite raises.
@@ -703,37 +766,38 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
 
 
 def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
-    """F (k,), its gradient (k, tc) and the evaluations (k, width) at covariance points z (k, tc).
+    """F (k,), its gradient (k, tc), the joint points (k, t) and the terms (k, width) at covariance points z (k, tc).
 
-    An evaluation is one row of the joint point (t), U, B and G (p * p
-    each), U d and W d (p each): everything the seed at that point needs
-    (_Workspace.unpack). F is inf where F or the gradient is not finite,
-    as in a row whose Sigma is not positive definite or whose mean design
-    is singular; a mean parameter that is not finite leaves F not finite.
-    It never raises.
+    The terms are U, B, G, U d and W d of each evaluation, packed
+    (_Workspace.pack): everything the seed at that point needs besides the
+    point. F is inf where F or the gradient is not finite, as in a row
+    whose Sigma is not positive definite or whose mean design is singular;
+    a mean parameter that is not finite leaves F not finite. It never
+    raises.
     """
-    k = len(z)
-    values = np.zeros((k, ws.t))
+    values = np.zeros((len(z), ws.t))
     values[:, : ws.tc] = ws.to_raw(z)
     f, g, terms = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
     g = g[:, : ws.tc]
-    at = np.concatenate([values] + [term.reshape(k, -1) for term in terms], axis=1)
-    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, at
+    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, values, ws.pack(terms)
 
 
-def _inverse_information(ws: _Workspace, at: np.ndarray) -> np.ndarray:
-    """The seed of the inverse Hessian (rows, tc, tc) at evaluations at (rows, width), by Cholesky.
+def _inverse_information(ws: _Workspace, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The seed of the inverse Hessian (rows, tc, tc) at joint points (rows, t) with their terms, by Cholesky.
 
     The inverse of the exact concentrated Hessian where its Cholesky
     factor holds, and of the concentrated Fisher information elsewhere (see
-    _Workspace.concentrated_information). A row where both fail is NaN:
-    its direction has no slope, so the attempt that seeded it ends (see
+    _Workspace.concentrated_information). The Hessian is indefinite far
+    from a minimum, as at the -0.5 loading starts of
+    test_fit_sign_convention_flips_negative_solution, and there its Fisher
+    part still points downhill. A row where both fail is NaN: its
+    direction has no slope, so the attempt that seeded it ends (see
     fit_many).
     """
-    lower = linalg.cholesky(ws.concentrated_information(at))
+    lower = linalg.cholesky(ws.concentrated_information(values, terms))
     failed = np.isnan(lower).any(axis=(1, 2))
     if np.count_nonzero(failed):
-        lower[failed] = linalg.cholesky(ws.concentrated_fisher(at[failed]))
+        lower[failed] = linalg.cholesky(ws.concentrated_fisher(values[failed], terms[failed]))
     inv_lower = linalg.inv(lower)
     return _mT(inv_lower) @ inv_lower
 
@@ -818,7 +882,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
     # per sample: its attempt, and its best attempt's joint point, F, max |g|
     # and iterations, where it = -1 while no attempt had a finite start
     attempt = np.zeros(count, dtype=int)
-    best = SimpleNamespace(at=np.zeros((count, ws.width)), f=np.full(count, np.inf),
+    best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
                            g_inf=np.zeros(count), it=np.full(count, -1))
     with np.errstate(all="ignore"):
         # one C-contiguous copy of the moments of the rows to fit, for the start and every round
@@ -828,17 +892,19 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
         # line search, or an attempt's start, where f = inf, slope = 0 and
         # it = seeded = -1 make the start a trial that is accepted where F is
         # finite and ends the attempt elsewhere. seeded is the iteration of
-        # the last Fisher seed, -1 when there is none. v0 is the raw start
-        # that restarts jitter.
+        # the last seed, -1 when there is none. point and terms are the
+        # evaluation at z, which the seed reads. v0 is the raw start that
+        # restarts jitter.
         s = SimpleNamespace(
             row=np.array(rows, dtype=int), cov=cov, mean=mean, v0=v0,
             zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
-            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k), at=np.zeros((k, ws.width)),
+            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k),
+            point=np.zeros((k, ws.t)), terms=np.zeros((k, ws.width)),
             h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),
             it=np.full(k, -1), seeded=np.full(k, -1),
         )
         while len(s.row):
-            f, g, at = _evaluate(ws, s.zt, s.cov, s.mean)
+            f, g, point, terms = _evaluate(ws, s.zt, s.cov, s.mean)
             accept = (f < s.f) & (f <= s.f + ARMIJO * s.alpha * s.slope)
             head, ended, reject = accept, np.zeros(len(s.row), dtype=bool), ~accept
             if np.count_nonzero(reject):
@@ -866,7 +932,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 moved = accept[:, None]
                 np.copyto(s.z, s.zt, where=moved)
                 np.copyto(s.g, g, where=moved)
-                np.copyto(s.at, at, where=moved)
+                np.copyto(s.point, point, where=moved)
+                np.copyto(s.terms, terms, where=moved)
                 np.copyto(s.f, f, where=accept)
                 np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
                 s.it += accept
@@ -874,7 +941,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 run = head & (s.it < options.max_iterations)
                 due = run & ((s.seeded < 0) | ((s.it % SEED_REFRESH == 0) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
-                    s.h[due] = _inverse_information(ws, s.at[due])
+                    s.h[due] = _inverse_information(ws, s.point[due], s.terms[due])
                     np.copyto(s.seeded, s.it, where=due)
                 d = -(s.h @ s.g[..., None])[..., 0]
                 slope = _dot(s.g, d)
@@ -924,7 +991,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
         if not started[i]:
             message = "every optimization attempt failed; last error: no finite discrepancy at the start"
             errors[i] = NotPositiveDefiniteError(message)
-    mats = _sign_convention(ws, ws.index.insert(best.at[:, : ws.t]))
+    mats = _sign_convention(ws, ws.index.insert(best.point))
     f_min = np.where(started, best.f, 0.0)
     block = FitResult(
         estimates=mats, f_min=f_min, chi_square=(samples.n - 1) * f_min, df=ws.report.df, n=samples.n,

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -332,10 +333,10 @@ FISHER_CASES = {
 
 
 def concentrated_gradient(ws, z, sample):
-    """Gradient of the concentrated F over the covariance parameters z, as fit sees it, and the evaluation."""
-    f, g, at = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+    """Gradient of the concentrated F over the covariance parameters z, as fit sees it, and the evaluation's point and terms."""
+    f, g, point, terms = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
     assert np.isfinite(f[0])
-    return g[0], at
+    return g[0], point, terms
 
 
 def gradient_differences(ws, z, sample, step):
@@ -364,8 +365,8 @@ def test_concentrated_information_is_the_hessian_of_the_concentrated_f(case):
     for _ in range(5):
         z = ws.to_unconstrained(random_point(spec, generator))[: ws.tc]
         hessian = gradient_differences(ws, z, sample, 1e-5)
-        at = concentrated_gradient(ws, z, sample)[1]
-        exact, fisher = ws.concentrated_information(at), ws.concentrated_fisher(at)
+        _, point, terms = concentrated_gradient(ws, z, sample)
+        exact, fisher = ws.concentrated_information(point, terms), ws.concentrated_fisher(point, terms)
         assert exact.shape == fisher.shape == (1, ws.tc, ws.tc)
         scale = np.max(np.abs(hessian))
         assert np.max(np.abs(exact[0] - hessian)) <= 1e-6 * scale
@@ -386,9 +387,46 @@ def test_fisher_part_is_the_hessian_at_an_exact_fit(case):
         sample = SampleMoments(n=500, mean=implied.mu_model, cov=implied.sigma)
         z = ws.to_unconstrained(raw)[: ws.tc]
         hessian = gradient_differences(ws, z, sample, 1e-5)
-        at = concentrated_gradient(ws, z, sample)[1]
-        for seed in (ws.concentrated_information(at), ws.concentrated_fisher(at)):
+        _, point, terms = concentrated_gradient(ws, z, sample)
+        for seed in (ws.concentrated_information(point, terms), ws.concentrated_fisher(point, terms)):
             assert np.max(np.abs(seed[0] - hessian)) <= 1e-6 * np.max(np.abs(hessian))
+
+
+def test_seed_of_a_large_spec_needs_little_memory():
+    # 30 variables on 5 factors, every loading, factor covariance and
+    # unique variance free: 195 covariance parameters in 240 layout cells.
+    # The workspace keeps dense maps of the first derivatives only and flat
+    # index lists of the second, which the seed scatters per row, so
+    # building it and seeding one row peaks at about 10 MB. Dense maps of
+    # the second derivatives over the cells took about 10 GB each here,
+    # and 212 MB at 12 variables on 3 factors. The seed's Hessian is still
+    # the derivative of the gradient, checked along random directions
+    p, q = 30, 5
+    generator = np.random.default_rng(11)
+    spec = ModelSpec(
+        loadings=tuple(tuple(free(x) for x in row) for row in generator.uniform(0.2, 1.0, (p, q))),
+        intercepts=tuple(fixed(0.0) if i < q else free() for i in range(p)),
+        factor_means=tuple(free() for _ in range(q)),
+        factor_cov=tuple(tuple(free(1.0 if a == b else 0.1) for b in range(q)) for a in range(q)),
+        unique_variances=tuple(free() for _ in range(p)),
+    )
+    scores = generator.standard_normal((4 * p, p))
+    sample = SampleMoments(n=4 * p, mean=generator.standard_normal(p), cov=scores.T @ scores / (4 * p) + np.eye(p))
+    tracemalloc.start()
+    try:
+        ws = estimator._Workspace(spec)
+        z = ws.to_unconstrained(_start_values(ws, sample.cov, sample.mean))[None]
+        _, _, point, terms = _evaluate(ws, z, sample.cov[None], sample.mean[None])
+        hessian = ws.concentrated_information(point, terms)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.tc == 195 and peak < 32e6
+    for _ in range(3):
+        direction = generator.standard_normal(ws.tc) * 1e-5
+        up, down = (_evaluate(ws, z + sign * direction, sample.cov[None], sample.mean[None])[1][0] for sign in (1, -1))
+        change = hessian @ direction
+        assert np.max(np.abs((up - down) / 2.0 - change)) <= 1e-6 * np.max(np.abs(change))
 
 
 @pytest.mark.parametrize("spec_of", [lambda: anchored_model_spec(0), two_factor_spec])
@@ -401,9 +439,9 @@ def test_saturated_mean_structure_leaves_no_whitened_mean_residual(spec_of):
     generator = np.random.default_rng(3)
     for _ in range(10):
         z = ws.to_unconstrained(random_point(spec, generator))[: ws.tc]
-        f, _, at = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+        f, _, point, _ = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
         assert np.isfinite(f[0])
-        implied = implied_moments(spec, at[0, : ws.t])
+        implied = implied_moments(spec, point[0])
         ud = np.linalg.solve(np.linalg.cholesky(implied.sigma), sample.mean - implied.mu_model)
         assert np.max(np.abs(ud)) <= 1e-12
 
@@ -433,7 +471,7 @@ def test_singular_mean_design_rejects_its_row_only():
     z[1, :5] = 0.0
     covs, means = samples.cov, samples.mean
     with np.errstate(invalid="ignore"):
-        f, _, _ = _evaluate(ws, z, covs, means)
+        f = _evaluate(ws, z, covs, means)[0]
     assert f[1] == np.inf
     assert f[0] == _evaluate(ws, z[:1], covs[:1], means[:1])[0][0]
 
@@ -1110,8 +1148,8 @@ def test_evaluation_and_fisher_seed_share_the_whitener():
     assert np.isnan(u[3]).all() and not np.isnan(np.delete(u, 3, axis=0)).any()
     rows = [0, 1, 2, 4, 5]
     z = ws.to_unconstrained(values[rows, : ws.tc])
-    _, _, at = _evaluate(ws, z, samples.cov[rows], samples.mean[rows])
-    point, u_at, b_at, _, ud_at, _ = ws.unpack(at)
+    _, _, point, terms = _evaluate(ws, z, samples.cov[rows], samples.mean[rows])
+    u_at, b_at, _, ud_at, _ = ws.unpack(terms)
     _, sigma, mu = ws.build(point)
     _, u, b, ud, _ = _discrepancy_terms(sigma, mu, samples.cov[rows], samples.mean[rows], ws.design[:, :0])
     assert u_at.tobytes() == u.tobytes() and b_at.tobytes() == b.tobytes()
@@ -1131,8 +1169,8 @@ def spy_on_failed_seeds(monkeypatch):
     """Patch fit_many's seeding to record how many rows of each seed come back NaN."""
     failed = []
 
-    def spy(ws, at):
-        h = inverse_information(ws, at)
+    def spy(ws, values, terms):
+        h = inverse_information(ws, values, terms)
         failed.append(int(np.count_nonzero(np.isnan(h).any(axis=(1, 2)))))
         return h
 
@@ -1224,13 +1262,14 @@ def test_a_nonpositive_variance_start_of_its_own_is_invalid(start):
 
 
 def reference_evaluation(ws, z, sample):
-    """(F, gradient, evaluation) at covariance point z, or None where F or the gradient is not finite."""
-    f, g, at = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
-    return (float(f[0]), g[0], at[0]) if np.isfinite(f[0]) else None
+    """(F, gradient, (joint point, terms)) at covariance point z, or None where F or the gradient is not finite."""
+    f, g, point, terms = _evaluate(ws, z[None], sample.cov[None], sample.mean[None])
+    return (float(f[0]), g[0], (point[0], terms[0])) if np.isfinite(f[0]) else None
 
 
-def reference_seed(ws, at):
-    return _inverse_information(ws, at[None])[0]
+def reference_seed(ws, evaluation):
+    point, terms = evaluation
+    return _inverse_information(ws, point[None], terms[None])[0]
 
 
 def reference_line_search(ws, sample, z, f, direction, slope):
@@ -1253,12 +1292,12 @@ def reference_attempt(ws, z, sample, options):
     start = reference_evaluation(ws, z, sample)
     if start is None:
         return None
-    f, g, at = start
+    f, g, evaluation = start
     iterations, h, seeded = 0, None, -1
     g_inf = np.abs(g).max(initial=0.0)
     while iterations < options.max_iterations:
         if h is None or (iterations % SEED_REFRESH == 0 and seeded != iterations):
-            h, seeded = reference_seed(ws, at), iterations
+            h, seeded = reference_seed(ws, evaluation), iterations
         direction = -(h @ g)
         slope = g @ direction
         step = None
@@ -1271,7 +1310,7 @@ def reference_attempt(ws, z, sample, options):
                 break
             h = None
             continue
-        z_new, f, g_new, at = step
+        z_new, f, g_new, evaluation = step
         s, y = z_new - z, g_new - g
         sy = s @ y
         if sy > 0:
@@ -1280,7 +1319,7 @@ def reference_attempt(ws, z, sample, options):
         z, g = z_new, g_new
         g_inf = np.abs(g).max()
         iterations += 1
-    return at[: ws.t], f, float(g_inf), iterations, float(g_inf) <= options.gradient_tolerance
+    return evaluation[0], f, float(g_inf), iterations, float(g_inf) <= options.gradient_tolerance
 
 
 def reference_fit(spec, sample, options):
@@ -1402,12 +1441,12 @@ def test_evaluate_gives_an_overflowing_row_inf_in_its_own_row():
     z = ws.to_unconstrained(_start_values(ws, covs, means))
     z[1, ws.log_pos[0]] = 710.0
     with np.errstate(all="ignore"):
-        f, g, values = _evaluate(ws, z, covs, means)
+        together = _evaluate(ws, z, covs, means)
         for k in (0, 2):
             alone = _evaluate(ws, z[k : k + 1], covs[k : k + 1], means[k : k + 1])
             assert np.isfinite(alone[0][0])
-            assert all(a[k].tobytes() == b[0].tobytes() for a, b in zip((f, g, values), alone))
-    assert f[1] == np.inf
+            assert all(a[k].tobytes() == b[0].tobytes() for a, b in zip(together, alone, strict=True))
+    assert together[0][1] == np.inf
     with pytest.warns(RuntimeWarning):
         _evaluate(ws, z[1:2], covs[1:2], means[1:2])
 
