@@ -50,15 +50,16 @@ inverse of the exact Hessian of the concentrated F, a Newton step (Lee &
 Jennrich 1979), formed from the U, B and U d of the evaluation that
 accepted the point; where that Hessian is not positive definite, with
 the inverse of its Fisher part (Jennrich & Robinson 1969). The seed is
-renewed every SEED_REFRESH iterations. Under misspecification, as in the
-paper's model 2, whose means are not proportional to its loadings, the
-Fisher information is not the Hessian: seeded from it a model 2 fit took
-a median of 7 iterations, and seeded from the Hessian it takes 4. An
-attempt converges where the gradient is within
-FitOptions.gradient_tolerance and the next step predicts less decrease
-than F resolves (F_ROUNDING). It fails where a search from a fresh seed
-gives up, where a seed fails (as on the way to a runaway factor mean) or
-where its start has no finite F. Otherwise it runs to max_iterations.
+renewed at iteration 2 and every SEED_REFRESH iterations after it. Under
+misspecification, as in the paper's model 2, whose means are not
+proportional to its loadings, the Fisher information is not the Hessian:
+seeded from it a model 2 fit took a median of 7 iterations, and seeded
+from the Hessian it takes 4. An attempt converges where the gradient is
+within FitOptions.gradient_tolerance and the next step predicts less
+decrease than F resolves (F_ROUNDING). It fails where a search from a
+fresh seed gives up, where a seed fails (as on the way to a runaway
+factor mean) or where its start has no finite F. Otherwise it runs to
+max_iterations.
 
 A free cell with a start of its own keeps it. The other starts are
 scaled to the sample (loadings at half a standard deviation, unique
@@ -66,12 +67,14 @@ variances at half a variance); intercepts and factor means need none.
 In one-factor models with a free factor mean and fixed intercepts the
 loadings start along the observed mean residuals instead, to which the
 structured-means model makes them proportional, and in other one-factor
-models at an iterated principal-axis solution of the correlations (see
-_start_values). Seeded from the Fisher information, the median fit of a
-Table 1 design then took 4-7 iterations (the slowest of 500: 5-10),
-where loadings at half a standard deviation took 13-19 (22-29), and the
-anchored designs 5 (7), against 9 (11). Seeded from the Hessian, a
-bundled fit takes a median of 3-4 iterations (the slowest of 500: 4-5).
+models at an iterated principal-axis solution of the correlations,
+found by power steps (see _start_values). Seeded from the Fisher
+information, the median fit of a Table 1 design then took 4-7 iterations
+(the slowest of 500: 5-10), where loadings at half a standard deviation
+took 13-19 (22-29), and the anchored designs 5 (7), against 9 (11).
+Seeded from the Hessian, a bundled fit takes a median of 3-4 iterations
+(the slowest of 500: 3-5): 3 (3) for the anchored designs and model 1,
+4 (4-5) for model 2.
 
 Fits run in lockstep. fit_many fits a block of samples (one
 SampleMoments with a row per sample, as simulate.draw_moments draws a
@@ -122,21 +125,28 @@ from .model_spec import DEFAULT_STARTS, ModelSpec, ParameterIndex, ParameterMatr
 from .moments import SampleMoments
 from .simulate import cholesky
 
-# Iterations between seeds of the inverse Hessian (see fit_many). Rounds
-# of a 15-replication block (seeds 1000-1299, Table 1 and anchor_x1) by
-# cadence: 2 -> 4.0-5.6, 3 -> 5.0-5.8, 4 -> 5.4-6.0; 3 fits fastest, as 2
-# seeds once more per block to save at most one round. The cadence also
-# ends runaway attempts, where the Hessian and its Fisher part both fail:
-# seeded once per attempt, rows 16 and 189 of the population of
+# The inverse Hessian is seeded again at iteration 2 and every SEED_REFRESH
+# iterations after it (see fit_many). After the seed at iteration 0 a
+# row's gradient falls only about 20-30x per step, so a fit renewed at 3
+# spent a fourth iteration confirming F's rounding, and one renewed at 2
+# converges at 3. Rounds of a 15-replication block (seeds 1000-1299, Table
+# 1 and anchor_x1) by schedule: 2, 6, 10, ... -> 4.0-5.6 with 2.00-2.02
+# seed calls; 3, 6, 9, ... -> 5.0-5.8; 0, 2, 4, ... -> 4.0-5.6, seeding
+# once more per block. After iteration 2 the period decides only long
+# attempts: periods 3-6 give the same rounds, and 3 seeds up to 2.61
+# times a block. The renewals also end runaway attempts, where the
+# Hessian and its Fisher part both fail: seeded once per attempt, rows 16
+# and 189 of the population of
 # test_no_runaway_fit_converges_above_the_independence_bound converge
 # 1.93 and 1.70 above the independence bound, a false optimum.
-SEED_REFRESH = 3
-# Refinements of the principal-axis start (see _start_values). Lockstep
-# rounds of a 15-replication anchor_x1 block (seeds 1-300) by steps:
-# 0 -> 9.12, 1 -> 8.16, 2 -> 7.55, 3 -> 7.07, 4 -> 6.79, 6 -> 6.51,
-# 8 -> 6.49; 11.22 from loadings at half a standard deviation. Each step
-# is one stacked eigendecomposition.
-PRINCIPAL_AXIS_STEPS = 4
+SEED_REFRESH = 4
+# Power steps of the principal-axis start (see _start_values). Lockstep
+# rounds of a 15-replication anchor_x1 block (seeds 1000-1199) by steps:
+# 4 -> 4.91, 6 -> 4.21, 8 -> 4.03, 10 -> 4.005, 12 -> 4.005. Refined by
+# eigendecompositions of the reduced matrix after the one of R instead,
+# it took 4.55 with 4 of them and 4.015 with 8. Each power step is one
+# stacked matrix-vector product, each eigendecomposition about 46 us.
+PRINCIPAL_AXIS_STEPS = 10
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
 # The rounding of F: its error is about eps * sum|b_i| over the eigenvalues
@@ -162,7 +172,7 @@ class FitOptions:
     attempt runs until its step predicts less decrease than F resolves, so
     a tolerance is reached where F resolves it. Over 50 samples of each
     bundled design, every fit converges at 1e-10, where the Fisher seed
-    left 30-50 of each design's 50, and at 1e-11 49-50 of each design's
+    left 30-50 of each design's 50, and at 1e-11 48-50 of each design's
     50 (Fisher seed: 9-44). Below that the rounding of F decides.
     Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
     finite and > 0; anything else raises SmmError(BAD_INPUT).
@@ -721,17 +731,22 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     Where the means cannot place the loadings (the factor mean is fixed,
     or fewer than two of the loadings without a start have a fixed
     intercept, as in the anchored designs), J is all of those loadings,
-    m = 0, and the start is an iterated principal-axis solution of R:
-    PRINCIPAL_AXIS_STEPS times, the communalities phi0 c^2 v_j^2 (at most
-    0.995) replace R's unit diagonal, v becomes the leading eigenvector of
-    that matrix (column sum nonnegative) and phi0 c^2 its eigenvalue. This
-    is the classical start of ML factor analysis, and it lies near the
-    minimum of the covariance fit.
+    m = 0, and the start is an iterated principal-axis solution of R, run
+    as power steps with no eigendecomposition. v starts at equal weights,
+    with c^2 fitted as above, and PRINCIPAL_AXIS_STEPS times the
+    communalities phi0 c^2 v_j^2 (at most 0.995) replace R's unit diagonal,
+    giving R*, and with x = R* v, phi0 c^2 becomes v'x and v becomes
+    x / |x|. The steps approach the leading eigenvector of R* and its
+    eigenvalue; from equal weights, v takes the sign whose sum is
+    positive. This is the classical start of ML factor analysis, and it
+    lies near the minimum of the covariance fit. The start of a
+    15-replication anchored block takes about 180 us, where five stacked
+    eigendecompositions took about 310 us (2-vCPU x86 VM).
 
     Rows where c^2 is not positive and finite, among them rows whose
-    eigendecomposition fails (NaN), keep the default starts. Either way a
-    fit of rescaled or permuted data starts at the rescaled or permuted
-    point.
+    moments or eigendecomposition are not finite (NaN), keep the default
+    starts. Either way a fit of rescaled or permuted data starts at the
+    rescaled or permuted point.
     """
     v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
     variances = cov.diagonal(0, -2, -1)
@@ -742,21 +757,24 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     if rows.size:
         sd = np.sqrt(variances[..., rows])
         corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
-        moments = corr
-        if not ws.principal_axis:
+        if ws.principal_axis:
+            v = np.full(corr.shape[:-1], 1.0 / np.sqrt(rows.size))
+        else:
+            # one eigendecomposition: 4-16 power steps in its place moved the
+            # rounds of a model 2 block by -0.01 to +0.035, and saved none
             m = (mean[..., rows] - ws.start_nu) / sd
-            moments = corr + m[..., :, None] * m[..., None, :]
-        v = _leading_axis(moments)[1]
+            v = _leading_axis(corr + m[..., :, None] * m[..., None, :])[1]
         i, j = ws.start_pairs_i, ws.start_pairs_j
         vv = v[..., i] * v[..., j]
         c2 = (_dot(corr[..., i, j], vv) / (ws.start_phi * _dot(vv, vv)))[..., None]
         if ws.principal_axis:
             reduced, diagonal = corr.copy(), np.arange(rows.size)
             for _ in range(PRINCIPAL_AXIS_STEPS):
-                # the communalities on the diagonal, kept below 1
+                # the communalities on the diagonal, kept below 1, then a power step
                 reduced[..., diagonal, diagonal] = np.minimum(ws.start_phi * c2 * v**2, 0.995)
-                w, v = _leading_axis(reduced)
-                c2 = w / ws.start_phi
+                x = (reduced @ v[..., None])[..., 0]
+                c2 = _dot(v, x)[..., None] / ws.start_phi
+                v = x / np.sqrt(_dot(x, x))[..., None]
         ok = np.isfinite(c2) & (c2 > 0)
         lam = np.sqrt(np.where(ok, c2, 0.0)) * v * sd
         psi2 = np.maximum(variances[..., rows] - ws.start_phi * lam**2, 0.1 * variances[..., rows])
@@ -822,9 +840,11 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     covariance parameters in unconstrained coordinates. The inverse Hessian
     is seeded from the inverse of the exact Hessian of the concentrated F,
     or of its Fisher part where the Hessian is not positive definite
-    (_inverse_information), again every SEED_REFRESH iterations and
-    whenever no step is found along the BFGS direction; a bundled fit
-    takes a median of 3-4 iterations (the slowest of 500: 4-5). The line
+    (_inverse_information), again at iteration 2 and every SEED_REFRESH
+    iterations after it, and whenever no step is found along the BFGS
+    direction; a bundled fit takes a median of 3-4 iterations (the slowest
+    of 500: 3-5), so a 15-replication block of an anchored or model 1
+    design takes 4 lockstep rounds and 2 seed calls. The line
     search tries the full step and accepts a trial that lowers F strictly
     and meets the Armijo condition; a rejected trial shortens the step to
     the minimizer of the quadratic through F, the slope and the trial,
@@ -939,7 +959,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 s.it += accept
             while np.count_nonzero(head):
                 run = head & (s.it < options.max_iterations)
-                due = run & ((s.seeded < 0) | ((s.it % SEED_REFRESH == 0) & (s.seeded != s.it)))
+                due = run & ((s.seeded < 0) | ((s.it % SEED_REFRESH == 2) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
                     s.h[due] = _inverse_information(ws, s.point[due], s.terms[due])
                     np.copyto(s.seeded, s.it, where=due)

@@ -41,8 +41,8 @@ from .errors import (
     MISSING_REFERENCE_CONDITION,
     InvalidModelError,
 )
-from .estimator import FitOptions, _fit_block
-from .model_spec import ModelSpec, validate
+from .estimator import FitOptions, _fit_block, _workspace
+from .model_spec import ModelSpec
 from .simulate import PopulationModel, Seed, draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
@@ -251,7 +251,7 @@ def run_study(config: StudyConfig) -> StudySummary:
     replication order either way, which makes the summary independent of
     scheduling.
     """
-    report = validate(config.spec)
+    report = _workspace(config.spec).report  # the validation _fit_block reads too
     if not report.is_valid:
         raise InvalidModelError(report)
     if config.population.p != config.spec.p:

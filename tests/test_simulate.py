@@ -85,6 +85,13 @@ def test_cholesky_rejects_asymmetric():
         cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def test_structured_rejects_a_factor_covariance_with_a_nan_above_the_diagonal():
+    # the factor reads the lower triangle only, so the NaN would pass as a
+    # symmetric positive definite phi
+    with pytest.raises(SmmError, match="ASYMMETRIC_MATRIX"):
+        structured(np.ones((4, 2)), [[1.0, np.nan], [0.0, 1.0]], np.ones(4), np.zeros(4), np.zeros(2))
+
+
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
