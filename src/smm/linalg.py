@@ -45,13 +45,15 @@ def checked_cholesky(stack) -> tuple[np.ndarray, np.ndarray]:
 
     A code is 0 where the factor holds, ASYMMETRIC where the matrix is not
     symmetric to 1e-8 of its largest entry, INDEFINITE where a pivot of the
-    factor is NaN, and BELOW_PIVOT_FLOOR where a pivot is at or below
-    PIVOT_FLOOR. A factorization that fails is filled with NaN by numpy, and
-    a NaN in the lower triangle reaches a pivot without failing it
-    ([[1, nan], [nan, 1]] factors to [[1, 0], [nan, nan]]): both read as
-    INDEFINITE. A NaN only above the diagonal, which the factor never
-    reads ([[1, nan], [0, 1]]), reads as ASYMMETRIC. Only input that is not
-    square raises.
+    factor is not finite, and BELOW_PIVOT_FLOOR where a pivot is at or below
+    PIVOT_FLOOR. A factorization that fails is filled with NaN by numpy, a
+    NaN in the lower triangle reaches a pivot without failing it
+    ([[1, nan], [nan, 1]] factors to [[1, 0], [nan, nan]]), and an infinite
+    pivot does not fail it ([[inf, 0], [0, 1]]): all read as INDEFINITE. A
+    NaN or infinity only above the diagonal, which the factor never reads
+    ([[1, nan], [0, 1]], [[1, inf], [0, 1]]), reads as ASYMMETRIC: the
+    tolerance test misses it, as a NaN compares False and an infinity makes
+    the scale infinite. Only input that is not square raises.
     """
     stack = np.atleast_2d(np.asarray(stack, dtype=float))
     if stack.shape[-1] != stack.shape[-2]:
@@ -62,12 +64,12 @@ def checked_cholesky(stack) -> tuple[np.ndarray, np.ndarray]:
         lower = cholesky(stack)
     # a matrix that fails in more than one way gets the smallest code
     pivots = lower.diagonal(0, -2, -1)
-    indefinite = np.isnan(pivots).any(axis=-1)
+    indefinite = ~np.isfinite(pivots).all(axis=-1)
     codes = np.where((pivots**2 <= PIVOT_FLOOR).any(axis=-1), BELOW_PIVOT_FLOOR, 0)
     codes[indefinite] = INDEFINITE
-    # a NaN compares False, and one that leaves every pivot finite is above
-    # the diagonal, where the factor never reads it
-    above = np.isnan(stack).any(axis=(-2, -1)) & ~indefinite
+    # a non-finite entry that leaves every pivot finite is above the
+    # diagonal, where the factor never reads it
+    above = ~np.isfinite(stack).all(axis=(-2, -1)) & ~indefinite
     asymmetric = (asymmetry > 1e-8 * np.where(scale == 0.0, 1.0, scale)) | above
     codes[asymmetric] = ASYMMETRIC
     return lower, codes

@@ -7,12 +7,12 @@ structure can be simulated. Sampling is x = m + L z with L the Cholesky
 factor of the population covariance and z standard normal from the
 deterministic generator in the rng module. draw_sample is the draw of
 one seed. A draw of many seeds from one population (draw_moments, a
-Monte Carlo condition) factors it once and is one lean pass: each seed
-re-keys one generator and reuses one (n, p) buffer, a chunk of seeds
-shares a slab for its centering and crossproducts and keeps only their
-means and crossproducts, and the block's covariances are finished
-together. The block comes back as one SampleMoments, whose row i keeps
-the bits draw_sample and compute_moments give the sample of seed i.
+Monte Carlo condition) factors it once and is one lean pass: a chunk
+of seeds shares one Box-Muller pass for its normals and a slab for its
+centering and crossproducts, and keeps only their means and
+crossproducts, and the block's covariances are finished together. The
+block comes back as one SampleMoments, whose row i keeps the bits
+draw_sample and compute_moments give the sample of seed i.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .linalg import checked_cholesky, failure
 from .moments import Dataset, SampleMoments, _center_in_place, covariances
 
 # Values in the slab of one chunk of draw_moments (128 KB): its samples
-# share one pass of the centering and the crossproducts. Per sample, in
+# share one Box-Muller pass (see rng.SECTOR_BITS for that pass's chunk
+# sizes) and one pass of the centering and the crossproducts. Per sample, in
 # process, against one sample at a time: 0.95x at n = 900 (3 samples a
 # chunk) and 0.85x at n = 150 (21). 2**16 values read 0.92x and 0.87x but
 # raise the peak RSS of a Table 1 replay by 0.4 MB more.
@@ -196,9 +197,10 @@ def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
 
     Row i of the block's mean (R, p) and cov (R, p, p) holds the moments
     of the sample draw_sample gives for seed i, with the bits
-    compute_moments gives it. The seeds take turns in one (n, p) buffer
-    of normals (rng.normals_into re-keys one generator per seed), and each
-    writes its z L' into a slab (n, k, p) of the k seeds of a chunk. The
+    compute_moments gives it. The seeds go in chunks of k whose values
+    fill a slab of SLAB_VALUES: each chunk's normals come from one
+    Box-Muller pass (rng.normal_chunks, one generator re-keyed per seed),
+    and each seed writes its z L' into the chunk's slab (n, k, p). The
     chunk then adds m, sums, centers and forms its crossproducts at once,
     and leaves only its means and centered crossproducts in rows of the
     block, so memory stays O(len(seeds) p^2 + n p + SLAB_VALUES). The block's
@@ -209,13 +211,13 @@ def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
     masters = [seed.master for seed in seeds]
     means = np.empty((len(masters), pop.p))
     cross = np.empty((len(masters), pop.p, pop.p))
-    normals = rng.normals_into(np.empty((n, pop.p)), masters)
     chunk = max(1, SLAB_VALUES // (n * pop.p))
-    for start in range(0, len(masters), chunk):
-        rows = slice(start, min(start + chunk, len(masters)))
-        slab = np.empty((n, rows.stop - start, pop.p))
-        for k in range(rows.stop - start):
-            np.matmul(next(normals), lower_t, out=slab[:, k])
+    chunks = rng.normal_chunks(masters, (n, pop.p), chunk)
+    for start, z in zip(range(0, len(masters), chunk), chunks):
+        rows = slice(start, start + len(z))
+        slab = np.empty((n, len(z), pop.p))
+        for k, sample in enumerate(z):
+            np.matmul(sample, lower_t, out=slab[:, k])
         slab += m
         _center_in_place(slab, means[rows], cross[rows])
     return SampleMoments(n=n, mean=means, cov=covariances(cross, n, pop.variable_names))

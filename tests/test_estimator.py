@@ -1118,12 +1118,21 @@ def test_linear_algebra_helpers_fail_only_the_failing_row():
     mixed[8, 0, 1] += 1.0
     mixed[9] = np.diag([1.0] * 5 + [1e-13])
     mixed[10, 1, 4] = np.nan  # above the diagonal: the factor never reads it
+    mixed[11, 1, 4] = np.inf  # the same with an infinity, the scale infinite
+    mixed[12, 2, 2] = np.inf  # an infinite pivot, which LAPACK does not fail
     lower, codes = linalg.checked_cholesky(mixed)
     expected = np.zeros(40, dtype=int)
-    expected[7:11] = [linalg.INDEFINITE, linalg.ASYMMETRIC, linalg.BELOW_PIVOT_FLOOR, linalg.ASYMMETRIC]
+    expected[7:13] = [
+        linalg.INDEFINITE,
+        linalg.ASYMMETRIC,
+        linalg.BELOW_PIVOT_FLOOR,
+        linalg.ASYMMETRIC,
+        linalg.ASYMMETRIC,
+        linalg.INDEFINITE,
+    ]
     assert codes.tolist() == expected.tolist()
-    good = np.delete(np.linalg.cholesky(spd), [7, 9], axis=0)
-    assert np.delete(lower, [7, 9], axis=0).tobytes() == good.tobytes()
+    good = np.delete(np.linalg.cholesky(spd), [7, 9, 12], axis=0)
+    assert np.delete(lower, [7, 9, 12], axis=0).tobytes() == good.tobytes()
     assert lower[9].tobytes() == np.linalg.cholesky(mixed[9]).tobytes()
 
 

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smm.rng import (
     STREAM_JITTER,
+    SECTOR_BITS,
     derive_seed,
+    normal_chunks,
     normals,
-    normals_into,
     raw_uint64,
     splitmix64,
     uniform,
@@ -96,14 +99,46 @@ def test_normals_shape_and_c_order_truncation():
     assert np.array_equal(odd, flat[:5])
 
 
-def test_normals_into_rekeys_one_generator_to_each_seed():
+def test_normal_chunks_rekey_one_generator_to_each_seed():
     # an odd total takes the truncated last pair; 2**64 - 1 is the largest key
     seeds = [0, 7, 2**64 - 1, 7, 123]
     for shape in ((4, 3), (3, 5)):
-        out = np.empty(shape)
-        for seed, filled in zip(seeds, normals_into(out, seeds), strict=True):
-            assert filled is out
-            assert filled.tobytes() == normals(seed, shape).tobytes()
+        for chunk in (1, 2, 5):
+            chunks = list(normal_chunks(seeds, shape, chunk))
+            assert [len(z) for z in chunks] == [len(seeds[i : i + chunk]) for i in range(0, len(seeds), chunk)]
+            rows = [row for z in chunks for row in z]
+            for seed, row in zip(seeds, rows, strict=True):
+                assert row.tobytes() == normals(seed, shape).tobytes()
+
+
+def per_pair_normals(seed, total):
+    """The stream's first total normals by the plain Box-Muller formula, pair by pair in stream order."""
+    pairs = (total + 1) // 2
+    u = uniform_open01(seed, 2 * pairs).reshape(pairs, 2)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+    angle = 2.0 * np.pi * u[:, 1]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).reshape(-1)[:total]
+
+
+# one value, one pair, odd totals and fewer pairs than sectors, then
+# samples of a few hundred values
+SHAPES = st.sampled_from([(), (1,), (2,), (3,), (2 ** SECTOR_BITS - 1,), (5, 3)]) | st.tuples(
+    st.integers(1, 60), st.integers(1, 6)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.just(2**64 - 1), min_size=1, max_size=4), SHAPES)
+def test_sector_order_keeps_every_bit(seeds, shape):
+    # the pass takes its pairs in sector order; each value is still the
+    # per-pair formula, and a chunk of seeds gives each the bits it has alone
+    (chunk,) = normal_chunks(seeds, shape, len(seeds))
+    assert chunk.shape == (len(seeds), *shape)
+    for seed, row in zip(seeds, chunk):
+        alone = normals(seed, shape)
+        assert alone.shape == shape
+        assert alone.tobytes() == per_pair_normals(seed, math.prod(shape)).tobytes()
+        assert row.tobytes() == alone.tobytes()
 
 
 def test_normals_moments():

@@ -92,6 +92,17 @@ def test_structured_rejects_a_factor_covariance_with_a_nan_above_the_diagonal():
         structured(np.ones((4, 2)), [[1.0, np.nan], [0.0, 1.0]], np.ones(4), np.zeros(4), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "phi, error",
+    [([[1.0, np.inf], [0.0, 1.0]], "ASYMMETRIC_MATRIX"), ([[np.inf, 0.0], [0.0, 1.0]], "not positive definite")],
+)
+def test_structured_rejects_a_factor_covariance_with_an_infinity(phi, error):
+    # LAPACK factors either phi without failing; let through, the
+    # population's samples would fail only when drawn, as NON_FINITE_VALUES
+    with pytest.raises(SmmError, match=error):
+        structured(np.ones((4, 2)), phi, np.ones(4), np.zeros(4), np.zeros(2))
+
+
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
