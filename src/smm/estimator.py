@@ -9,14 +9,19 @@ which is zero exactly when the implied moments reproduce the sample
 moments, and (n - 1) F is the chi-square test statistic under the model.
 
 F is evaluated from the whitened residual. With Sigma = L L', U = L^-1,
-B = U (S - Sigma) U' and d = xbar - mu,
+B = U (S - Sigma) U', d = xbar - mu and the Cholesky factor C of
+I + B = C C',
 
-    F = sum_i (b_i - log1p(b_i)) + |U d|^2
+    F = sum_{i>j} c_ij^2 + sum_j (a_j - log1p(a_j)) + |U d|^2
 
-over the eigenvalues b_i of B. Each term is nonnegative and B is formed
-from S - Sigma, so near a minimum F keeps a relative precision instead
-of being a difference of terms of the size of p and ln|S|: its error is
-about eps * sum|b_i|, and S = Sigma gives F = 0 exactly.
+with a_j = c_jj^2 - 1 = b_jj - sum_{k<j} c_jk^2 taken from B's own
+diagonal: tr B - ln|I + B|, the sum over B's eigenvalues b_i of
+b_i - log1p(b_i), from one Cholesky factor instead of an
+eigendecomposition. Each term is nonnegative and B is formed from
+S - Sigma, so near a minimum F keeps a relative precision instead of
+being a difference of terms of the size of p and ln|S|: its error is
+about eps * (sum|a_j| + F) (see F_ROUNDING), and S = Sigma gives B = 0,
+C = I and F = 0 exactly.
 
 Unique variances are optimized as logs so positivity never needs explicit
 constraints; everything else is optimized on its natural scale. The
@@ -149,10 +154,15 @@ SEED_REFRESH = 4
 PRINCIPAL_AXIS_STEPS = 10
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
-# The rounding of F: its error is about eps * sum|b_i| over the eigenvalues
-# b_i of the whitened residual, and at the minima of the bundled designs
-# sum|b_i| is at most 1.8. A line search gives up once it asks for less,
-# and a converged attempt ends before a search that predicts less.
+# The rounding of F: its error is about eps * (sum|a_j| + F) over the
+# pivots a_j = c_jj^2 - 1 of the factor of I + B (see _discrepancy_terms).
+# At the minima of the bundled designs (500 replications each, at their
+# recorded seeds) sum|a_j| is at most 0.52 and F's covariance part at most
+# 0.39, and that part is within 0.52 eps of a long-double evaluation from
+# the same B. The sum over B's eigenvalues b_i that it replaces erred by
+# about eps * sum|b_i|, with sum|b_i| up to 1.8, and was within 1.84 eps. A
+# line search gives up once it asks for less, and a converged attempt ends
+# before a search that predicts less.
 F_ROUNDING = np.finfo(float).eps
 
 
@@ -171,9 +181,13 @@ class FitOptions:
     the joint gradient is zero up to rounding at every reported point. An
     attempt runs until its step predicts less decrease than F resolves, so
     a tolerance is reached where F resolves it. Over 50 samples of each
-    bundled design, every fit converges at 1e-10, where the Fisher seed
-    left 30-50 of each design's 50, and at 1e-11 48-50 of each design's
-    50 (Fisher seed: 9-44). Below that the rounding of F decides.
+    bundled design, 48-50 of each design's 50 converge at 1e-10, where
+    the Fisher seed left 30-50, and 48-50 at 1e-11 (Fisher seed: 9-44).
+    A fit that misses ends where its last steps change F by less than
+    F's last bit, so a tie or a reversal of that bit rejects them; which
+    fits miss moves with any change to F's rounding (all 50 converged at
+    1e-10 when F came from an eigendecomposition). Below that the
+    rounding of F decides.
     Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
     finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
@@ -519,11 +533,17 @@ def _discrepancy_terms(
     and the seed (_Workspace.concentrated_information) reads U, B and U d
     from the evaluation that made them; U A, U d0 and B are stacked
     products with it. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the
-    mean residual, and U d = U d0 - UA beta. Every argument may carry the
-    same leading axes. The gradient reuses U, B and U d, so F is computed
-    one way on every path. Returns F, U, B, U d and beta; all of them are
-    NaN in a row where Sigma is not positive definite, and beta, U d and F
-    where the normal equations are singular.
+    mean residual, and U d = U d0 - UA beta. F's covariance part comes from
+    one stacked Cholesky factor C of I + B (see the module docstring): the
+    squares of C below its diagonal, and a_j - log1p(a_j) with
+    a_j = b_jj - sum_{k<j} c_jk^2. On 15 stacked 5 x 5 matrices the factor
+    takes about 7 us and F's covariance part 22 us, where eigvalsh took 44
+    and that part 48; on 500, 102 and 230 us against 984 and 986 (2-vCPU
+    x86 VM). Every argument may carry the same leading axes. The gradient
+    reuses U, B and U d, so F is computed one way on every path. Returns
+    F, U, B, U d and beta; all of them are NaN in a row where Sigma is not
+    positive definite, beta, U d and F where the normal equations are
+    singular, and F where I + B is not.
     """
     u = linalg.whitener(sigma)
     ua, ud0 = u @ design, u @ (xbar - mu)[..., None]
@@ -531,8 +551,14 @@ def _discrepancy_terms(
     beta = linalg.solve(ua_t @ ua, ua_t @ ud0)
     ud = (ud0 - ua @ beta)[..., 0]
     b = u @ (sample_cov - sigma) @ _mT(u)
-    eig = linalg.eigvalsh(b)
-    f = (eig - np.log1p(eig)).sum(axis=-1) + (ud * ud).sum(axis=-1)
+    p = b.shape[-1]
+    # I + B = C C'; with C's diagonal zeroed, r_j = sum_{k<j} c_jk^2 and
+    # a_j = c_jj^2 - 1 = b_jj - r_j
+    c = linalg.cholesky(b + np.identity(p))
+    c.reshape(c.shape[:-2] + (p * p,))[..., :: p + 1] = 0.0
+    r = (c * c).sum(axis=-1)
+    a = b.diagonal(0, -2, -1) - r
+    f = (r + (a - np.log1p(a))).sum(axis=-1) + (ud * ud).sum(axis=-1)
     return f, u, b, ud, beta[..., 0]
 
 
@@ -876,6 +902,11 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     return [_fit_row(block, i) if error is None else error for i, error in enumerate(errors)]
 
 
+def _renews_seed(it: np.ndarray) -> np.ndarray:
+    """Whether an attempt's iterations it renew its seed: 2, 6, 10, ... (see SEED_REFRESH)."""
+    return it % SEED_REFRESH == 2
+
+
 def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds) -> tuple[FitResult, list]:
     """The lockstep loop of fit_many: the block of every sample's fit, and each row's error.
 
@@ -940,15 +971,19 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
             if np.count_nonzero(accept):
                 step, y = s.zt - s.z, g - s.g
                 sy = _dot(step, y)
-                hy = (s.h @ y[..., None])[..., 0]
-                # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
-                cross = hy[:, :, None] * (step / sy[:, None])[:, None, :]
-                # float_power is the libm pow a scalar sy**2 takes, not a square
-                curve = (sy + _dot(y, hy)) / np.float_power(sy, 2.0)
-                outer = step[:, :, None] * step[:, None, :]
-                updated = s.h - cross - _mT(cross) + curve[:, None, None] * outer
-                # a start's update is void: its first seed replaces it
-                np.copyto(s.h, updated, where=(accept & (sy > 0))[:, None, None])
+                # the update only where the next step reads it: at a start
+                # and where the next iteration renews the seed, the seed
+                # replaces it
+                keep = accept & (sy > 0) & (s.seeded >= 0) & ~_renews_seed(s.it + 1)
+                if np.count_nonzero(keep):
+                    hy = (s.h @ y[..., None])[..., 0]
+                    # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
+                    cross = hy[:, :, None] * (step / sy[:, None])[:, None, :]
+                    # float_power is the libm pow a scalar sy**2 takes, not a square
+                    curve = (sy + _dot(y, hy)) / np.float_power(sy, 2.0)
+                    outer = step[:, :, None] * step[:, None, :]
+                    updated = s.h - cross - _mT(cross) + curve[:, None, None] * outer
+                    np.copyto(s.h, updated, where=keep[:, None, None])
                 moved = accept[:, None]
                 np.copyto(s.z, s.zt, where=moved)
                 np.copyto(s.g, g, where=moved)
@@ -959,7 +994,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 s.it += accept
             while np.count_nonzero(head):
                 run = head & (s.it < options.max_iterations)
-                due = run & ((s.seeded < 0) | ((s.it % SEED_REFRESH == 2) & (s.seeded != s.it)))
+                due = run & ((s.seeded < 0) | (_renews_seed(s.it) & (s.seeded != s.it)))
                 if np.count_nonzero(due):
                     s.h[due] = _inverse_information(ws, s.point[due], s.terms[due])
                     np.copyto(s.seeded, s.it, where=due)
@@ -1004,7 +1039,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 s.it[again], s.seeded[again] = -1, -1
                 ended[again] = False
             if np.count_nonzero(ended):
-                vars(s).update({name: array[~ended] for name, array in vars(s).items()})
+                going = np.flatnonzero(~ended)
+                vars(s).update({name: array.take(going, axis=0) for name, array in vars(s).items()})
 
     started = best.it >= 0
     for i in rows:

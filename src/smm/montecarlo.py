@@ -43,7 +43,7 @@ from .errors import (
 )
 from .estimator import FitOptions, _fit_block, _workspace
 from .model_spec import ModelSpec
-from .simulate import PopulationModel, Seed, draw_moments
+from .simulate import PopulationModel, Seed, _draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
 # so a pool pays only for large blocks. On a 2-vCPU VM, with the pool
@@ -191,16 +191,20 @@ class ComparisonReport:
 def _replicate_block(population, spec, fit_options, master, condition_index, n, reps):
     """Replications reps of one condition: derive seeds, draw, fit in lockstep.
 
-    The population is factored once for the block (simulate.draw_moments),
-    and each replication's sample is the one its own seed gives alone; the
-    block's moments pass to the lockstep fit as one SampleMoments. The fits
-    share fit_options, each with the jitter seed its own seed derives.
-    Returns the FitResult block, a row per replication; a row whose fit
-    raised is not converged.
+    The seeds are derived as rng.derive_seed gives them, with no Seed
+    object per replication. The population was factored when it was built
+    (simulate.PopulationModel), and each replication's sample is the one
+    its own seed gives alone; the block's moments pass to the lockstep fit
+    as one SampleMoments. The fits share fit_options, each with the jitter
+    seed its own seed derives. Returns the FitResult block, a row per
+    replication; a row whose fit raised is not converged.
     """
-    rep_seeds = [rng.derive_seed(master, condition_index, rep) for rep in reps]
-    samples = draw_moments(population, n, [Seed(rep_seed) for rep_seed in rep_seeds])
-    seeds = [rng.derive_seed(rep_seed, rng.STREAM_JITTER) for rep_seed in rep_seeds]
+    # derive_seed(master, condition_index, rep) and derive_seed(rep_seed,
+    # STREAM_JITTER), with their shared prefix and label mixed once a block
+    prefix, label = rng.derive_seed(master, condition_index), rng.splitmix64(rng.STREAM_JITTER)
+    rep_seeds = [rng.splitmix64(prefix ^ rng.splitmix64(rep)) for rep in reps]
+    samples = _draw_moments(population, n, rep_seeds)
+    seeds = [rng.splitmix64(rng.splitmix64(rep_seed) ^ label) for rep_seed in rep_seeds]
     return _fit_block(spec, samples, fit_options, seeds)[0]
 
 

@@ -5,9 +5,10 @@ follows the mean structure (nu + Lambda theta) or is given explicitly;
 the explicit form exists precisely so that populations violating the
 structure can be simulated. Sampling is x = m + L z with L the Cholesky
 factor of the population covariance and z standard normal from the
-deterministic generator in the rng module. draw_sample is the draw of
-one seed. A draw of many seeds from one population (draw_moments, a
-Monte Carlo condition) factors it once and is one lean pass: a chunk
+deterministic generator in the rng module. A population is checked and
+factored once, when it is built, and every draw reads that factor.
+draw_sample is the draw of one seed. A draw of many seeds from one
+population (draw_moments, a Monte Carlo condition) is one lean pass: a chunk
 of seeds shares one Box-Muller pass for its normals and a slab for its
 centering and crossproducts, and keeps only their means and
 crossproducts, and the block's covariances are finished together. The
@@ -18,12 +19,18 @@ draw_sample and compute_moments give the sample of seed i.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .errors import SmmError, DIMENSION_MISMATCH, INVALID_SAMPLE_SIZE, NONPOSITIVE_UNIQUE_VARIANCE
+from .errors import (
+    SmmError,
+    DIMENSION_MISMATCH,
+    INVALID_SAMPLE_SIZE,
+    NON_FINITE_VALUES,
+    NONPOSITIVE_UNIQUE_VARIANCE,
+)
 from .linalg import checked_cholesky, failure
 from .moments import Dataset, SampleMoments, _center_in_place, covariances
 
@@ -59,6 +66,16 @@ class PopulationModel:
     means_kind is "structured" (nu and theta set, mean = nu + Lambda theta)
     or "explicit" (mean_vector set directly). Use the structured() and
     explicit() constructors rather than building instances by hand.
+
+    Building checks the model: a loading, unique variance, intercept,
+    factor mean or mean vector entry that is NaN or infinite raises
+    SmmError(NON_FINITE_VALUES), a unique variance <= 0 raises
+    NONPOSITIVE_UNIQUE_VARIANCE, and a factor covariance or implied
+    covariance that simulate.cholesky rejects raises its error. It also
+    factors the population once: mean is its mean vector and lower_t the
+    transposed Cholesky factor L' of its covariance (population_moments),
+    which every draw reads. Its arrays are read-only copies of the
+    arguments.
     """
 
     loadings: np.ndarray
@@ -69,36 +86,43 @@ class PopulationModel:
     factor_means: np.ndarray | None = None
     mean_vector: np.ndarray | None = None
     variable_names: tuple = ()
+    mean: np.ndarray = field(init=False, repr=False, compare=False)
+    lower_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.atleast_2d(np.asarray(self.loadings, dtype=float))
-        phi = np.atleast_2d(np.asarray(self.factor_cov, dtype=float))
-        psi2 = np.atleast_1d(np.asarray(self.unique_variances, dtype=float))
+        lam = np.atleast_2d(np.array(self.loadings, dtype=float))
+        phi = np.atleast_2d(np.array(self.factor_cov, dtype=float))
+        psi2 = np.atleast_1d(np.array(self.unique_variances, dtype=float))
         p, q = lam.shape
         if phi.shape != (q, q):
             raise SmmError(DIMENSION_MISMATCH, f"factor covariance must be {q} x {q}")
         if psi2.shape != (p,):
             raise SmmError(DIMENSION_MISMATCH, f"unique variances must have length {p}")
-        if np.any(psi2 <= 0):
-            raise SmmError(NONPOSITIVE_UNIQUE_VARIANCE, "unique variances must all be > 0")
-        # PD check on the factor covariance; with psi2 > 0 this also makes
-        # the implied covariance positive definite.
-        cholesky(phi)
-
         if self.means_kind == STRUCTURED:
-            nu = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
-            theta = np.atleast_1d(np.asarray(self.factor_means, dtype=float))
+            nu = np.atleast_1d(np.array(self.intercepts, dtype=float))
+            theta = np.atleast_1d(np.array(self.factor_means, dtype=float))
             if nu.shape != (p,) or theta.shape != (q,):
                 raise SmmError(DIMENSION_MISMATCH, "structured means need nu (p) and theta (q)")
             object.__setattr__(self, "intercepts", nu)
             object.__setattr__(self, "factor_means", theta)
+            means = {"intercepts": nu, "factor means": theta}
         elif self.means_kind == EXPLICIT:
-            m = np.atleast_1d(np.asarray(self.mean_vector, dtype=float))
+            m = np.atleast_1d(np.array(self.mean_vector, dtype=float))
             if m.shape != (p,):
                 raise SmmError(DIMENSION_MISMATCH, "explicit mean vector must have length p")
             object.__setattr__(self, "mean_vector", m)
+            means = {"mean vector": m}
         else:
             raise ValueError(f"unknown means kind {self.means_kind!r}")
+        # phi is checked by its factor, which rejects a NaN or infinity in it
+        for name, values in {"loadings": lam, "unique variances": psi2, **means}.items():
+            if not np.isfinite(values).all():
+                raise SmmError(NON_FINITE_VALUES, f"{name} must be finite")
+        if np.any(psi2 <= 0):
+            raise SmmError(NONPOSITIVE_UNIQUE_VARIANCE, "unique variances must all be > 0")
+        # phi must factor; with psi2 > 0 sigma then does too, up to its
+        # rounding, which its own factor below checks
+        cholesky(phi)
 
         names = tuple(self.variable_names) or tuple(f"x{i + 1}" for i in range(p))
         if len(names) != p:
@@ -107,6 +131,15 @@ class PopulationModel:
         object.__setattr__(self, "factor_cov", phi)
         object.__setattr__(self, "unique_variances", psi2)
         object.__setattr__(self, "variable_names", names)
+        # finite entries can still overflow: sigma is then not finite, and its factor fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, sigma = population_moments(self)
+        object.__setattr__(self, "mean", m)
+        object.__setattr__(self, "lower_t", cholesky(sigma).T)
+        # the arrays are copies, read-only so that the factor cannot go stale
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     @property
     def p(self) -> int:
@@ -172,11 +205,10 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
 
 
 def _factored(pop: PopulationModel, n: int):
-    """The population mean and the transposed Cholesky factor of its covariance."""
+    """The population mean and the transposed Cholesky factor of its covariance, as built."""
     if n < 1:
         raise SmmError(INVALID_SAMPLE_SIZE, f"sample size must be >= 1, got {n}")
-    m, sigma = population_moments(pop)
-    return m, cholesky(sigma).T
+    return pop.mean, pop.lower_t
 
 
 def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
@@ -193,7 +225,7 @@ def draw_sample(pop: PopulationModel, n: int, seed: Seed) -> Dataset:
 
 
 def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
-    """The block of sample moments of n rows drawn for each seed, the population factored once.
+    """The block of sample moments of n rows drawn for each seed.
 
     Row i of the block's mean (R, p) and cov (R, p, p) holds the moments
     of the sample draw_sample gives for seed i, with the bits
@@ -207,8 +239,12 @@ def draw_moments(pop: PopulationModel, n: int, seeds) -> SampleMoments:
     covariances are then finished at once (moments.covariances), and the
     block is checked once, as one SampleMoments.
     """
+    return _draw_moments(pop, n, [seed.master for seed in seeds])
+
+
+def _draw_moments(pop: PopulationModel, n: int, masters: list) -> SampleMoments:
+    """draw_moments of the seeds whose masters, 64-bit Python ints, are given."""
     m, lower_t = _factored(pop, n)
-    masters = [seed.master for seed in seeds]
     means = np.empty((len(masters), pop.p))
     cross = np.empty((len(masters), pop.p, pop.p))
     chunk = max(1, SLAB_VALUES // (n * pop.p))

@@ -135,6 +135,20 @@ def test_a_block_survives_pickling():
             np.testing.assert_array_equal(getattr(copy, name), value)
 
 
+@pytest.mark.parametrize("master", [0, 2**64 - 1, np.uint64(12345)])
+def test_a_block_derives_each_replications_seeds_as_derive_seed(monkeypatch, master):
+    # the block mixes the shared prefix and the jitter label once
+    seen = {}
+    monkeypatch.setattr(montecarlo, "_draw_moments", lambda pop, n, masters: seen.update(rep=masters))
+    monkeypatch.setattr(montecarlo, "_fit_block", lambda spec, samples, options, seeds: (seen.update(jitter=seeds), []))
+    reps = range(3, 9)
+    montecarlo._replicate_block(None, None, None, master, 2, 150, reps)
+    rep_seeds = [derive_seed(master, 2, rep) for rep in reps]
+    assert seen["rep"] == rep_seeds
+    assert seen["jitter"] == [derive_seed(rep_seed, STREAM_JITTER) for rep_seed in rep_seeds]
+    assert all(type(seed) is int for seed in seen["rep"] + seen["jitter"])
+
+
 def test_a_raising_row_of_a_block_is_a_convergence_failure():
     spec = reference_model_spec()
     samples = draw_moments(reference_population("model1"), 200, [Seed(k) for k in range(6)])

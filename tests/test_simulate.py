@@ -7,6 +7,7 @@ import pytest
 from smm import rng, simulate
 from smm.errors import SmmError, NotPositiveDefiniteError
 from smm.fixtures import reference_population
+from smm.linalg import checked_cholesky
 from smm.moments import SampleMoments, compute_moments
 from smm.simulate import (
     Seed,
@@ -69,6 +70,35 @@ def test_population_rejects_a_factor_cov_with_nan_when_it_is_built():
     nan = float("nan")
     with pytest.raises(SmmError, match="NOT_POSITIVE_DEFINITE"):
         structured(np.ones((4, 2)), [[1.0, nan], [nan, 1.0]], np.ones(4), np.zeros(4), np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lam", "psi2", "nu", "theta", "mean_vector"])
+def test_population_rejects_a_non_finite_entry_when_it_is_built(name, value):
+    # such a population used to build and fail only when drawn, as
+    # NOT_POSITIVE_DEFINITE, NON_FINITE_VALUES or a stray RuntimeWarning
+    build, means = (explicit, dict(mean_vector=np.zeros(4))) if name == "mean_vector" else (
+        structured, dict(nu=np.zeros(4), theta=np.ones(1)))
+    args = dict(lam=np.full((4, 1), 0.5), phi=np.eye(1), psi2=np.ones(4), **means)
+    args[name].flat[-1] = value
+    with pytest.raises(SmmError, match="NON_FINITE_VALUES"):
+        build(**args)
+
+
+def test_a_built_population_is_read_only_and_leaves_its_arguments_alone():
+    # every draw reads the factor made when the population was built
+    lam = np.full((4, 1), 0.5)
+    pop = structured(lam, np.eye(1), np.ones(4), np.zeros(4), np.ones(1))
+    lam[0, 0] = 2.0
+    assert pop.loadings[0, 0] == 0.5
+    for array in (pop.loadings, pop.unique_variances, pop.intercepts, pop.mean, pop.lower_t):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_population_rejects_a_covariance_that_overflows_when_it_is_built():
+    with pytest.raises(NotPositiveDefiniteError):
+        structured(np.full((4, 1), 1e160), [[1.0]], np.ones(4), np.zeros(4), [0.0])
 
 
 def test_cholesky_hand_case():
@@ -192,13 +222,23 @@ def assert_rows_are_the_samples_alone(block, alone):
 
 
 def test_draw_moments_factors_the_population_once(monkeypatch):
+    # building factors phi and sigma, once each; no draw factors anything
+    factored = []
+
+    def spy(stack):
+        factored.append(np.array(stack, dtype=float))
+        return checked_cholesky(stack)
+
+    monkeypatch.setattr(simulate, "checked_cholesky", spy)
     pop = one_factor_population(means_up=False)
+    _, sigma = population_moments(pop)
+    assert [matrix.shape for matrix in factored] == [(1, 1), (5, 5)]
+    assert factored[1].tobytes() == sigma.tobytes()
+    factored.clear()
     seeds = [Seed(rng.derive_seed(5, r)) for r in range(6)]
     alone = [compute_moments(draw_sample(pop, 150, seed)) for seed in seeds]
-    factored = []
-    monkeypatch.setattr(simulate, "cholesky", lambda sigma: factored.append(1) or cholesky(sigma))
     block = draw_moments(pop, 150, seeds)
-    assert len(factored) == 1
+    assert factored == []
     assert_rows_are_the_samples_alone(block, alone)
 
 
