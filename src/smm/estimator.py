@@ -1,112 +1,38 @@
 """Maximum-likelihood estimation of factor models with mean structure.
 
-The discrepancy minimized is the normal-theory ML fit function for a
-mean-and-covariance structure,
+The discrepancy minimized is the normal-theory ML fit function
 
-    F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p + (xbar - mu)' Sigma^-1 (xbar - mu)
+    F = ln|Sigma| - ln|S| + tr(S Sigma^-1) - p + (xbar - mu)' Sigma^-1 (xbar - mu),
 
-which is zero exactly when the implied moments reproduce the sample
-moments, and (n - 1) F is the chi-square test statistic under the model.
+zero exactly when the implied moments reproduce the sample moments, with
+(n - 1) F the chi-square statistic of the model. With Sigma = L L',
+U = L^-1, B = U (S - Sigma) U', d = xbar - mu and I + B = C C',
 
-F is evaluated from the whitened residual. With Sigma = L L', U = L^-1,
-B = U (S - Sigma) U', d = xbar - mu and the Cholesky factor C of
-I + B = C C',
+    F = sum_{i>j} c_ij^2 + sum_j (a_j - log1p(a_j)) + |U d|^2,
+    a_j = c_jj^2 - 1 = b_jj - sum_{k<j} c_jk^2,
 
-    F = sum_{i>j} c_ij^2 + sum_j (a_j - log1p(a_j)) + |U d|^2
+so the covariance part is tr B - ln|I + B|. Each term is nonnegative and
+B is formed from S - Sigma, so near a minimum F keeps a relative
+precision (see F_ROUNDING), and S = Sigma gives F = 0 exactly.
 
-with a_j = c_jj^2 - 1 = b_jj - sum_{k<j} c_jk^2 taken from B's own
-diagonal: tr B - ln|I + B|, the sum over B's eigenvalues b_i of
-b_i - log1p(b_i), from one Cholesky factor instead of an
-eigendecomposition. Each term is nonnegative and B is formed from
-S - Sigma, so near a minimum F keeps a relative precision instead of
-being a difference of terms of the size of p and ln|S|: its error is
-about eps * (sum|a_j| + F) (see F_ROUNDING), and S = Sigma gives B = 0,
-C = I and F = 0 exactly.
-
-Unique variances are optimized as logs so positivity never needs explicit
-constraints; everything else is optimized on its natural scale. The
-gradient is exact: with W = Sigma^-1 = U'U and
+Unique variances are optimized as logs, everything else on its natural
+scale. The gradient is exact: with W = Sigma^-1 = U'U and
 G = dF/dSigma = -U' B U - (W d)(W d)', each component is
 
     dF/dp_k = tr(G dSigma/dp_k) - 2 d' W dmu/dp_k
 
 (Joreskog 1967 for the covariance part, Lee & Jennrich 1979 for the mean
-part). One evaluation builds the implied moments and factors Sigma once
-for both F and its gradient.
+part), and one evaluation factors Sigma once for both.
 
-The mean parameters are concentrated out (variable projection; Golub &
-Pereyra 1973). mu = nu + Lambda theta is linear in the free intercepts
-and factor means beta, mu = mu0 + A beta with a column e_j of A for each
-free nu_j and Lambda[:, k] for each free theta_k, so at any point of the
-covariance parameters (lambda, phi, psi2) the best beta is the GLS
-solution of (UA)'(UA) beta = (UA)' U d0, with d0 = xbar - mu0. Every
-evaluation forms U = L^-1 once, whitens A with it as it whitens
-S - Sigma and d0, sets beta to that optimum and returns the concentrated
-F with its gradient over the covariance parameters, which the envelope
-theorem makes exact: the mean block of the joint gradient vanishes at
-beta. The bilinear lambda theta no longer bends the optimizer's path
-(anchor_x1 from loadings at half a standard deviation, seeded from the
-Fisher information: a median of 9 iterations over 500 fits, the slowest
-11, against 40 and 88 when beta was walked jointly).
-
-The minimizer is BFGS in numpy over the covariance parameters, with a
-backtracking Armijo search. Its inverse Hessian is seeded with the
-inverse of the exact Hessian of the concentrated F, a Newton step (Lee &
-Jennrich 1979), formed from the U, B and U d of the evaluation that
-accepted the point; where that Hessian is not positive definite, with
-the inverse of its Fisher part (Jennrich & Robinson 1969). The seed is
-renewed at iteration 2 and every SEED_REFRESH iterations after it. Under
-misspecification, as in the paper's model 2, whose means are not
-proportional to its loadings, the Fisher information is not the Hessian:
-seeded from it a model 2 fit took a median of 7 iterations, and seeded
-from the Hessian it takes 4. An attempt converges where the gradient is
-within FitOptions.gradient_tolerance and the next step predicts less
-decrease than F resolves (F_ROUNDING). It fails where a search from a
-fresh seed gives up, where a seed fails (as on the way to a runaway
-factor mean) or where its start has no finite F. Otherwise it runs to
-max_iterations.
-
-A free cell with a start of its own keeps it. The other starts are
-scaled to the sample (loadings at half a standard deviation, unique
-variances at half a variance); intercepts and factor means need none.
-In one-factor models with a free factor mean and fixed intercepts the
-loadings start along the observed mean residuals instead, to which the
-structured-means model makes them proportional, and in other one-factor
-models at an iterated principal-axis solution of the correlations,
-found by power steps (see _start_values). Seeded from the Fisher
-information, the median fit of a Table 1 design then took 4-7 iterations
-(the slowest of 500: 5-10), where loadings at half a standard deviation
-took 13-19 (22-29), and the anchored designs 5 (7), against 9 (11).
-Seeded from the Hessian, a bundled fit takes a median of 3-4 iterations
-(the slowest of 500: 3-5): 3 (3) for the anchored designs and model 1,
-4 (4-5) for model 2.
-
-Fits run in lockstep. fit_many fits a block of samples (one
-SampleMoments with a row per sample, as simulate.draw_moments draws a
-Monte Carlo condition's replications) with one optimizer whose state is
-arrays over the unfinished fits, one row per fit: points, gradients,
-inverse Hessians, directions, step lengths and counters. Every round
-evaluates F and its gradient at each fit's pending point in one stacked
-numpy call over the leading (R, ...) axis, seeds the fits due a seed in
-another, and takes Armijo acceptance, step shortening, the BFGS update
-and the next direction as masks over all rows. A matrix that fails (a
-trial Sigma not positive definite, a mean design gone singular as the
-loadings shrink) gives NaN in its own row only, so that fit's F or seed
-reads inf or NaN and the other rows go on. Attempt counts and best
-attempts are arrays over the fits as well: Python runs per fit only to
-draw a restart's jitter, and finished fits leave the arrays. The fits of
-a batch share one FitOptions, each with its own jitter seed. The set-up
-(sample checks, starts) and the wrap-up are stacked too: the wrap-up
-forms the matrices, sign convention and free values of every fit at once
-into one FitResult block, which a Monte Carlo condition keeps whole up
-to its summary. Python builds a FitResult per fit only for fit_many and
-fit. Nearly all of the cost on 5x5 matrices is numpy's per-call
-overhead, so a stacked call costs little more than a single one. fit is
-fit_many on one sample. Each row of a stacked operation gets the bits it
-would get alone (see the linalg module), so a result does not depend on
-the batch it was fitted in. On a 2-vCPU x86 VM a lone fit of a bundled
-design takes about 2-4 ms, and in a batch of 500 about 0.08-0.16 ms per
-fit.
+The free intercepts and factor means are concentrated out (variable
+projection; Golub & Pereyra 1973): every evaluation sets them to their
+GLS optimum (see _discrepancy_terms), and the gradient of the
+concentrated F is exact by the envelope theorem. The minimizer is BFGS
+with a backtracking Armijo search, its inverse Hessian seeded from the
+exact Hessian of the concentrated F (Lee & Jennrich 1979) or its Fisher
+part (Jennrich & Robinson 1969); fit_many states the rules. Each row of
+a stacked operation gets the bits it would get alone (see the linalg
+module), so a result does not depend on the batch it was fitted in.
 """
 
 from __future__ import annotations
@@ -131,38 +57,18 @@ from .moments import SampleMoments
 from .simulate import cholesky
 
 # The inverse Hessian is seeded again at iteration 2 and every SEED_REFRESH
-# iterations after it (see fit_many). After the seed at iteration 0 a
-# row's gradient falls only about 20-30x per step, so a fit renewed at 3
-# spent a fourth iteration confirming F's rounding, and one renewed at 2
-# converges at 3. Rounds of a 15-replication block (seeds 1000-1299, Table
-# 1 and anchor_x1) by schedule: 2, 6, 10, ... -> 4.0-5.6 with 2.00-2.02
-# seed calls; 3, 6, 9, ... -> 5.0-5.8; 0, 2, 4, ... -> 4.0-5.6, seeding
-# once more per block. After iteration 2 the period decides only long
-# attempts: periods 3-6 give the same rounds, and 3 seeds up to 2.61
-# times a block. The renewals also end runaway attempts, where the
-# Hessian and its Fisher part both fail: seeded once per attempt, rows 16
-# and 189 of the population of
-# test_no_runaway_fit_converges_above_the_independence_bound converge
-# 1.93 and 1.70 above the independence bound, a false optimum.
+# iterations after it (see _renews_seed), which ends runaway attempts where
+# both seeds fail. Periods of 3-6 give a bundled 15-replication block the
+# same rounds, and 3 seeds up to 2.61 times a block.
 SEED_REFRESH = 4
-# Power steps of the principal-axis start (see _start_values). Lockstep
-# rounds of a 15-replication anchor_x1 block (seeds 1000-1199) by steps:
-# 4 -> 4.91, 6 -> 4.21, 8 -> 4.03, 10 -> 4.005, 12 -> 4.005. Refined by
-# eigendecompositions of the reduced matrix after the one of R instead,
-# it took 4.55 with 4 of them and 4.015 with 8. Each power step is one
-# stacked matrix-vector product, each eigendecomposition about 46 us.
+# Power steps of both one-factor starts (see _start_values): 10 take a
+# 15-replication anchor_x1 block to 4.005 lockstep rounds, as 12 do.
 PRINCIPAL_AXIS_STEPS = 10
 # Sufficient-decrease constant of the Armijo condition.
 ARMIJO = 1e-4
-# The rounding of F: its error is about eps * (sum|a_j| + F) over the
-# pivots a_j = c_jj^2 - 1 of the factor of I + B (see _discrepancy_terms).
-# At the minima of the bundled designs (500 replications each, at their
-# recorded seeds) sum|a_j| is at most 0.52 and F's covariance part at most
-# 0.39, and that part is within 0.52 eps of a long-double evaluation from
-# the same B. The sum over B's eigenvalues b_i that it replaces erred by
-# about eps * sum|b_i|, with sum|b_i| up to 1.8, and was within 1.84 eps. A
-# line search gives up once it asks for less, and a converged attempt ends
-# before a search that predicts less.
+# The rounding of F, about eps * (sum|a_j| + F) (see the module docstring),
+# with sum|a_j| at most 0.52 at the minima of the bundled designs. A line
+# search gives up once it asks for less (see fit_many).
 F_ROUNDING = np.finfo(float).eps
 
 
@@ -173,23 +79,12 @@ class FitOptions:
     max_iterations caps the quasi-Newton steps of one attempt; a failed
     attempt is retried up to max_restarts times from starts jittered by
     up to jitter_fraction. seed is the jitter seed of fit; fit_many takes
-    one jitter seed per sample instead. Steps, starts and jitter
-    concern the covariance parameters (lambda, phi, psi2) only; the
-    intercepts and factor means follow them in closed form. A fit counts
-    as converged when the largest component of the gradient over the
-    covariance parameters is at most gradient_tolerance; the mean block of
-    the joint gradient is zero up to rounding at every reported point. An
-    attempt runs until its step predicts less decrease than F resolves, so
-    a tolerance is reached where F resolves it. Over 50 samples of each
-    bundled design, 48-50 of each design's 50 converge at 1e-10, where
-    the Fisher seed left 30-50, and 48-50 at 1e-11 (Fisher seed: 9-44).
-    A fit that misses ends where its last steps change F by less than
-    F's last bit, so a tie or a reversal of that bit rejects them; which
-    fits miss moves with any change to F's rounding (all 50 converged at
-    1e-10 when F came from an eigendecomposition). Below that the
-    rounding of F decides.
-    Counts must be >= 0, jitter_fraction in [0, 1] and gradient_tolerance
-    finite and > 0; anything else raises SmmError(BAD_INPUT).
+    one per sample instead. A fit counts as converged when the largest
+    component of the gradient over the covariance parameters (lambda, phi,
+    psi2) is at most gradient_tolerance, which is met only where F resolves
+    it (F_ROUNDING). Counts must be >= 0, jitter_fraction in [0, 1] and
+    gradient_tolerance finite and > 0; anything else raises
+    SmmError(BAD_INPUT).
     """
 
     max_iterations: int = 1000
@@ -247,13 +142,9 @@ class FitResult:
 class _Workspace:
     """The estimator's view of a spec's parameter layout (ParameterIndex).
 
-    The objective and its gradient, implied_moments and numeric_gradient
-    form the implied moments through build, one definition that includes
-    the exact symmetrization of Sigma, and the seed reads the evaluation
-    that accepted its point. Every path computes F with _discrepancy_terms,
-    ml_discrepancy included.
-    A spec's workspace is made once (see _workspace) and never modified
-    afterwards.
+    Every path forms the implied moments through build, which symmetrizes
+    Sigma exactly. A spec's workspace is made once (see _workspace) and
+    never modified afterwards.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -262,10 +153,8 @@ class _Workspace:
         self.index = index = ParameterIndex(spec)
         self.labels = index.labels()
         self.p, self.q = spec.p, spec.q
-        # the scatter of ParameterIndex.insert as a matrix: parameter k
-        # collects the cells it fills. The gradient and the seed map cell
-        # derivatives to parameters through it, so a free off-diagonal phi
-        # sums the derivatives of both of its cells
+        # ParameterIndex.insert as a matrix: parameter k collects the cells
+        # it fills, so a free off-diagonal phi sums the derivatives of both
         self.gather = np.zeros((self.t, index.template.size))
         self.gather[index.src, index.slots] = 1.0
         (self.pairs, self.sigma_map, self.mu_map,
@@ -291,11 +180,7 @@ class _Workspace:
         default = ~index.own_start
         self.default_lambda = default & (matrix == "lambda")
         self.default_psi2 = default & (matrix == "psi2")
-        # with one factor, the default loadings of the variables J start from
-        # the sample's correlations (see _start_values), along its means as
-        # well where the factor mean is free and at least two of J have a
-        # fixed intercept, and at a principal-axis solution otherwise; at
-        # least two are needed to fix the scale of the loadings
+        # the variables J of the one-factor starts (see _start_values)
         fixed_nu = np.array([not cell.is_free for cell in spec.intercepts])
         from_means = np.flatnonzero(self.default_lambda & fixed_nu[self.rows])
         along_means = spec.q == 1 and spec.factor_means[0].is_free and from_means.size >= 2
@@ -452,27 +337,20 @@ class _Workspace:
 def _seed_maps(index: ParameterIndex, gather: np.ndarray) -> tuple:
     """The seed's maps from whitened vectors and sources to derivatives (see _Workspace.concentrated_information).
 
-    U dSigma U' of a layout cell is a sum of outer products of the whitened
-    vectors U e_i, U Lambda_a and U (Lambda Phi)_a: U e_i (U (Lambda Phi)_j)'
-    plus its transpose for lambda_ij, U Lambda_a (U Lambda_b)' for phi_ab
-    and U e_j (U e_j)' for psi2_j. U dmu is theta_j U e_i for lambda_ij,
-    U e_i for nu_i and U Lambda_j for theta_j. The only second derivatives
-    that are not zero are Phi_jl (e_i e_k' + e_k e_i') of Sigma for
-    lambda_ij and lambda_kl, e_i Lambda_b' [j = a] + Lambda_a e_i' [j = b]
-    of Sigma for lambda_ij and phi_ab, and e_i of mu for lambda_ij and
-    theta_j, so over the cells tr(G d2Sigma) - 2 (W d)' d2mu is
-    2 G_ik Phi_jl for lambda_ij and lambda_kl, 2 (G Lambda)_ia [j = b] for
-    lambda_ij and phi_ab (the two cells of a free phi sum to its
-    derivative) and -2 (W d)_i for lambda_ij and theta_j, both ways round,
-    and the chain rule of log psi2_j adds G_jj psi2_j on its diagonal.
-    Every free parameter fills one cell but an off-diagonal phi_ab, and its
-    cells meet lambda_ib and lambda_ia, so each pair of parameters takes
-    one of these terms at most. Returns the pairs (r, s) of the outer
-    products in use and, through gather, the maps to parameters: sigma_map
-    of those products to vec A and mu_map of the vectors to sqrt(2) U dmu;
-    and, as flat indices, the pairs of free parameters (k t + l) of the
-    second derivatives with their sources and constants (the sources in
-    the order of _Workspace._second_derivatives).
+    U dSigma U' of a cell is U e_i (U (Lambda Phi)_j)' plus its transpose
+    for lambda_ij, U Lambda_a (U Lambda_b)' for phi_ab and U e_j (U e_j)'
+    for psi2_j; U dmu is theta_j U e_i for lambda_ij, U e_i for nu_i and
+    U Lambda_j for theta_j. tr(G d2Sigma) - 2 (W d)' d2mu is 2 G_ik Phi_jl
+    for lambda_ij and lambda_kl, 2 (G Lambda)_ia [j = b] for lambda_ij and
+    phi_ab (the two cells of a free phi sum to its derivative) and
+    -2 (W d)_i for lambda_ij and theta_j, both ways round, and zero
+    elsewhere; log psi2_j adds G_jj psi2_j on its diagonal. Each pair of
+    parameters takes one term at most. Returns the pairs (r, s) of the
+    outer products in use; through gather, sigma_map of those products to
+    vec A and mu_map of the vectors to sqrt(2) U dmu; and, as flat indices
+    k t + l, the pairs of free parameters of the second derivatives with
+    their sources (in the order of _Workspace._second_derivatives) and
+    constants.
     """
     p, q = index.spec.p, index.spec.q
     lam, phi, psi2, nu, theta = (np.arange(s.start, s.stop) for s in index.slices)
@@ -529,21 +407,13 @@ def _discrepancy_terms(
     """F from the whitened residuals, with U = L^-1, B = U (S - Sigma) U' and U d.
 
     design (..., p, m) holds the columns A of m mean parameters beta
-    concentrated out of F (m may be 0). U = L^-1 is linalg.whitener(sigma),
-    and the seed (_Workspace.concentrated_information) reads U, B and U d
-    from the evaluation that made them; U A, U d0 and B are stacked
-    products with it. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit of the
-    mean residual, and U d = U d0 - UA beta. F's covariance part comes from
-    one stacked Cholesky factor C of I + B (see the module docstring): the
-    squares of C below its diagonal, and a_j - log1p(a_j) with
-    a_j = b_jj - sum_{k<j} c_jk^2. On 15 stacked 5 x 5 matrices the factor
-    takes about 7 us and F's covariance part 22 us, where eigvalsh took 44
-    and that part 48; on 500, 102 and 230 us against 984 and 986 (2-vCPU
-    x86 VM). Every argument may carry the same leading axes. The gradient
-    reuses U, B and U d, so F is computed one way on every path. Returns
-    F, U, B, U d and beta; all of them are NaN in a row where Sigma is not
-    positive definite, beta, U d and F where the normal equations are
-    singular, and F where I + B is not.
+    concentrated out of F (m may be 0), and every argument may carry the
+    same leading axes. beta solves (UA)'(UA) beta = (UA)' U d0, the GLS fit
+    of the mean residual d0 = xbar - mu, and U d = U d0 - UA beta; F is
+    the module docstring's. Every path computes F here. Returns F, U, B,
+    U d and beta; all are NaN in a row where Sigma is not positive
+    definite, beta, U d and F where the normal equations are singular, and
+    F where I + B is not.
     """
     u = linalg.whitener(sigma)
     ua, ud0 = u @ design, u @ (xbar - mu)[..., None]
@@ -567,16 +437,12 @@ def _discrepancy_and_gradient(
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """F (rows,), its exact gradient (rows, t) in unconstrained coordinates, and U, B, G, U d and W d.
 
-    values is a stack of raw points (rows, t), each with its own sample:
-    sample_cov (rows, p, p) and xbar (rows, p). With concentrate, the free
-    intercepts and factor means of each row of values are first moved, in
-    place, to their GLS optimum given its covariance parameters: F is then
-    the concentrated discrepancy, its gradient over the covariance
-    parameters is exact by the envelope theorem, and the mean block of the
-    gradient is zero up to rounding. F and the gradient are NaN in a row
-    whose implied covariance is not positive definite or, with
-    concentrate, whose mean design is singular. The seed takes U, B, U d,
-    W d and G = dF/dSigma from here (_Workspace.concentrated_information).
+    values is a stack of raw points (rows, t), each with its own sample
+    cov (rows, p, p) and xbar (rows, p). With concentrate, the mean
+    parameters of each row are first moved, in place, to their GLS optimum,
+    so F is the concentrated discrepancy. F and the gradient are NaN in a
+    row whose implied covariance is not positive definite or, with
+    concentrate, whose mean design is singular.
     """
     mats, sigma, mu = ws.build(values)
     lam, lam_t, rows = mats.loadings, _mT(mats.loadings), values.shape[0]
@@ -611,11 +477,7 @@ def _discrepancy_and_gradient(
 
 
 def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """free_values as floats with their implied (sigma, mu), checked.
-
-    Raises unless there are t values and every implied unique variance
-    is > 0.
-    """
+    """free_values as floats with their implied (sigma, mu); raises unless there are t of them and every psi2 > 0."""
     values = np.asarray(free_values, dtype=float)
     if values.shape != (ws.t,):
         raise SmmError(DIMENSION_MISMATCH, f"expected {ws.t} free values, got {values.shape}")
@@ -653,9 +515,8 @@ def ml_discrepancy(sample: SampleMoments, implied: ImpliedMoments) -> float:
 
     Nonnegative, and zero exactly when Sigma = S and mu = xbar. sample is
     one sample of the p variables of implied. Both matrices must be
-    positive definite: simulate.cholesky raises for either one, so
-    near-singular matrices fail loudly instead of returning a huge but
-    finite value.
+    positive definite: simulate.cholesky raises for either one, so a
+    near-singular matrix fails loudly instead of giving a huge finite F.
     """
     _check_one_sample(sample, implied.sigma, implied.mu_model)
     cholesky(sample.cov)
@@ -672,16 +533,12 @@ def numeric_gradient(
 
     free_values is raw scale; the derivative is taken after the log
     transform of unique variances, matching what the optimizer sees. The
-    value is analytic, not a finite difference: the joint gradient over
-    every free parameter at the point as given. fit steps on the
-    concentrated F, whose gradient is this one's covariance block only
-    where the intercepts and factor means are at their GLS optimum, as at
-    every point fit reports. Off it they differ: for model2 at n = 300,
-    Seed(4), with the factor mean 0.5 off that optimum, the covariance
-    block reads 3.9 and the concentrated gradient 2.9e-10. It takes the
-    checks of implied_moments, sample must be one sample of the spec's
-    variables, and a point whose implied covariance is not positive
-    definite raises.
+    value is analytic: the joint gradient over every free parameter at the
+    point as given, whose covariance block is the concentrated gradient
+    fit steps on where the intercepts and factor means are at their GLS
+    optimum. It takes the checks of implied_moments, sample must be one
+    sample of the spec's variables, and a point whose implied covariance
+    is not positive definite raises.
     """
     ws = _workspace(spec)
     values, sigma, mu = _checked_point(ws, free_values)
@@ -697,11 +554,10 @@ def numeric_gradient(
 def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatrices:
     """Flip loading columns whose sum is negative, where the flip is free.
 
-    Flipping column k together with theta_k and the off-diagonal phi
-    entries of factor k leaves the implied moments unchanged, so this is a
-    pure reporting convention. Only the columns of ws.flippable, whose
-    cells are all free or fixed at zero, may flip. mats may carry leading
-    axes: the flip is a masked sign over the columns of each row.
+    Flipping column k with theta_k and the off-diagonal phi entries of
+    factor k leaves the implied moments unchanged: a pure reporting
+    convention. Only the columns of ws.flippable, whose cells are all free
+    or fixed at zero, may flip. mats may carry leading axes.
     """
     flip = ws.flippable & (mats.loadings.sum(axis=-2) < 0)
     sign = np.where(flip, -1.0, 1.0)
@@ -711,68 +567,44 @@ def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatric
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axes, each row with the bits of the 1-D a @ b.
-
-    Strided rows, or a product summed over the last axis, round otherwise.
-    """
+    """Dot products over the last axes, each row with the bits of the 1-D a @ b, which a strided row or a sum would miss."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _leading_axis(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The leading eigenvalue (..., 1) and eigenvector (..., k) of symmetric matrices (..., k, k).
-
-    The eigenvector's sign makes its sum nonnegative.
-    """
-    w, vectors = linalg.eigh(matrix)
-    v = vectors[..., -1]
-    return w[..., -1:], np.where(v.sum(axis=-1, keepdims=True) < 0, -v, v)
-
-
 def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Raw starts of the covariance parameters for the first attempt, one row per sample.
+    """Raw starts (..., tc) of the covariance parameters from sample moments cov (..., p, p) and mean (..., p).
 
-    cov (..., p, p) and mean (..., p) are sample moments; the starts
-    (..., tc) keep their leading axes, and each row gets the bits it gets
-    alone. Intercepts and factor means need none: every evaluation sets
-    them to their GLS optimum. A free cell with a start of its own keeps
-    it. Other free loadings and unique variances start at the default
-    times the sample standard deviation and variance of their variable.
+    Each row gets the bits it gets alone. A free cell with a start of its
+    own keeps it; other free loadings and unique variances start at the
+    default times the sample standard deviation and variance of their
+    variable. Intercepts and factor means need none: every evaluation sets
+    them to their GLS optimum.
 
-    One-factor specs do better on the variables J whose loading has no
-    start of their own, when there are at least two. Where the factor mean
-    is free, J is the variables whose intercept nu_j is fixed, if at least
-    two are. With zero unique-factor means, as the structured-means model
-    has them, the mean residuals xbar - nu = theta lambda are proportional
-    to the loadings, and
-    S + (xbar - nu)(xbar - nu)' = (phi + theta^2) lambda lambda' + Psi is
-    itself a one-factor structure. On J, with standardized mean residuals
-    m_j = (xbar_j - nu_j) / sd_j, correlations R and the factor variance
-    (or its start) phi0, the start is lambda_j = c v_j sd_j along the
-    leading eigenvector v of R + m m' (column sum nonnegative),
-    c^2 = sum_{i<j} r_ij v_i v_j / (phi0 sum_{i<j} (v_i v_j)^2) the
-    least-squares fit of the correlations, and
-    psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj).
+    One-factor specs start the variables J whose loading has no start of
+    its own, when there are at least two, from their correlations R and
+    standard deviations sd_j, with phi0 the factor variance (or its start).
+    v starts at equal weights and takes PRINCIPAL_AXIS_STEPS power steps
+    x = M v, v = x / |x|; then lambda_j = c v_j sd_j and
+    psi2_j = max(S_jj - phi0 lambda_j^2, 0.1 S_jj), where
+    c^2 = sum_{i<j} r_ij v_i v_j / (phi0 sum_{i<j} (v_i v_j)^2) fits the
+    correlations along v by least squares.
 
-    Where the means cannot place the loadings (the factor mean is fixed,
-    or fewer than two of the loadings without a start have a fixed
-    intercept, as in the anchored designs), J is all of those loadings,
-    m = 0, and the start is an iterated principal-axis solution of R, run
-    as power steps with no eigendecomposition. v starts at equal weights,
-    with c^2 fitted as above, and PRINCIPAL_AXIS_STEPS times the
-    communalities phi0 c^2 v_j^2 (at most 0.995) replace R's unit diagonal,
-    giving R*, and with x = R* v, phi0 c^2 becomes v'x and v becomes
-    x / |x|. The steps approach the leading eigenvector of R* and its
-    eigenvalue; from equal weights, v takes the sign whose sum is
-    positive. This is the classical start of ML factor analysis, and it
-    lies near the minimum of the covariance fit. The start of a
-    15-replication anchored block takes about 180 us, where five stacked
-    eigendecompositions took about 310 us (2-vCPU x86 VM).
+    Where the factor mean is free and at least two of J have a fixed
+    intercept nu_j, J is those, m_j = (xbar_j - nu_j) / sd_j and
+    M = R + m m'. With zero unique-factor means the mean residuals
+    xbar - nu = theta lambda are proportional to the loadings (arXiv
+    1510.01298), so S + (xbar - nu)(xbar - nu)' =
+    (phi + theta^2) lambda lambda' + Psi is itself a one-factor structure.
+    Otherwise, as in the anchored designs, J is all of those loadings and
+    the start is an iterated principal-axis solution of R, the classical
+    start of ML factor analysis: c^2 is fitted at the equal weights, M is
+    R with the communalities phi0 c^2 v_j^2 (at most 0.995) on its
+    diagonal, renewed before each step, and after it phi0 c^2 = v'x.
 
     Rows where c^2 is not positive and finite, among them rows whose
-    moments or eigendecomposition are not finite (NaN), keep the default
-    starts. Either way a fit of rescaled or permuted data starts at the
-    rescaled or permuted point.
+    moments are not finite, keep the default starts. Either way a fit of
+    rescaled or permuted data starts at the rescaled or permuted point.
     """
     v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
     variances = cov.diagonal(0, -2, -1)
@@ -783,13 +615,14 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     if rows.size:
         sd = np.sqrt(variances[..., rows])
         corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
-        if ws.principal_axis:
-            v = np.full(corr.shape[:-1], 1.0 / np.sqrt(rows.size))
-        else:
-            # one eigendecomposition: 4-16 power steps in its place moved the
-            # rounds of a model 2 block by -0.01 to +0.035, and saved none
+        v = np.full(corr.shape[:-1], 1.0 / np.sqrt(rows.size))
+        if not ws.principal_axis:
             m = (mean[..., rows] - ws.start_nu) / sd
-            v = _leading_axis(corr + m[..., :, None] * m[..., None, :])[1]
+            # C-contiguous, so each row's matrix-vector product rounds as it does alone
+            augmented = np.ascontiguousarray(corr + m[..., :, None] * m[..., None, :])
+            for _ in range(PRINCIPAL_AXIS_STEPS):
+                x = (augmented @ v[..., None])[..., 0]
+                v = x / np.sqrt(_dot(x, x))[..., None]
         i, j = ws.start_pairs_i, ws.start_pairs_j
         vv = v[..., i] * v[..., j]
         c2 = (_dot(corr[..., i, j], vv) / (ws.start_phi * _dot(vv, vv)))[..., None]
@@ -813,11 +646,9 @@ def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
     """F (k,), its gradient (k, tc), the joint points (k, t) and the terms (k, width) at covariance points z (k, tc).
 
     The terms are U, B, G, U d and W d of each evaluation, packed
-    (_Workspace.pack): everything the seed at that point needs besides the
-    point. F is inf where F or the gradient is not finite, as in a row
-    whose Sigma is not positive definite or whose mean design is singular;
-    a mean parameter that is not finite leaves F not finite. It never
-    raises.
+    (_Workspace.pack), which the seed at that point reads. F is inf where F
+    or the gradient is not finite, as where Sigma is not positive definite
+    or the mean design is singular. It never raises.
     """
     values = np.zeros((len(z), ws.t))
     values[:, : ws.tc] = ws.to_raw(z)
@@ -830,13 +661,9 @@ def _inverse_information(ws: _Workspace, values: np.ndarray, terms: np.ndarray) 
     """The seed of the inverse Hessian (rows, tc, tc) at joint points (rows, t) with their terms, by Cholesky.
 
     The inverse of the exact concentrated Hessian where its Cholesky
-    factor holds, and of the concentrated Fisher information elsewhere (see
-    _Workspace.concentrated_information). The Hessian is indefinite far
-    from a minimum, as at the -0.5 loading starts of
-    test_fit_sign_convention_flips_negative_solution, and there its Fisher
-    part still points downhill. A row where both fail is NaN: its
-    direction has no slope, so the attempt that seeded it ends (see
-    fit_many).
+    factor holds, and of its Fisher part elsewhere, which still points
+    downhill far from a minimum. A row where both fail is NaN, and the
+    attempt that seeded it ends.
     """
     lower = linalg.cholesky(ws.concentrated_information(values, terms))
     failed = np.isnan(lower).any(axis=(1, 2))
@@ -851,26 +678,21 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
 
     samples is one SampleMoments: a block of R samples of one size n (mean
     (R, p), cov (R, p, p)), as simulate.draw_moments draws them, or one
-    sample, a block of one. A p other than the spec's raises
-    DIMENSION_MISMATCH for the whole call. options holds the settings of
-    every fit, and seeds one jitter seed per sample (R of them), which is
-    what FitOptions.seed is to fit (options.seed is not read here).
-    Returns one entry per sample: its FitResult, or the SmmError its fit
-    raised. The set-up checks every sample covariance in one
-    linalg.checked_cholesky call, and a failing sample gets the error
-    simulate.cholesky raises for it alone. It copies the rows it fits into
-    C-contiguous stacks, so each row of a strided block gets the bits of
-    its lone fit, and forms every start in one pass (see _start_values).
+    sample, a block of one. seeds holds one jitter seed per sample, which
+    is what FitOptions.seed is to fit (options.seed is not read here). An
+    invalid spec raises InvalidModelError, a p other than the spec's
+    DIMENSION_MISMATCH and a seed count other than R BAD_INPUT, each for
+    the whole call. Returns one entry per sample: its FitResult, or the
+    SmmError its fit raised. A sample covariance that simulate.cholesky
+    rejects gets the error it raises for that sample alone, and a sample
+    whose every attempt fails a NotPositiveDefiniteError. Each entry has
+    the bits of the sample's lone fit, whether the block is strided or not.
 
     Each sample runs attempts of BFGS on the concentrated F over the
-    covariance parameters in unconstrained coordinates. The inverse Hessian
-    is seeded from the inverse of the exact Hessian of the concentrated F,
-    or of its Fisher part where the Hessian is not positive definite
-    (_inverse_information), again at iteration 2 and every SEED_REFRESH
-    iterations after it, and whenever no step is found along the BFGS
-    direction; a bundled fit takes a median of 3-4 iterations (the slowest
-    of 500: 3-5), so a 15-replication block of an anchored or model 1
-    design takes 4 lockstep rounds and 2 seed calls. The line
+    covariance parameters in unconstrained coordinates, from the starts of
+    _start_values. The inverse Hessian is seeded (_inverse_information) at
+    the start, at iteration 2 and every SEED_REFRESH iterations after it,
+    and whenever no step is found along the BFGS direction. The line
     search tries the full step and accepts a trial that lowers F strictly
     and meets the Armijo condition; a rejected trial shortens the step to
     the minimizer of the quadratic through F, the slope and the trial,
@@ -886,17 +708,12 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     attempt a from the first start jittered by up to jitter_fraction,
     drawn from derive_seed(seed, rng.STREAM_JITTER, a), and the best is
     reported: converged first, then the lowest F. Without free covariance
-    parameters the start's one evaluation is the result; a sample whose
-    every attempt fails gets a NotPositiveDefiniteError.
+    parameters the start's one evaluation is the result.
 
-    The rounds step the unfinished fits as rows of arrays (see the module
-    docstring) with numpy's floating-point warnings off: a trial that
+    The rounds (_fit_block) step every unfinished fit as a row of stacked
+    arrays, with numpy's floating-point warnings off: a trial that
     overflows or fails its row's LAPACK call reads F = inf and is
-    rejected, not reported. The attempt counts and best attempts are
-    arrays over the samples too; Python runs per fit only to draw a
-    restart's jitter. The wrap-up forms the matrices, sign convention and
-    free values of every best point at once, as one FitResult block
-    (_fit_block), and each entry here is a row of it.
+    rejected, and the other rows go on.
     """
     block, errors = _fit_block(spec, samples, options, seeds)
     return [_fit_row(block, i) if error is None else error for i, error in enumerate(errors)]
@@ -939,13 +756,10 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
         # one C-contiguous copy of the moments of the rows to fit, for the start and every round
         cov, mean = covs[rows], means[rows]
         v0 = _start_values(ws, cov, mean)
-        # one row per unfinished fit. zt is its pending point: a trial of its
-        # line search, or an attempt's start, where f = inf, slope = 0 and
-        # it = seeded = -1 make the start a trial that is accepted where F is
-        # finite and ends the attempt elsewhere. seeded is the iteration of
-        # the last seed, -1 when there is none. point and terms are the
-        # evaluation at z, which the seed reads. v0 is the raw start that
-        # restarts jitter.
+        # one row per unfinished fit. zt is its pending point: a trial, or an
+        # attempt's start, which f = inf, slope = 0 and it = seeded = -1 accept
+        # where F is finite. seeded is the iteration of the last seed (-1:
+        # none), point and terms the evaluation at z, v0 the start restarts jitter
         s = SimpleNamespace(
             row=np.array(rows, dtype=int), cov=cov, mean=mean, v0=v0,
             zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
@@ -971,9 +785,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
             if np.count_nonzero(accept):
                 step, y = s.zt - s.z, g - s.g
                 sy = _dot(step, y)
-                # the update only where the next step reads it: at a start
-                # and where the next iteration renews the seed, the seed
-                # replaces it
+                # the update only where the next step reads it, not where a
+                # start or a renewal of the seed replaces it
                 keep = accept & (sy > 0) & (s.seeded >= 0) & ~_renews_seed(s.it + 1)
                 if np.count_nonzero(keep):
                     hy = (s.h @ y[..., None])[..., 0]
@@ -1015,9 +828,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
             s.zt = s.z + s.alpha[:, None] * s.d
             if not np.count_nonzero(ended):
                 continue
-            # where attempts end, keep the best. A converged attempt ends its
-            # fit, so the best so far never converged: a converged attempt
-            # wins, and an unconverged one where its F is lower.
+            # where attempts end, keep the best: the best so far never
+            # converged, so a converged attempt wins, another where F is lower
             e = np.flatnonzero(ended)
             i = s.row[e]
             started = s.it[e] >= 0
@@ -1072,12 +884,11 @@ def _fit_row(block: FitResult, i: int) -> FitResult:
 def fit(spec: ModelSpec, sample: SampleMoments, options: FitOptions = FitOptions()) -> FitResult:
     """Minimize the ML discrepancy over the free parameters of spec.
 
-    Runs the Newton-seeded BFGS loop from starts scaled to the sample
-    (see _start_values), retrying from jittered starts when an attempt
-    fails to converge. The best attempt is always reported;
-    converged=False survives into the result rather than raising, so
-    Monte Carlo callers can count failures. This is fit_many on one
-    sample, and gives the same bits as that sample in any batch.
+    This is fit_many on one sample, with options.seed its jitter seed, and
+    gives the same bits as that sample in any batch. The best attempt is
+    always reported: converged=False survives into the result rather than
+    raising, so Monte Carlo callers can count failures. The error fit_many
+    returns for the sample is raised.
     """
     (result,) = fit_many(spec, sample, options, [options.seed])
     if isinstance(result, SmmError):

@@ -5,14 +5,12 @@ functions here are np.linalg's own gufuncs without the callback that makes
 it raise: a matrix that fails (not positive definite, singular) gets NaN in
 its own row, and the other rows keep their bits. These gufuncs exist in
 numpy 1.24 and 2.x. Outside np.errstate(invalid="ignore") a failure warns.
-The fit takes cholesky of Sigma, of I + B (for F) and of the seed's
-Hessian, inv of the factors of Sigma (the whitener U = L^-1) and of the
-Hessian, solve of the small normal equations (the GLS means, the seed's
-Schur complement) and eigh of the start along the means. Every stacked
-operation of the fit (these gufuncs, matmul over contiguous rows,
-elementwise ufuncs, sums over trailing axes) gives each row the same bits
-as it would alone, so a result does not depend on the batch it was fitted
-in.
+The fit takes cholesky of Sigma, of I + B and of the seed's Hessian, inv
+of the factors of Sigma and of the Hessian, and solve of its small normal
+equations. Every stacked operation of the fit (these gufuncs, matmul over
+contiguous rows, elementwise ufuncs, sums over trailing axes) gives each
+row the same bits as it would alone, so a result does not depend on the
+batch it was fitted in.
 checked_cholesky is the one check of a Cholesky factor: simulate.cholesky
 raises from its codes, and fit_many gives each failing sample its error.
 """
@@ -29,7 +27,6 @@ from .errors import ASYMMETRIC_MATRIX, DIMENSION_MISMATCH, NotPositiveDefiniteEr
 cholesky = functools.partial(_umath_linalg.cholesky_lo, signature="d->d")  # lower factor
 solve = functools.partial(_umath_linalg.solve, signature="dd->d")  # (..., p, p), (..., p, k)
 inv = functools.partial(_umath_linalg.inv, signature="d->d")
-eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")  # (eigenvalues, eigenvectors)
 
 # Cholesky pivots at or below this are treated as rank deficiency.
 PIVOT_FLOOR = 1e-12

@@ -46,22 +46,9 @@ from .model_spec import ModelSpec
 from .simulate import PopulationModel, Seed, _draw_moments
 
 # Fewest replications a pool worker is given. A lockstep block is cheap,
-# so a pool pays only for large blocks. On a 2-vCPU VM, with the pool
-# forced on below 2 * MIN_BLOCK to find the crossover (medians of 9
-# alternated runs, two sessions), parallelism 2 against 1 ran at:
-#   R = 64:  0.48-0.49x on table1_model1_n900, 0.61-0.64x on
-#            table1_model2_n150, 0.81-0.86x on anchor_x1
-#   R = 128: 0.59-1.00x, 0.73-0.77x, 1.07-1.11x
-#   R = 200: 1.17-1.18x, 0.94-1.02x, 1.18-1.30x
-#   R = 256: 1.29-1.31x, 0.95-0.99x, 1.29x
-#   R = 500: 1.37-1.43x, 0.99-1.16x, 1.35-1.48x
-# The n = 900 designs, where sampling is most of a worker's time, still
-# cross near R = 200. The n = 150 design, whose samples are cheapest,
-# broke even only up to R = 500 while each worker pickled one FitResult
-# per fit back to the parent. Sending one FitResult block, a few arrays,
-# it ran at 1.12-1.16x at R = 256 and 1.27x at R = 500 (medians of 9-15
-# alternated runs, three sessions). A larger MIN_BLOCK would take 30%
-# from the n = 900 designs at R = 256-511.
+# so a pool pays only for large blocks: two workers break even near
+# R = 200, and a larger MIN_BLOCK would give up the 1.3x that two workers
+# reach at R = 256 on the n = 900 designs.
 MIN_BLOCK = 128
 
 
@@ -278,7 +265,7 @@ def run_study(config: StudyConfig) -> StudySummary:
     pool = None
     try:
         if workers > 1:
-            # imported here: multiprocessing costs every `import smm` about 20 ms
+            # imported here, so that `import smm` does not pay for multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=workers)

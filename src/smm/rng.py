@@ -15,20 +15,17 @@ so the exact draw sequence is pinned by this file alone.
 
 Since a stream is a function of (key, counter) alone (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), one generator
-can serve many seeds: re-keying it through its state (counter 0, key
-[seed, 0]) costs about 3 us on a 2-vCPU x86 VM, against about 15 us for a
-new np.random.Philox, most of it SeedSequence set-up that the key then
-overrides. _normal_rows is the one Box-Muller pass, over a chunk of seeds
-at a time: normals is the chunk of one seed, and normal_chunks serves a
-block of samples chunk by chunk from one generator.
+can serve many seeds by re-keying it through its state (counter 0, key
+[seed, 0]), which skips the SeedSequence set-up of a new np.random.Philox.
+_normal_rows is the one Box-Muller pass, over a chunk of seeds at a time:
+normals is the chunk of one seed, and normal_chunks serves a block of
+samples chunk by chunk from one generator.
 
 The pass takes its pairs in the order of their angle's sector of
-[0, 2 pi). libm's cos and sin branch on the range of their argument, and
-on angles in stream order those branches go unpredicted: on 2,250 fresh
-angles (one n = 900, p = 5 sample) np.cos takes about 49 us, and 28 us on
-the same angles grouped by sector, as good as fully sorted (AVX-512 VM,
-numpy 2.4). Each value is still the same elementwise operation on the same
-operands, so the order changes no bit of any draw.
+[0, 2 pi), since libm's cos and sin branch on the range of their argument
+and angles in stream order leave those branches unpredicted. Each value
+is still the same elementwise operation on the same operands, so the
+order changes no bit of any draw.
 """
 
 from __future__ import annotations
@@ -111,22 +108,8 @@ def uniform_open01(seed: int, count: int) -> np.ndarray:
 
 
 # Leading bits of an angle's word that name its sector of [0, 2 pi) in
-# _normal_rows; at most 8, the width of the keys. draw_moments per sample
-# against stream order (simulate.SLAB_VALUES = 2**14 values a chunk, p = 5,
-# 20 interleaved rounds in process, AVX-512 VM):
-#
-#     B         3      4      5      6      7
-#     n = 150   1.30x  1.29x  1.29x  1.31x  1.31x
-#     n = 300   1.21x  1.21x  1.21x  1.23x  1.24x
-#     n = 900   1.18x  1.17x  1.17x  1.19x  1.20x
-#
-# and with B = 6, by values a chunk (one pass per chunk; below 4,500 values
-# an n = 900 sample takes a pass of its own):
-#
-#     values    2**12  2**13  2**14  2**15  2**16  2**17
-#     n = 150   1.22x  1.35x  1.36x  1.26x  1.14x  1.14x
-#     n = 300   1.04x  1.23x  1.30x  1.23x  1.13x  0.96x
-#     n = 900   1.05x  1.04x  1.19x  1.21x  1.12x  0.87x
+# _normal_rows; at most 8, the width of the keys. 3-7 bits all speed
+# draw_moments by 1.17-1.31x over stream order, 6 at the top of that range.
 SECTOR_BITS = 6
 
 

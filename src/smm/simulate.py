@@ -35,11 +35,9 @@ from .linalg import checked_cholesky, failure
 from .moments import Dataset, SampleMoments, _center_in_place, covariances
 
 # Values in the slab of one chunk of draw_moments (128 KB): its samples
-# share one Box-Muller pass (see rng.SECTOR_BITS for that pass's chunk
-# sizes) and one pass of the centering and the crossproducts. Per sample, in
-# process, against one sample at a time: 0.95x at n = 900 (3 samples a
-# chunk) and 0.85x at n = 150 (21). 2**16 values read 0.92x and 0.87x but
-# raise the peak RSS of a Table 1 replay by 0.4 MB more.
+# share one Box-Muller pass and one pass of the centering and the
+# crossproducts. 2**16 values move the speed by at most 3% and raise a
+# Table 1 replay's peak RSS by 0.4 MB.
 SLAB_VALUES = 2**14
 
 STRUCTURED = "structured"
