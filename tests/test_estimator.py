@@ -1465,6 +1465,68 @@ def test_restarts_give_ups_and_failed_seeds_follow_the_reference_loop(monkeypatc
     assert_rows_follow_the_reference(spec, samples, options, seeds, batch)
 
 
+def test_a_block_of_mixed_outcomes_follows_the_reference_loop(monkeypatch):
+    # bundled rows converge in a few rounds, runaway rows restart, give up
+    # and fail seeds, a covariance that is not positive definite fails at
+    # the set-up and the trials of a row with means of 1e5 overflow: rows
+    # end in different rounds, so the state is compacted and reordered
+    # between them, and each row keeps the bits of its lone fit
+    spec, runaway, options, runaway_seeds = runaway_replications()
+    bundled = rows_of(bundled_replications("table1_model2_n150", range(4))[1])
+    indefinite = replace(bundled[0], cov=bundled[0].cov.copy())
+    indefinite.cov[0, 1] = indefinite.cov[1, 0] = 10.0
+    overflowing = replace(bundled[1], mean=1e5 * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+    rows = [bundled[0], *rows_of(runaway)[:2], bundled[1], indefinite, bundled[2],
+            overflowing, rows_of(runaway)[2], bundled[3], rows_of(runaway)[3]]
+    seeds = [11, *runaway_seeds[:2], 12, 13, 14, 15, runaway_seeds[2], 16, runaway_seeds[3]]
+    block = block_of(rows)
+    overflows = []
+
+    def spy(*args):
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            try:
+                evaluate(*args)
+            except FloatingPointError:
+                overflows.append(len(args[1]))
+        return evaluate(*args)
+
+    evaluate = estimator._evaluate
+    monkeypatch.setattr(estimator, "_evaluate", spy)
+    fit(spec, overflowing, replace(options, seed=15))
+    monkeypatch.undo()
+    assert overflows
+    batch = fit_many(spec, block, options, seeds)
+    assert isinstance(batch[4], NotPositiveDefiniteError)
+    with pytest.raises(NotPositiveDefiniteError, match=batch[4].message):
+        fit(spec, indefinite, replace(options, seed=13))
+    kept = [i for i in range(len(rows)) if i != 4]
+    assert any(batch[i].retries_used for i in kept) and any(batch[i].converged for i in kept)
+    assert len({batch[i].iterations for i in kept}) > 2
+    assert_rows_fit_alone_alike(spec, take(block, kept), options, [seeds[i] for i in kept], [batch[i] for i in kept])
+    assert_rows_follow_the_reference(spec, take(block, kept), options, [seeds[i] for i in kept], [batch[i] for i in kept])
+
+
+def test_a_fit_keeps_its_values_after_a_later_fit_and_leaves_its_inputs_alone():
+    # a block's results are its own arrays: a later call on the same spec
+    # changes none of them, no call writes to the caller's samples or seeds,
+    # and the spec's shared workspace stays read-only
+    spec, samples, options, seeds = bundled_replications("table1_model2_n300", range(6))
+    ws = _workspace(spec)
+    mean, cov, seeds_before = samples.mean.copy(), samples.cov.copy(), list(seeds)
+    first = fit_many(spec, samples, options, seeds)
+    kept = [(fingerprint(row), row.grad_inf_norm, row.estimates.loadings.copy()) for row in first]
+    fit_many(spec, replace(samples, mean=samples.mean[::-1].copy(), cov=samples.cov[::-1].copy()), options, seeds[::-1])
+    fit(spec, take(samples, 2), replace(options, seed=seeds[2]))
+    for row, (print_, g_inf, loadings) in zip(first, kept, strict=True):
+        assert fingerprint(row) == print_ and row.grad_inf_norm == g_inf
+        assert row.estimates.loadings.tobytes() == loadings.tobytes()
+    assert samples.mean.tobytes() == mean.tobytes() and samples.cov.tobytes() == cov.tobytes()
+    assert seeds == seeds_before
+    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    arrays += [a for a in vars(ws.index).values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
 def test_a_runaway_batch_evaluates_once_a_round(monkeypatch):
     # a row whose evaluation fails reads F = inf in its own row, so every
     # round makes one stacked evaluation: the batch makes as many as the
