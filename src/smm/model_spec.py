@@ -299,7 +299,9 @@ class ParameterIndex:
         self.spec = spec
         p, q = spec.p, spec.q
         xs, fs = spec.variable_names, spec.factor_names
-        bounds = list(accumulate((0, p * q, q * q, p, p, q)))
+        # the cells of each block, and the block's slice of the layout
+        self.sizes = (p * q, q * q, p, p, q)
+        bounds = list(accumulate((0,) + self.sizes))
         self.slices = tuple(map(slice, bounds[:-1], bounds[1:]))
         lam, phi, psi2, nu, theta = bounds[:-1]
         # every cell in contract order: its entry, the cell, its layout
@@ -391,7 +393,8 @@ class ParameterIndex:
     def extract(self, matrices: ParameterMatrices) -> np.ndarray:
         """Read the free cells back out of full matrices (inverse of insert).
 
-        The matrices may carry the same leading axes, which the result keeps.
+        The matrices may carry the same leading axes, which the result keeps,
+        an empty one included.
         """
         lead = np.shape(matrices.factor_means)[:-1]
         blocks = (
@@ -401,7 +404,8 @@ class ParameterIndex:
             matrices.intercepts,
             matrices.factor_means,
         )
-        return np.concatenate([np.reshape(b, lead + (-1,)) for b in blocks], axis=-1)[..., self.read]
+        flat = [np.reshape(b, lead + (size,)) for b, size in zip(blocks, self.sizes)]
+        return np.concatenate(flat, axis=-1)[..., self.read]
 
 
 def one_factor_spec(

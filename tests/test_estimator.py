@@ -1676,6 +1676,12 @@ def test_fit_many_gives_each_failing_sample_the_error_cholesky_gives_it(monkeypa
     assert_rows_fit_alone_alike(spec, samples, options, seeds, batch[3:])
 
 
+def test_fit_many_of_an_empty_block_is_empty():
+    spec, options = reference_model_spec(), FitOptions()
+    empty = SampleMoments(n=300, mean=np.zeros((0, 5)), cov=np.zeros((0, 5, 5)))
+    assert fit_many(spec, empty, options, []) == []
+
+
 def test_fit_many_rejects_a_block_of_the_wrong_p():
     spec, options = reference_model_spec(), FitOptions()
     wrong_size = SampleMoments(n=100, mean=np.zeros((2, 3)), cov=np.array([np.eye(3), 2.0 * np.eye(3)]))
