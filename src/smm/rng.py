@@ -172,8 +172,15 @@ def normal_chunks(seeds, shape: tuple[int, ...], chunk: int):
         yield _normal_rows(bitgen, seeds[start : start + chunk], shape)
 
 
+def uniform_rows(seeds, shape: tuple[int, ...], low: float, high: float) -> np.ndarray:
+    """A (len(seeds), *shape) array whose row i is uniform(seeds[i], shape, low, high), re-keying one generator per seed."""
+    bitgen, total = np.random.Philox(0), math.prod(shape)
+    words = np.empty((len(seeds), total), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        row[:] = _keyed(bitgen, seed).random_raw(total)
+    return low + (high - low) * _open01(words).reshape(len(seeds), *shape)
+
+
 def uniform(seed: int, shape: tuple[int, ...], low: float, high: float) -> np.ndarray:
     """Uniform draws on (low, high], used for start-value jitter."""
-    total = int(np.prod(shape)) if shape else 1
-    u = uniform_open01(seed, total).reshape(shape)
-    return low + (high - low) * u
+    return uniform_rows([seed], shape, low, high)[0]

@@ -13,6 +13,7 @@ from smm.rng import (
     raw_uint64,
     splitmix64,
     uniform,
+    uniform_rows,
     uniform_open01,
 )
 
@@ -157,6 +158,19 @@ def test_uniform_range():
     assert draws.min() > -0.2
     assert draws.max() <= 0.2
     assert abs(draws.mean()) < 0.01
+
+
+def test_uniform_rows_are_the_draws_of_each_seed_alone():
+    # one generator re-keyed per seed gives each row the bits of a fresh
+    # generator's (low, high] mapping of its stream
+    seeds = [0, 1, 31, 2**63, 2**64 - 1]
+    for shape in [(), (1,), (7,), (2, 3)]:
+        rows = uniform_rows(seeds, shape, -0.2, 0.2)
+        assert rows.shape == (len(seeds),) + shape
+        for seed, row in zip(seeds, rows):
+            fresh = -0.2 + 0.4 * uniform_open01(seed, math.prod(shape)).reshape(shape)
+            assert row.tobytes() == fresh.tobytes() == uniform(seed, shape, -0.2, 0.2).tobytes()
+    assert uniform_rows([], (3,), 0.0, 1.0).shape == (0, 3)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
