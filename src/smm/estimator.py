@@ -38,8 +38,7 @@ module), so a result does not depend on the batch it was fitted in.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,7 +151,7 @@ class _Workspace:
         self.report = validate(spec)
         self.index = index = ParameterIndex(spec)
         self.labels = index.labels()
-        self.p, self.q = spec.p, spec.q
+        self.p, self.q, self.t = spec.p, spec.q, index.t
         # ParameterIndex.insert as a matrix: parameter k collects the cells
         # it fills, so a free off-diagonal phi sums the derivatives of both
         self.gather = np.zeros((self.t, index.template.size))
@@ -162,8 +161,9 @@ class _Workspace:
 
         matrix = np.array([e.matrix for e in index.entries], dtype=object)
         self.rows = np.array([e.row for e in index.entries], dtype=int)
-        # unique variances, optimized as logs
+        # unique variances, optimized as logs; consecutive in the layout
         self.log_pos = np.flatnonzero(matrix == "psi2")
+        self.logs = slice(self.log_pos[0], self.log_pos[-1] + 1) if self.log_pos.size else slice(0)
         # the covariance parameters (lambda, phi, psi2) lead the layout; the
         # intercepts and factor means after them are concentrated out
         self.tc = int(np.count_nonzero(np.isin(matrix, ("lambda", "phi", "psi2"))))
@@ -173,44 +173,49 @@ class _Workspace:
         self.design = np.zeros((self.p, means.size))
         nu_cols = np.flatnonzero(means == "nu")
         self.design[mean_rows[nu_cols], nu_cols] = 1.0
-        self.theta_cols = np.flatnonzero(means == "theta")
-        self.theta_rows = mean_rows[self.theta_cols]
+        # the factor means follow the intercepts, so their columns come last
+        theta_cols = np.flatnonzero(means == "theta")
+        self.thetas = slice(means.size - theta_cols.size, means.size)
+        self.theta_rows = mean_rows[theta_cols]
         # free loadings and unique variances without a start of their own
         # take one from the sample
         default = ~index.own_start
-        self.default_lambda = default & (matrix == "lambda")
-        self.default_psi2 = default & (matrix == "psi2")
+        default_lambda, default_psi2 = default & (matrix == "lambda"), default & (matrix == "psi2")
+        # as positions, with their variables
+        self.default_lambda, self.default_psi2 = np.flatnonzero(default_lambda), np.flatnonzero(default_psi2)
+        self.default_lambda_rows, self.default_psi2_rows = self.rows[self.default_lambda], self.rows[self.default_psi2]
         # the variables J of the one-factor starts (see _start_values)
         fixed_nu = np.array([not cell.is_free for cell in spec.intercepts])
-        from_means = np.flatnonzero(self.default_lambda & fixed_nu[self.rows])
+        from_means = np.flatnonzero(default_lambda & fixed_nu[self.rows])
         along_means = spec.q == 1 and spec.factor_means[0].is_free and from_means.size >= 2
-        start_lambda = from_means if along_means else np.flatnonzero(self.default_lambda)
+        start_lambda = from_means if along_means else self.default_lambda
         if spec.q > 1 or start_lambda.size < 2:
             start_lambda = start_lambda[:0]
         # no mean residuals: the start iterates principal axes instead
         self.principal_axis = not along_means
         self.start_lambda = start_lambda
         self.start_rows = self.rows[start_lambda]
-        self.start_psi2 = np.flatnonzero(self.default_psi2 & np.isin(self.rows, self.start_rows))
+        self.start_psi2 = np.flatnonzero(default_psi2 & np.isin(self.rows, self.start_rows))
         self.start_psi2_of = np.searchsorted(self.start_rows, self.rows[self.start_psi2])
         self.start_nu = index.template[index.slices[3]][self.start_rows]
         # the factor variance, or its start
         self.start_phi = float(index.template[index.slices[1].start])
+        # the equal weights the power steps start from (J is empty or has two or more)
+        self.start_weight = 1.0 / np.sqrt(max(self.start_rows.size, 1))
         self.start_pairs_i, self.start_pairs_j = np.triu_indices(self.start_rows.size, 1)
         # the factors whose sign may flip: each cell the flip touches is free or 0
         touched = [[row[k] for row in spec.loadings] + [spec.factor_means[k]]
                    + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
         self.flippable = np.array([all(c.is_free or c.value == 0.0 for c in t) for t in touched])
         self.lower = np.tri(self.p, dtype=bool)
-        # the width of an evaluation's packed terms U, B, G, U d and W d (see pack)
+        # the width of an evaluation's terms U, B, G (p x p each), U d and W d
+        # (p each), and of its record (see fields): z and g (tc each), F,
+        # max |g|, the joint point (t) and the terms
         self.width = 3 * self.p * self.p + 2 * self.p
+        self.record = 2 * self.tc + 2 + self.t + self.width
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
-
-    @property
-    def t(self) -> int:
-        return self.index.t
 
     def to_unconstrained(self, values: np.ndarray) -> np.ndarray:
         z = np.array(values, dtype=float)
@@ -237,12 +242,14 @@ class _Workspace:
         mu = mats.intercepts + (lam @ mats.factor_means[..., None])[..., 0]
         return mats, sigma, mu
 
-    def pack(self, terms: tuple) -> np.ndarray:
-        """U, B, G (rows, p, p), U d and W d (rows, p) of evaluations as rows (rows, width)."""
-        return np.concatenate([term.reshape(len(term), -1) for term in terms], axis=1)
+    def fields(self, record: np.ndarray) -> tuple:
+        """z, g, F, max |g|, the joint point and the terms of evaluation records (k, record), as views (see _evaluate)."""
+        tc, t = self.tc, self.t
+        return (record[:, :tc], record[:, tc : 2 * tc], record[:, 2 * tc], record[:, 2 * tc + 1],
+                record[:, 2 * tc + 2 : 2 * tc + 2 + t], record[:, 2 * tc + 2 + t :])
 
     def unpack(self, packed: np.ndarray) -> tuple:
-        """U, B, G, U d and W d of packed terms (..., width), as pack lays them out."""
+        """U, B, G, U d and W d of an evaluation's terms (..., width), as views in that order."""
         p, k = self.p, self.p * self.p
         square = packed.shape[:-1] + (p, p)
         u, b, g = (packed[..., i * k : (i + 1) * k].reshape(square) for i in range(3))
@@ -251,8 +258,8 @@ class _Workspace:
     def _derivatives(self, values: np.ndarray, terms: np.ndarray) -> tuple:
         """The matrices, B, G, U d, W d, vec A_k (..., t, p * p) and sqrt(2) m_k (..., t, p).
 
-        values (..., t) are joint points and terms (..., width) their
-        evaluations' packed terms. A_k = U dSigma_k U' and m_k = U dmu_k
+        values (..., t) are joint points and terms their evaluations' terms
+        (see _evaluate). A_k = U dSigma_k U' and m_k = U dmu_k
         for every parameter k, with U of the evaluation (see _seed_maps);
         the chain rule psi2 = exp(z) scales the rows of each log psi2.
         """
@@ -302,7 +309,7 @@ class _Workspace:
         """The exact Hessian (..., tc, tc) of the concentrated F over z at joint points values (..., t).
 
         With U, B, e = U d, W d and G = dF/dSigma of the evaluation that
-        accepted each point, packed in terms (see _evaluate),
+        accepted each point, its terms (see _evaluate),
         A_k = U dSigma_k U' and m_k = U dmu_k, the joint Hessian is
 
             H_kl = tr(A_k A_l) + 2 tr(A_k B A_l) + 2 (m_k + A_k e)'(m_l + A_l e)
@@ -397,6 +404,14 @@ def _workspace(spec: ModelSpec) -> _Workspace:
     return _Workspace(spec)
 
 
+@functools.cache
+def _identity(p: int) -> np.ndarray:
+    """The identity matrix of size p, made once and read-only."""
+    eye = np.identity(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def _discrepancy_terms(
     sigma: np.ndarray,
     mu: np.ndarray,
@@ -424,7 +439,7 @@ def _discrepancy_terms(
     p = b.shape[-1]
     # I + B = C C'; with C's diagonal zeroed, r_j = sum_{k<j} c_jk^2 and
     # a_j = c_jj^2 - 1 = b_jj - r_j
-    c = linalg.cholesky(b + np.identity(p))
+    c = linalg.cholesky(b + _identity(p))
     c.reshape(c.shape[:-2] + (p * p,))[..., :: p + 1] = 0.0
     r = (c * c).sum(axis=-1)
     a = b.diagonal(0, -2, -1) - r
@@ -450,12 +465,12 @@ def _discrepancy_and_gradient(
     if concentrate:
         design = np.empty((rows,) + ws.design.shape)
         design[...] = ws.design
-        design[..., ws.theta_cols] = lam[..., ws.theta_rows]
+        design[..., ws.thetas] = lam[..., ws.theta_rows]
     f, u, b, ud, beta = _discrepancy_terms(sigma, mu, sample_cov, xbar, design)
     if concentrate:
         values[:, ws.tc :] += beta
         # of the mean parameters, only the factor means enter the gradient
-        mats.factor_means[:, ws.theta_rows] += beta[:, ws.theta_cols]
+        mats.factor_means[:, ws.theta_rows] += beta[:, ws.thetas]
     u_t = _mT(u)
     wd = (u_t @ ud[..., None])[..., 0]
     g = -(u_t @ b @ u) - wd[:, :, None] * wd[:, None, :]
@@ -562,8 +577,8 @@ def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatric
     flip = ws.flippable & (mats.loadings.sum(axis=-2) < 0)
     sign = np.where(flip, -1.0, 1.0)
     cross = sign[..., :, None] * sign[..., None, :]
-    return replace(mats, loadings=mats.loadings * sign[..., None, :],
-                   factor_means=mats.factor_means * sign, factor_cov=mats.factor_cov * cross)
+    return ParameterMatrices(mats.loadings * sign[..., None, :], mats.intercepts, mats.factor_means * sign,
+                             mats.factor_cov * cross, mats.unique_variances)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -606,55 +621,73 @@ def _start_values(ws: _Workspace, cov: np.ndarray, mean: np.ndarray) -> np.ndarr
     moments are not finite, keep the default starts. Either way a fit of
     rescaled or permuted data starts at the rescaled or permuted point.
     """
-    v0 = np.broadcast_to(ws.index.start, cov.shape[:-2] + ws.index.start.shape).copy()
+    lead = cov.shape[:-2]
+    v0 = np.empty(lead + (ws.t,))
+    v0[...] = ws.index.start
     variances = cov.diagonal(0, -2, -1)
-    lam_rows, psi2_rows = ws.rows[ws.default_lambda], ws.rows[ws.default_psi2]
-    v0[..., ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances[..., lam_rows])
-    v0[..., ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances[..., psi2_rows]
+    v0[..., ws.default_lambda] = DEFAULT_STARTS["lambda"] * np.sqrt(variances.take(ws.default_lambda_rows, axis=-1))
+    v0[..., ws.default_psi2] = DEFAULT_STARTS["psi2"] * variances.take(ws.default_psi2_rows, axis=-1)
     rows = ws.start_rows
     if rows.size:
-        sd = np.sqrt(variances[..., rows])
+        var = variances.take(rows, axis=-1)
+        sd = np.sqrt(var)
         corr = cov[..., rows[:, None], rows] / (sd[..., :, None] * sd[..., None, :])
-        v = np.full(corr.shape[:-1], 1.0 / np.sqrt(rows.size))
+        # v and x = M v as columns (..., n, 1); each power step runs in place
+        column = np.empty(lead + (rows.size, 1))
+        column[...] = ws.start_weight
+        x, norm, v = np.empty_like(column), np.empty(lead + (1, 1)), column[..., 0]
         if not ws.principal_axis:
-            m = (mean[..., rows] - ws.start_nu) / sd
+            m = (mean.take(rows, axis=-1) - ws.start_nu) / sd
             # C-contiguous, so each row's matrix-vector product rounds as it does alone
             augmented = np.ascontiguousarray(corr + m[..., :, None] * m[..., None, :])
             for _ in range(PRINCIPAL_AXIS_STEPS):
-                x = (augmented @ v[..., None])[..., 0]
-                v = x / np.sqrt(_dot(x, x))[..., None]
+                np.matmul(augmented, column, out=x)
+                np.sqrt(np.matmul(_mT(x), x, out=norm), out=norm)
+                np.divide(x, norm, out=column)
         i, j = ws.start_pairs_i, ws.start_pairs_j
-        vv = v[..., i] * v[..., j]
+        vv = v.take(i, axis=-1) * v.take(j, axis=-1)
         c2 = (_dot(corr[..., i, j], vv) / (ws.start_phi * _dot(vv, vv)))[..., None]
         if ws.principal_axis:
-            reduced, diagonal = corr.copy(), np.arange(rows.size)
+            reduced = corr.copy()
+            diagonal = reduced.reshape(lead + (rows.size * rows.size,))[..., :: rows.size + 1]
             for _ in range(PRINCIPAL_AXIS_STEPS):
                 # the communalities on the diagonal, kept below 1, then a power step
-                reduced[..., diagonal, diagonal] = np.minimum(ws.start_phi * c2 * v**2, 0.995)
-                x = (reduced @ v[..., None])[..., 0]
-                c2 = _dot(v, x)[..., None] / ws.start_phi
-                v = x / np.sqrt(_dot(x, x))[..., None]
+                np.minimum(ws.start_phi * c2 * v**2, 0.995, out=diagonal)
+                np.matmul(reduced, column, out=x)
+                np.divide(np.matmul(_mT(column), x, out=norm)[..., 0], ws.start_phi, out=c2)
+                np.sqrt(np.matmul(_mT(x), x, out=norm), out=norm)
+                np.divide(x, norm, out=column)
         ok = np.isfinite(c2) & (c2 > 0)
         lam = np.sqrt(np.where(ok, c2, 0.0)) * v * sd
-        psi2 = np.maximum(variances[..., rows] - ws.start_phi * lam**2, 0.1 * variances[..., rows])
-        v0[..., ws.start_lambda] = np.where(ok, lam, v0[..., ws.start_lambda])
-        v0[..., ws.start_psi2] = np.where(ok, psi2[..., ws.start_psi2_of], v0[..., ws.start_psi2])
+        psi2 = np.maximum(var - ws.start_phi * lam**2, 0.1 * var)
+        v0[..., ws.start_lambda] = np.where(ok, lam, v0.take(ws.start_lambda, axis=-1))
+        v0[..., ws.start_psi2] = np.where(ok, psi2.take(ws.start_psi2_of, axis=-1), v0.take(ws.start_psi2, axis=-1))
     return v0[..., : ws.tc]
 
 
-def _evaluate(ws: _Workspace, z, sample_cov, xbar) -> tuple:
-    """F (k,), its gradient (k, tc), the joint points (k, t) and the terms (k, width) at covariance points z (k, tc).
+def _evaluate(ws: _Workspace, z, sample_cov, xbar, out=None) -> tuple:
+    """F (k,), its gradient (k, tc), the joint points (k, t) and the terms at covariance points z (k, tc).
 
-    The terms are U, B, G, U d and W d of each evaluation, packed
-    (_Workspace.pack), which the seed at that point reads. F is inf where F
-    or the gradient is not finite, as where Sigma is not positive definite
-    or the mean design is singular. It never raises.
+    They fill every field but z of evaluation records (k, ws.record) (see
+    _Workspace.fields), out where given and a new array otherwise, in one
+    copy; the points and terms are returned as views of the records. The
+    terms are U, B, G, U d and W d, which the seed at that point reads. F is
+    inf where F or the gradient is not finite, as where Sigma is not
+    positive definite or the mean design is singular. It never raises.
     """
+    record = np.empty((len(z), ws.record)) if out is None else out
     values = np.zeros((len(z), ws.t))
-    values[:, : ws.tc] = ws.to_raw(z)
+    values[:, : ws.tc] = z
+    np.exp(z[:, ws.logs], out=values[:, ws.logs])
     f, g, terms = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
     g = g[:, : ws.tc]
-    return np.where(np.isfinite(f) & np.isfinite(g).all(axis=1), f, np.inf), g, values, ws.pack(terms)
+    g_inf = np.abs(g).max(axis=1, initial=0.0)
+    # max |g| is finite exactly where every component is
+    f = np.where(np.isfinite(f) & np.isfinite(g_inf), f, np.inf)
+    fields = [g, f[:, None], g_inf[:, None], values] + [term.reshape(len(z), -1) for term in terms]
+    np.concatenate(fields, axis=1, out=record[:, ws.tc :])
+    _, _, _, _, point, terms = ws.fields(record)
+    return f, g, point, terms
 
 
 def _inverse_information(ws: _Workspace, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -724,6 +757,43 @@ def _renews_seed(it: np.ndarray) -> np.ndarray:
     return it % SEED_REFRESH == 2
 
 
+class _Rows:
+    """The unfinished fits of _fit_block, one row each, as named views of a float and an integer array.
+
+    A row of floats is an accepted evaluation record [z | g | f | g_inf |
+    point | terms] (see _evaluate), the pending one laid out alike [zt |
+    ...], then the search [d | slope | alpha] (the direction, its slope and
+    the step) and the first start v0. The integers (3, k) are the sample's
+    index row, the iterations it and seeded, the iteration of the last seed
+    (-1: none). The inverse Hessians h (k, tc, tc) and the sample moments
+    cov and mean, which elementwise operations read whole, are arrays of
+    their own. An accepted trial is one copy of the pending record into the
+    accepted one, new searches one copy from the scratch rows upcoming, and
+    take keeps rows with one take per array.
+    """
+
+    def __init__(self, ws: _Workspace, floats: np.ndarray, ints: np.ndarray, h, cov, mean):
+        self.ws, self.floats, self.ints, self.h, self.cov, self.mean = ws, floats, ints, h, cov, mean
+        e, tc = ws.record, ws.tc
+        self.accepted, self.trial = floats[:, :e], floats[:, e : 2 * e]
+        self.z, self.g, self.f, self.g_inf, self.point, self.terms = ws.fields(self.accepted)
+        self.zt = self.trial[:, :tc]
+        self.search = floats[:, 2 * e : 2 * e + tc + 2]
+        self.d, self.slope, self.alpha = self.search[:, :tc], self.search[:, tc], self.search[:, tc + 1]
+        self.v0 = floats[:, 2 * e + tc + 2 :]
+        self.row, self.it, self.seeded = ints
+        self.upcoming = np.empty(self.search.shape)
+        self.upcoming[:, -1] = 1.0
+
+    @staticmethod
+    def width(ws: _Workspace) -> int:
+        return 2 * ws.record + 2 * ws.tc + 2
+
+    def take(self, keep: np.ndarray) -> _Rows:
+        return _Rows(self.ws, self.floats.take(keep, axis=0), self.ints.take(keep, axis=1),
+                     *(array.take(keep, axis=0) for array in (self.h, self.cov, self.mean)))
+
+
 def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds) -> tuple[FitResult, list]:
     """The lockstep loop of fit_many: the block of every sample's fit, and each row's error.
 
@@ -743,128 +813,125 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
     # a sample covariance that simulate.cholesky rejects fails its row with its error
     codes = linalg.checked_cholesky(covs)[1]
     errors = [linalg.failure(code) if code else None for code in codes.tolist()]
-    rows = [i for i, error in enumerate(errors) if error is None]
+    rows = np.flatnonzero(codes == 0)
 
     tc, k = ws.tc, len(rows)
     last, tol, jitter = options.max_restarts if tc else 0, options.gradient_tolerance, options.jitter_fraction
-    # per sample: its attempt, and its best attempt's joint point, F, max |g|
-    # and iterations, where it = -1 while no attempt had a finite start
+    # per sample: its attempt, and its best attempt's F, max |g| and joint
+    # point, the columns of a record from f on, and iterations, where
+    # it = -1 while no attempt had a finite start
     attempt = np.zeros(count, dtype=int)
-    best = SimpleNamespace(point=np.zeros((count, ws.t)), f=np.full(count, np.inf),
-                           g_inf=np.zeros(count), it=np.full(count, -1))
+    kept = slice(2 * tc, 2 * tc + 2 + ws.t)
+    best = np.zeros((count, 2 + ws.t))
+    best[:, 0] = np.inf
+    best_it = np.full(count, -1)
+    # one row per unfinished fit. zt is its pending point: a trial, or an
+    # attempt's start, which f = inf, slope = 0 and it = seeded = -1 accept
+    # where F is finite
+    r = _Rows(ws, np.zeros((k, _Rows.width(ws))), np.full((3, k), -1), np.zeros((k, tc, tc)),
+              covs.take(rows, axis=0), means.take(rows, axis=0))
+    r.row[:], r.f[:], r.alpha[:] = rows, np.inf, 1.0
     with np.errstate(all="ignore"):
-        # one C-contiguous copy of the moments of the rows to fit, for the start and every round
-        cov, mean = covs[rows], means[rows]
-        v0 = _start_values(ws, cov, mean)
-        # one row per unfinished fit. zt is its pending point: a trial, or an
-        # attempt's start, which f = inf, slope = 0 and it = seeded = -1 accept
-        # where F is finite. seeded is the iteration of the last seed (-1:
-        # none), point and terms the evaluation at z, v0 the start restarts jitter
-        s = SimpleNamespace(
-            row=np.array(rows, dtype=int), cov=cov, mean=mean, v0=v0,
-            zt=ws.to_unconstrained(v0), z=np.zeros((k, tc)),
-            g=np.zeros((k, tc)), f=np.full(k, np.inf), g_inf=np.zeros(k),
-            point=np.zeros((k, ws.t)), terms=np.zeros((k, ws.width)),
-            h=np.zeros((k, tc, tc)), d=np.zeros((k, tc)), slope=np.zeros(k), alpha=np.ones(k),
-            it=np.full(k, -1), seeded=np.full(k, -1),
-        )
-        while len(s.row):
-            f, g, point, terms = _evaluate(ws, s.zt, s.cov, s.mean)
-            accept = (f < s.f) & (f <= s.f + ARMIJO * s.alpha * s.slope)
-            head, ended, reject = accept, np.zeros(len(s.row), dtype=bool), ~accept
+        r.v0[...] = _start_values(ws, r.cov, r.mean)
+        r.zt[...] = ws.to_unconstrained(r.v0)
+        while len(r.row):
+            f, g, _, _ = _evaluate(ws, r.zt, r.cov, r.mean, r.trial)
+            accept = (f < r.f) & (f <= r.f + ARMIJO * r.alpha * r.slope)
+            head, ended, reject = accept, np.zeros(len(f), dtype=bool), ~accept
             if np.count_nonzero(reject):
-                shrink = -s.alpha * s.slope / (2.0 * (f - s.f - s.alpha * s.slope))
+                shrink = -r.alpha * r.slope / (2.0 * (f - r.f - r.alpha * r.slope))
                 shrink = np.where(f < np.inf, np.minimum(np.maximum(shrink, 0.1), 0.5), 0.5)
-                np.copyto(s.alpha, s.alpha * shrink, where=reject)
+                np.copyto(r.alpha, r.alpha * shrink, where=reject)
                 # a search that asks for less than F's rounding gives up: it
                 # ends the attempt on a fresh seed and seeds afresh otherwise
-                give_up = reject & (-s.alpha * s.slope <= F_ROUNDING)
-                ended = give_up & (s.seeded == s.it)
+                give_up = reject & (-r.alpha * r.slope <= F_ROUNDING)
+                ended = give_up & (r.seeded == r.it)
                 head = accept | (give_up & ~ended)
-                np.copyto(s.seeded, -1, where=give_up)
+                np.copyto(r.seeded, -1, where=give_up)
             if np.count_nonzero(accept):
-                step, y = s.zt - s.z, g - s.g
-                sy = _dot(step, y)
+                step, y = r.zt - r.z, g - r.g
+                sy = step[:, None, :] @ y[:, :, None]
+                r.it += accept
+                renew = _renews_seed(r.it)
                 # the update only where the next step reads it, not where a
                 # start or a renewal of the seed replaces it
-                keep = accept & (sy > 0) & (s.seeded >= 0) & ~_renews_seed(s.it + 1)
+                keep = accept & (sy[:, 0, 0] > 0) & (r.seeded >= 0) & ~renew
                 if np.count_nonzero(keep):
-                    hy = (s.h @ y[..., None])[..., 0]
+                    hy = r.h @ y[:, :, None]
                     # the transpose of hy (s/sy)' is (s/sy) hy', bit for bit
-                    cross = hy[:, :, None] * (step / sy[:, None])[:, None, :]
+                    cross = hy * (step / sy[:, 0])[:, None, :]
                     # float_power is the libm pow a scalar sy**2 takes, not a square
-                    curve = (sy + _dot(y, hy)) / np.float_power(sy, 2.0)
+                    curve = (sy + y[:, None, :] @ hy) / np.float_power(sy, 2.0)
+                    updated = r.h - cross
+                    updated -= _mT(cross)
                     outer = step[:, :, None] * step[:, None, :]
-                    updated = s.h - cross - _mT(cross) + curve[:, None, None] * outer
-                    np.copyto(s.h, updated, where=keep[:, None, None])
-                moved = accept[:, None]
-                np.copyto(s.z, s.zt, where=moved)
-                np.copyto(s.g, g, where=moved)
-                np.copyto(s.point, point, where=moved)
-                np.copyto(s.terms, terms, where=moved)
-                np.copyto(s.f, f, where=accept)
-                np.copyto(s.g_inf, np.abs(g).max(axis=1, initial=0.0), where=accept)
-                s.it += accept
+                    outer *= curve
+                    updated += outer
+                    np.copyto(r.h, updated, where=keep[:, None, None])
+                np.copyto(r.accepted, r.trial, where=accept[:, None])
+            elif np.count_nonzero(head):
+                renew = _renews_seed(r.it)
             while np.count_nonzero(head):
-                run = head & (s.it < options.max_iterations)
-                due = run & ((s.seeded < 0) | (_renews_seed(s.it) & (s.seeded != s.it)))
+                run = head & (r.it < options.max_iterations)
+                due = run & ((r.seeded < 0) | (renew & (r.seeded != r.it)))
                 if np.count_nonzero(due):
-                    s.h[due] = _inverse_information(ws, s.point[due], s.terms[due])
-                    np.copyto(s.seeded, s.it, where=due)
-                d = -(s.h @ s.g[..., None])[..., 0]
-                slope = _dot(s.g, d)
+                    r.h[due] = _inverse_information(ws, r.point[due], r.terms[due])
+                    np.copyto(r.seeded, r.it, where=due)
+                # the new searches [d | slope | 1], copied where they go on
+                d = r.upcoming[:, :tc, None]
+                np.negative(np.matmul(r.h, r.g[:, :, None], out=d), out=d)
+                slope = np.matmul(r.g[:, None, :], d, out=r.upcoming[:, tc, None, None])[:, 0, 0]
                 descent = np.isfinite(slope) & (slope < 0)
                 # within tolerance, and the step predicts less decrease than F resolves
-                close = (-0.5 * slope <= F_ROUNDING) & (s.g_inf <= tol)
-                search = run & descent & ~close
+                close = (-0.5 * slope <= F_ROUNDING) & (r.g_inf <= tol)
+                go = run & descent & ~close
                 # no descent direction: seed afresh once, then end
-                stale = run & ~descent & (s.seeded != s.it)
-                ended |= head & ~(search | stale)
+                stale = run & ~descent & (r.seeded != r.it)
+                ended |= head & ~(go | stale)
                 head = stale
-                np.copyto(s.d, d, where=search[:, None])
-                np.copyto(s.slope, slope, where=search)
-                np.copyto(s.alpha, 1.0, where=search)
-                np.copyto(s.seeded, -1, where=stale)
-            s.zt = s.z + s.alpha[:, None] * s.d
+                np.copyto(r.search, r.upcoming, where=go[:, None])
+                np.copyto(r.seeded, -1, where=stale)
+            np.add(r.z, r.alpha[:, None] * r.d, out=r.zt)
             if not np.count_nonzero(ended):
                 continue
             # where attempts end, keep the best: the best so far never
             # converged, so a converged attempt wins, another where F is lower
             e = np.flatnonzero(ended)
-            i = s.row[e]
-            started = s.it[e] >= 0
-            conv = started & (s.g_inf[e] <= tol)
-            better = started & (conv | (s.f[e] < best.f[i]))
+            i = r.row[e]
+            started = r.it[e] >= 0
+            conv = started & (r.g_inf[e] <= tol)
+            better = started & (conv | (r.f[e] < best[i, 0]))
             into, src = i[better], e[better]
-            for name, array in vars(best).items():
-                array[into] = getattr(s, name)[src]
+            best[into] = r.accepted[src, kept]
+            best_it[into] = r.it[src]
             # an unconverged attempt with restarts left restarts from the
             # first start, jittered from its own stream
             again = e[~conv & (attempt[i] < last)]
             if again.size:
-                attempt[s.row[again]] += 1
-                streams = [rng.derive_seed(seeds[j], rng.STREAM_JITTER, attempt[j]) for j in s.row[again]]
-                noise = np.array([rng.uniform(seed, (ws.t,), -jitter, jitter) for seed in streams])[:, :tc]
-                v = s.v0[again]
-                s.zt[again] = ws.to_unconstrained(np.where(v != 0.0, v * (1.0 + noise), noise))
-                s.f[again], s.slope[again], s.alpha[again] = np.inf, 0.0, 1.0
-                s.it[again], s.seeded[again] = -1, -1
+                attempt[r.row[again]] += 1
+                streams = [rng.derive_seed(seeds[j], rng.STREAM_JITTER, attempt[j]) for j in r.row[again]]
+                noise = rng.uniform_rows(streams, (ws.t,), -jitter, jitter)[:, :tc]
+                v = r.v0[again]
+                r.zt[again] = ws.to_unconstrained(np.where(v != 0.0, v * (1.0 + noise), noise))
+                r.f[again], r.slope[again], r.alpha[again] = np.inf, 0.0, 1.0
+                r.it[again], r.seeded[again] = -1, -1
                 ended[again] = False
-            if np.count_nonzero(ended):
-                going = np.flatnonzero(~ended)
-                vars(s).update({name: array.take(going, axis=0) for name, array in vars(s).items()})
+            going = np.flatnonzero(~ended)
+            if not going.size:
+                break
+            if going.size < len(ended):
+                r = r.take(going)
 
-    started = best.it >= 0
-    for i in rows:
-        if not started[i]:
-            message = "every optimization attempt failed; last error: no finite discrepancy at the start"
-            errors[i] = NotPositiveDefiniteError(message)
-    mats = _sign_convention(ws, ws.index.insert(best.point))
-    f_min = np.where(started, best.f, 0.0)
+    started = best_it >= 0
+    for i in np.flatnonzero(~started & (codes == 0)):
+        message = "every optimization attempt failed; last error: no finite discrepancy at the start"
+        errors[i] = NotPositiveDefiniteError(message)
+    mats = _sign_convention(ws, ws.index.insert(best[:, 2:]))
+    f_min = np.where(started, best[:, 0], 0.0)
     block = FitResult(
         estimates=mats, f_min=f_min, chi_square=(samples.n - 1) * f_min, df=ws.report.df, n=samples.n,
-        converged=started & (best.g_inf <= tol), iterations=np.where(started, best.it, 0),
-        grad_inf_norm=best.g_inf, retries_used=np.where(started, attempt, 0),
+        converged=started & (best[:, 1] <= tol), iterations=np.where(started, best_it, 0),
+        grad_inf_norm=best[:, 1].copy(), retries_used=np.where(started, attempt, 0),
         free_values=ws.index.extract(mats), labels=ws.labels,
     )
     return block, errors
