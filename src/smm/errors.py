@@ -3,9 +3,14 @@
 Every failure that callers are expected to branch on carries a stable
 machine-readable ``code`` string in addition to the human-readable message.
 The CLI prints the code so scripted callers can grep for it.
+integer is the one check of the integer settings every module takes
+(counts, seeds, sample sizes): a bool or a float is BAD_INPUT, not a
+count.
 """
 
 from __future__ import annotations
+
+import operator
 
 # Codes raised by more than one module live here so they stay in sync.
 NOT_POSITIVE_DEFINITE = "NOT_POSITIVE_DEFINITE"
@@ -42,6 +47,13 @@ class SmmError(Exception):
         # unpickled, as in a process pool, without __init__, whose arguments
         # differ by subclass: code, message and report come back in __dict__
         return BaseException.__new__, (type(self), *self.args), self.__dict__
+
+
+def integer(name: str, value) -> int:
+    """value as an int (operator.index); SmmError(BAD_INPUT) naming it for a bool or any other value that is no integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise SmmError(BAD_INPUT, f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class InvalidModelError(SmmError):

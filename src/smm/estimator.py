@@ -50,13 +50,14 @@ from .errors import (
     NONPOSITIVE_UNIQUE_VARIANCE,
     InvalidModelError,
     NotPositiveDefiniteError,
+    integer,
 )
 from .model_spec import DEFAULT_STARTS, ModelSpec, ParameterIndex, ParameterMatrices, validate
 from .moments import SampleMoments
 from .simulate import cholesky
 
 # The inverse Hessian is seeded again at iteration 2 and every SEED_REFRESH
-# iterations after it (see _renews_seed), which ends runaway attempts where
+# iterations after it (see _fit_block), which ends runaway attempts where
 # both seeds fail. Periods of 3-6 give a bundled 15-replication block the
 # same rounds, and 3 seeds up to 2.61 times a block.
 SEED_REFRESH = 4
@@ -81,9 +82,9 @@ class FitOptions:
     one per sample instead. A fit counts as converged when the largest
     component of the gradient over the covariance parameters (lambda, phi,
     psi2) is at most gradient_tolerance, which is met only where F resolves
-    it (F_ROUNDING). Counts must be >= 0, jitter_fraction in [0, 1] and
-    gradient_tolerance finite and > 0; anything else raises
-    SmmError(BAD_INPUT).
+    it (F_ROUNDING). The counts and seed must be integers (errors.integer),
+    the counts >= 0, jitter_fraction in [0, 1] and gradient_tolerance
+    finite and > 0; anything else raises SmmError(BAD_INPUT).
     """
 
     max_iterations: int = 1000
@@ -93,6 +94,8 @@ class FitOptions:
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
+        for name in ("max_iterations", "max_restarts", "seed"):
+            integer(f"FitOptions.{name}", getattr(self, name))
         for name, ok in (
             ("max_iterations", self.max_iterations >= 0),
             ("max_restarts", self.max_restarts >= 0),
@@ -208,11 +211,10 @@ class _Workspace:
                    + [c for j, c in enumerate(spec.factor_cov[k]) if j != k] for k in range(self.q)]
         self.flippable = np.array([all(c.is_free or c.value == 0.0 for c in t) for t in touched])
         self.lower = np.tri(self.p, dtype=bool)
-        # the width of an evaluation's terms U, B, G (p x p each), U d and W d
-        # (p each), and of its record (see fields): z and g (tc each), F,
-        # max |g|, the joint point (t) and the terms
-        self.width = 3 * self.p * self.p + 2 * self.p
-        self.record = 2 * self.tc + 2 + self.t + self.width
+        # the width of an evaluation record (see fields): z and g (tc each),
+        # F, max |g|, the joint point (t) and the terms U, B, G (p x p each),
+        # U d and W d (p each)
+        self.record = 2 * self.tc + 2 + self.t + 3 * self.p * self.p + 2 * self.p
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -221,11 +223,6 @@ class _Workspace:
         z = np.array(values, dtype=float)
         z[..., self.log_pos] = np.log(z[..., self.log_pos])
         return z
-
-    def to_raw(self, z: np.ndarray) -> np.ndarray:
-        v = np.array(z, dtype=float)
-        v[..., self.log_pos] = np.exp(v[..., self.log_pos])
-        return v
 
     def build(self, values: np.ndarray) -> tuple[ParameterMatrices, np.ndarray, np.ndarray]:
         """Parameter matrices and implied (sigma, mu) for raw parameter vectors.
@@ -249,7 +246,7 @@ class _Workspace:
                 record[:, 2 * tc + 2 : 2 * tc + 2 + t], record[:, 2 * tc + 2 + t :])
 
     def unpack(self, packed: np.ndarray) -> tuple:
-        """U, B, G, U d and W d of an evaluation's terms (..., width), as views in that order."""
+        """U, B, G, U d and W d of an evaluation's terms (..., 3 p^2 + 2 p), as views in that order."""
         p, k = self.p, self.p * self.p
         square = packed.shape[:-1] + (p, p)
         u, b, g = (packed[..., i * k : (i + 1) * k].reshape(square) for i in range(3))
@@ -450,14 +447,15 @@ def _discrepancy_terms(
 def _discrepancy_and_gradient(
     ws: _Workspace, values: np.ndarray, sample_cov, xbar, concentrate: bool = False
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """F (rows,), its exact gradient (rows, t) in unconstrained coordinates, and U, B, G, U d and W d.
+    """F (rows,), its exact gradient (rows, tc) over the covariance parameters in unconstrained coordinates, and U, B, G, U d and W d.
 
     values is a stack of raw points (rows, t), each with its own sample
     cov (rows, p, p) and xbar (rows, p). With concentrate, the mean
     parameters of each row are first moved, in place, to their GLS optimum,
     so F is the concentrated discrepancy. F and the gradient are NaN in a
     row whose implied covariance is not positive definite or, with
-    concentrate, whose mean design is singular.
+    concentrate, whose mean design is singular. F is not finite wherever
+    W d = U'(U d) is not, since it contains |U d|^2.
     """
     mats, sigma, mu = ws.build(values)
     lam, lam_t, rows = mats.loadings, _mT(mats.loadings), values.shape[0]
@@ -474,21 +472,19 @@ def _discrepancy_and_gradient(
     u_t = _mT(u)
     wd = (u_t @ ud[..., None])[..., 0]
     g = -(u_t @ b @ u) - wd[:, :, None] * wd[:, None, :]
-    # dF/d(cell) for every cell of the layout; psi2 cells carry the chain
-    # rule through psi2 = exp(z)
-    d_full = np.concatenate(
+    # dF/d(cell) for the covariance cells, which lead the layout; psi2
+    # cells carry the chain rule through psi2 = exp(z)
+    cells = np.concatenate(
         [
             (
                 2.0 * (g @ lam @ mats.factor_cov - wd[:, :, None] * mats.factor_means[:, None, :])
             ).reshape(rows, -1),
             (lam_t @ g @ lam).reshape(rows, -1),
             g.diagonal(0, 1, 2) * mats.unique_variances,
-            -2.0 * wd,
-            -2.0 * (lam_t @ wd[:, :, None])[:, :, 0],
         ],
         axis=1,
     )
-    return f, d_full @ ws.gather.T, (u, b, g, ud, wd)
+    return f, cells @ ws.gather[: ws.tc, : cells.shape[1]].T, (u, b, g, ud, wd)
 
 
 def _checked_point(ws: _Workspace, free_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -560,10 +556,14 @@ def numeric_gradient(
     _check_one_sample(sample, sigma, mu)
     cholesky(sample.cov)  # raises unless the sample covariance is positive definite
     with np.errstate(invalid="ignore"):
-        _, grad, _ = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
+        _, grad, (*_, wd) = _discrepancy_and_gradient(ws, values[None], sample.cov[None], sample.mean[None])
+        # the mean parameters' cells, which end the layout: -2 W d for the
+        # intercepts and -2 Lambda' W d for the factor means
+        cells = -2.0 * np.concatenate([wd[0], ws.index.insert(values).loadings.T @ wd[0]])
+        grad = np.concatenate([grad[0], ws.gather[ws.tc :, -cells.size :] @ cells])
     if np.isnan(grad).any():
         raise NotPositiveDefiniteError("implied covariance not positive definite")
-    return grad[0]
+    return grad
 
 
 def _sign_convention(ws: _Workspace, mats: ParameterMatrices) -> ParameterMatrices:
@@ -680,7 +680,6 @@ def _evaluate(ws: _Workspace, z, sample_cov, xbar, out=None) -> tuple:
     values[:, : ws.tc] = z
     np.exp(z[:, ws.logs], out=values[:, ws.logs])
     f, g, terms = _discrepancy_and_gradient(ws, values, sample_cov, xbar, concentrate=True)
-    g = g[:, : ws.tc]
     g_inf = np.abs(g).max(axis=1, initial=0.0)
     # max |g| is finite exactly where every component is
     f = np.where(np.isfinite(f) & np.isfinite(g_inf), f, np.inf)
@@ -714,12 +713,13 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     sample, a block of one. seeds holds one jitter seed per sample, which
     is what FitOptions.seed is to fit (options.seed is not read here). An
     invalid spec raises InvalidModelError, a p other than the spec's
-    DIMENSION_MISMATCH and a seed count other than R BAD_INPUT, each for
-    the whole call. Returns one entry per sample: its FitResult, or the
-    SmmError its fit raised. A sample covariance that simulate.cholesky
-    rejects gets the error it raises for that sample alone, and a sample
-    whose every attempt fails a NotPositiveDefiniteError. Each entry has
-    the bits of the sample's lone fit, whether the block is strided or not.
+    DIMENSION_MISMATCH and a seed count other than R or a seed that is not
+    an integer BAD_INPUT, each for the whole call. Returns one entry per
+    sample: its FitResult, or the SmmError its fit raised. A sample
+    covariance that simulate.cholesky rejects gets the error it raises for
+    that sample alone, and a sample whose every attempt fails a
+    NotPositiveDefiniteError. Each entry has the bits of the sample's lone
+    fit, whether the block is strided or not.
 
     Each sample runs attempts of BFGS on the concentrated F over the
     covariance parameters in unconstrained coordinates, from the starts of
@@ -752,42 +752,33 @@ def fit_many(spec: ModelSpec, samples: SampleMoments, options: FitOptions, seeds
     return [_fit_row(block, i) if error is None else error for i, error in enumerate(errors)]
 
 
-def _renews_seed(it: np.ndarray) -> np.ndarray:
-    """Whether an attempt's iterations it renew its seed: 2, 6, 10, ... (see SEED_REFRESH)."""
-    return it % SEED_REFRESH == 2
-
-
 class _Rows:
     """The unfinished fits of _fit_block, one row each, as named views of a float and an integer array.
 
-    A row of floats is an accepted evaluation record [z | g | f | g_inf |
-    point | terms] (see _evaluate), the pending one laid out alike [zt |
-    ...], then the search [d | slope | alpha] (the direction, its slope and
-    the step) and the first start v0. The integers (3, k) are the sample's
-    index row, the iterations it and seeded, the iteration of the last seed
-    (-1: none). The inverse Hessians h (k, tc, tc) and the sample moments
-    cov and mean, which elementwise operations read whole, are arrays of
-    their own. An accepted trial is one copy of the pending record into the
-    accepted one, new searches one copy from the scratch rows upcoming, and
-    take keeps rows with one take per array.
+    A row of floats is the attempt's accepted evaluation record [z | g | f
+    | g_inf | point | terms] (see _evaluate) and its search [d | slope |
+    alpha] (the direction, its slope and the step), whose trial is
+    z + alpha d. The integers (3, k) are the sample's index row, the
+    iterations it and seeded, the iteration of the last seed (-1: none).
+    The inverse Hessians h (k, tc, tc) and the sample moments cov and mean,
+    which elementwise operations read whole, are arrays of their own. take
+    keeps rows with one take per array.
     """
 
     def __init__(self, ws: _Workspace, floats: np.ndarray, ints: np.ndarray, h, cov, mean):
         self.ws, self.floats, self.ints, self.h, self.cov, self.mean = ws, floats, ints, h, cov, mean
-        e, tc = ws.record, ws.tc
-        self.accepted, self.trial = floats[:, :e], floats[:, e : 2 * e]
+        self.accepted, self.search = floats[:, : ws.record], floats[:, ws.record :]
         self.z, self.g, self.f, self.g_inf, self.point, self.terms = ws.fields(self.accepted)
-        self.zt = self.trial[:, :tc]
-        self.search = floats[:, 2 * e : 2 * e + tc + 2]
-        self.d, self.slope, self.alpha = self.search[:, :tc], self.search[:, tc], self.search[:, tc + 1]
-        self.v0 = floats[:, 2 * e + tc + 2 :]
+        self.d, self.slope, self.alpha = self.search[:, :-2], self.search[:, -2], self.search[:, -1]
         self.row, self.it, self.seeded = ints
-        self.upcoming = np.empty(self.search.shape)
-        self.upcoming[:, -1] = 1.0
 
-    @staticmethod
-    def width(ws: _Workspace) -> int:
-        return 2 * ws.record + 2 * ws.tc + 2
+    def begin(self, at, z: np.ndarray) -> None:
+        """Begin attempts at rows at from unconstrained starts z, which the next round accepts where F is finite."""
+        # f = inf, slope = 0 and it = seeded = -1 accept any finite F, and
+        # the trial z + 1 (-0.0) is z bit for bit, a -0.0 coordinate included
+        self.z[at], self.f[at] = z, np.inf
+        self.d[at], self.slope[at], self.alpha[at] = -0.0, 0.0, 1.0
+        self.it[at], self.seeded[at] = -1, -1
 
     def take(self, keep: np.ndarray) -> _Rows:
         return _Rows(self.ws, self.floats.take(keep, axis=0), self.ints.take(keep, axis=1),
@@ -810,6 +801,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
     count = len(means)
     if len(seeds) != count:
         raise SmmError(BAD_INPUT, f"{count} samples but {len(seeds)} jitter seeds")
+    for seed in seeds:
+        integer("jitter seed", seed)
     # a sample covariance that simulate.cholesky rejects fails its row with its error
     codes = linalg.checked_cholesky(covs)[1]
     errors = [linalg.failure(code) if code else None for code in codes.tolist()]
@@ -817,25 +810,27 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
 
     tc, k = ws.tc, len(rows)
     last, tol, jitter = options.max_restarts if tc else 0, options.gradient_tolerance, options.jitter_fraction
-    # per sample: its attempt, and its best attempt's F, max |g| and joint
-    # point, the columns of a record from f on, and iterations, where
-    # it = -1 while no attempt had a finite start
+    # per sample: its first start, its attempt, and its best attempt's F,
+    # max |g| and joint point, the columns of a record from f on, and
+    # iterations, where it = -1 while no attempt had a finite start
+    starts = np.zeros((count, tc))
     attempt = np.zeros(count, dtype=int)
     kept = slice(2 * tc, 2 * tc + 2 + ws.t)
     best = np.zeros((count, 2 + ws.t))
     best[:, 0] = np.inf
     best_it = np.full(count, -1)
-    # one row per unfinished fit. zt is its pending point: a trial, or an
-    # attempt's start, which f = inf, slope = 0 and it = seeded = -1 accept
-    # where F is finite
-    r = _Rows(ws, np.zeros((k, _Rows.width(ws))), np.full((3, k), -1), np.zeros((k, tc, tc)),
+    # one row per unfinished fit
+    r = _Rows(ws, np.zeros((k, ws.record + tc + 2)), np.zeros((3, k), dtype=int), np.zeros((k, tc, tc)),
               covs.take(rows, axis=0), means.take(rows, axis=0))
-    r.row[:], r.f[:], r.alpha[:] = rows, np.inf, 1.0
+    r.row[:] = rows
     with np.errstate(all="ignore"):
-        r.v0[...] = _start_values(ws, r.cov, r.mean)
-        r.zt[...] = ws.to_unconstrained(r.v0)
+        starts[rows] = v0 = _start_values(ws, r.cov, r.mean)
+        r.begin(slice(None), ws.to_unconstrained(v0))
         while len(r.row):
-            f, g, _, _ = _evaluate(ws, r.zt, r.cov, r.mean, r.trial)
+            # the round's trial record, whose point is z + alpha d
+            trial = np.empty((len(r.row), ws.record))
+            zt = np.add(r.z, r.alpha[:, None] * r.d, out=trial[:, :tc])
+            f, g, _, _ = _evaluate(ws, zt, r.cov, r.mean, trial)
             accept = (f < r.f) & (f <= r.f + ARMIJO * r.alpha * r.slope)
             head, ended, reject = accept, np.zeros(len(f), dtype=bool), ~accept
             if np.count_nonzero(reject):
@@ -848,11 +843,12 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 ended = give_up & (r.seeded == r.it)
                 head = accept | (give_up & ~ended)
                 np.copyto(r.seeded, -1, where=give_up)
+            r.it += accept
+            # iteration 2 and every SEED_REFRESH after it renew the seed
+            renew = r.it % SEED_REFRESH == 2
             if np.count_nonzero(accept):
-                step, y = r.zt - r.z, g - r.g
+                step, y = zt - r.z, g - r.g
                 sy = step[:, None, :] @ y[:, :, None]
-                r.it += accept
-                renew = _renews_seed(r.it)
                 # the update only where the next step reads it, not where a
                 # start or a renewal of the seed replaces it
                 keep = accept & (sy[:, 0, 0] > 0) & (r.seeded >= 0) & ~renew
@@ -868,9 +864,7 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                     outer *= curve
                     updated += outer
                     np.copyto(r.h, updated, where=keep[:, None, None])
-                np.copyto(r.accepted, r.trial, where=accept[:, None])
-            elif np.count_nonzero(head):
-                renew = _renews_seed(r.it)
+                np.copyto(r.accepted, trial, where=accept[:, None])
             while np.count_nonzero(head):
                 run = head & (r.it < options.max_iterations)
                 due = run & ((r.seeded < 0) | (renew & (r.seeded != r.it)))
@@ -878,9 +872,10 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                     r.h[due] = _inverse_information(ws, r.point[due], r.terms[due])
                     np.copyto(r.seeded, r.it, where=due)
                 # the new searches [d | slope | 1], copied where they go on
-                d = r.upcoming[:, :tc, None]
+                search = np.ones(r.search.shape)
+                d = search[:, :tc, None]
                 np.negative(np.matmul(r.h, r.g[:, :, None], out=d), out=d)
-                slope = np.matmul(r.g[:, None, :], d, out=r.upcoming[:, tc, None, None])[:, 0, 0]
+                slope = np.matmul(r.g[:, None, :], d, out=search[:, tc, None, None])[:, 0, 0]
                 descent = np.isfinite(slope) & (slope < 0)
                 # within tolerance, and the step predicts less decrease than F resolves
                 close = (-0.5 * slope <= F_ROUNDING) & (r.g_inf <= tol)
@@ -889,9 +884,8 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
                 stale = run & ~descent & (r.seeded != r.it)
                 ended |= head & ~(go | stale)
                 head = stale
-                np.copyto(r.search, r.upcoming, where=go[:, None])
+                np.copyto(r.search, search, where=go[:, None])
                 np.copyto(r.seeded, -1, where=stale)
-            np.add(r.z, r.alpha[:, None] * r.d, out=r.zt)
             if not np.count_nonzero(ended):
                 continue
             # where attempts end, keep the best: the best so far never
@@ -908,19 +902,15 @@ def _fit_block(spec: ModelSpec, samples: SampleMoments, options: FitOptions, see
             # first start, jittered from its own stream
             again = e[~conv & (attempt[i] < last)]
             if again.size:
-                attempt[r.row[again]] += 1
-                streams = [rng.derive_seed(seeds[j], rng.STREAM_JITTER, attempt[j]) for j in r.row[again]]
+                i = r.row[again]
+                attempt[i] += 1
+                streams = [rng.derive_seed(seeds[j], rng.STREAM_JITTER, attempt[j]) for j in i]
                 noise = rng.uniform_rows(streams, (ws.t,), -jitter, jitter)[:, :tc]
-                v = r.v0[again]
-                r.zt[again] = ws.to_unconstrained(np.where(v != 0.0, v * (1.0 + noise), noise))
-                r.f[again], r.slope[again], r.alpha[again] = np.inf, 0.0, 1.0
-                r.it[again], r.seeded[again] = -1, -1
+                v = starts[i]
+                r.begin(again, ws.to_unconstrained(np.where(v != 0.0, v * (1.0 + noise), noise)))
                 ended[again] = False
-            going = np.flatnonzero(~ended)
-            if not going.size:
-                break
-            if going.size < len(ended):
-                r = r.take(going)
+            if np.count_nonzero(ended):
+                r = r.take(np.flatnonzero(~ended))
 
     started = best_it >= 0
     for i in np.flatnonzero(~started & (codes == 0)):

@@ -40,6 +40,7 @@ from .errors import (
     EMPTY_CONVERGED_SET,
     MISSING_REFERENCE_CONDITION,
     InvalidModelError,
+    integer,
 )
 from .estimator import FitOptions, _fit_block, _workspace
 from .model_spec import ModelSpec
@@ -240,7 +241,9 @@ def run_study(config: StudyConfig) -> StudySummary:
     worker of a process pool of min(max_parallelism, R // MIN_BLOCK)
     workers, and no pool runs when that is 1. Results are collected in
     replication order either way, which makes the summary independent of
-    scheduling.
+    scheduling. replications, each sample size and max_parallelism must
+    be integers that are not bools, at least 1, 2 and 1; anything else
+    raises SmmError(BAD_INPUT).
     """
     report = _workspace(config.spec).report  # the validation _fit_block reads too
     if not report.is_valid:
@@ -250,17 +253,17 @@ def run_study(config: StudyConfig) -> StudySummary:
             DIMENSION_MISMATCH,
             f"population has {config.population.p} variables, model expects {config.spec.p}",
         )
-    if config.replications < 1:
+    if integer("replications", config.replications) < 1:
         raise SmmError(BAD_INPUT, f"replications must be >= 1, got {config.replications}")
     if not config.sample_sizes:
         raise SmmError(BAD_INPUT, "sample_sizes must be non-empty")
-    if any(n < 2 for n in config.sample_sizes):
+    if any(integer("sample size", n) < 2 for n in config.sample_sizes):
         raise SmmError(BAD_INPUT, "every sample size must be >= 2")
-    if config.max_parallelism < 1:
+    if integer("max_parallelism", config.max_parallelism) < 1:
         raise SmmError(BAD_INPUT, f"max_parallelism must be >= 1, got {config.max_parallelism}")
 
     master = config.seed.master
-    workers = min(int(config.max_parallelism), config.replications // MIN_BLOCK)
+    workers = min(config.max_parallelism, config.replications // MIN_BLOCK)
     conditions = []
     pool = None
     try:

@@ -89,22 +89,17 @@ def raw_uint64(seed: int, count: int) -> np.ndarray:
 
 
 def _open01(words: np.ndarray) -> np.ndarray:
-    """The raw words mapped in place to uniforms on (0, 1], as a float64 view of them."""
+    """The raw words mapped in place to uniforms on (0, 1], as a float64 view of them.
+
+    Maps the top 53 bits of each word w to ((w >> 11) + 1) * 2**-53. The
+    +1 shifts the support away from zero so that log() in the Box-Muller
+    transform below is always finite.
+    """
     words >>= np.uint64(11)
     words += np.uint64(1)
     u = words.view(np.float64)
     np.multiply(words, 2.0 ** -53, out=u)
     return u
-
-
-def uniform_open01(seed: int, count: int) -> np.ndarray:
-    """Uniform draws on the half-open interval (0, 1].
-
-    Maps the top 53 bits of each raw word to ((w >> 11) + 1) * 2**-53. The
-    +1 shifts the support away from zero so that log() in the Box-Muller
-    transform below is always finite.
-    """
-    return _open01(raw_uint64(seed, count))
 
 
 # Leading bits of an angle's word that name its sector of [0, 2 pi) in

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SmmError, BAD_INPUT
+from .errors import SmmError, BAD_INPUT, integer
 from .model_spec import ModelSpec, ParameterCell, fixed, free
 from .moments import Dataset
 from .simulate import PopulationModel, Seed, explicit, structured
@@ -170,13 +170,6 @@ def study_to_dict(config: StudyConfig) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer as it was written: a float, a string or a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SmmError(BAD_INPUT, f"study file: {field} must be an integer, got {value!r}")
-    return value
-
-
 def study_from_dict(doc: dict) -> StudyConfig:
     from .montecarlo import StudyConfig
 
@@ -184,10 +177,10 @@ def study_from_dict(doc: dict) -> StudyConfig:
         return StudyConfig(
             population=population_from_dict(doc["population"]),
             spec=model_from_dict(doc["model"]),
-            sample_sizes=tuple(_json_int(n, "sample_sizes") for n in doc["sample_sizes"]),
-            replications=_json_int(doc["replications"], "replications"),
-            seed=Seed(_json_int(doc["seed"], "seed")),
-            max_parallelism=_json_int(doc.get("max_parallelism", 1), "max_parallelism"),
+            sample_sizes=tuple(integer("study file: sample_sizes", n) for n in doc["sample_sizes"]),
+            replications=integer("study file: replications", doc["replications"]),
+            seed=Seed(integer("study file: seed", doc["seed"])),
+            max_parallelism=integer("study file: max_parallelism", doc.get("max_parallelism", 1)),
             reference=doc.get("reference"),
         )
     except KeyError as err:

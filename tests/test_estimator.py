@@ -239,7 +239,10 @@ def test_transform_round_trip():
     # unique variances travel on the log scale
     np.testing.assert_allclose(z[5:10], np.log(values[5:10]))
     np.testing.assert_allclose(z[:5], values[:5])
-    np.testing.assert_allclose(ws.to_raw(z), values, rtol=1e-15)
+    # and come back through exp, as every evaluation takes them
+    raw = z.copy()
+    raw[ws.log_pos] = np.exp(raw[ws.log_pos])
+    np.testing.assert_allclose(raw, values, rtol=1e-15)
 
 
 def test_transform_rejects_nonpositive_variance():
@@ -1598,19 +1601,22 @@ def test_fit_many_rejects_an_overflowing_row_quietly():
 
 def test_evaluate_gives_an_overflowing_row_inf_in_its_own_row():
     # exp(710) overflows: psi2 of row 1 is inf, so its Sigma and F are not
-    # finite, and the rows around it keep the bits of their lone calls
-    spec, samples, _, _ = bundled_replications("table1_model2_n300", range(3))
+    # finite. Means of 1e160 in row 3 overflow |U d|^2 in F, which makes F
+    # inf there whether or not the gradient overflows too. The rows around
+    # them keep the bits of their lone calls
+    spec, samples, _, _ = bundled_replications("table1_model2_n300", range(4))
     ws = _workspace(spec)
-    covs, means = samples.cov, samples.mean
+    covs, means = samples.cov, samples.mean.copy()
     z = ws.to_unconstrained(_start_values(ws, covs, means))
     z[1, ws.log_pos[0]] = 710.0
+    means[3] = 1e160
     with np.errstate(all="ignore"):
         together = _evaluate(ws, z, covs, means)
         for k in (0, 2):
             alone = _evaluate(ws, z[k : k + 1], covs[k : k + 1], means[k : k + 1])
             assert np.isfinite(alone[0][0])
             assert all(a[k].tobytes() == b[0].tobytes() for a, b in zip(together, alone, strict=True))
-    assert together[0][1] == np.inf
+    assert together[0][1] == together[0][3] == np.inf
     with pytest.warns(RuntimeWarning):
         _evaluate(ws, z[1:2], covs[1:2], means[1:2])
 
@@ -1749,12 +1755,25 @@ def test_fit_many_needs_a_seed_for_every_sample():
         fit_many(spec, samples, options, seeds[:1])
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_fit_many_rejects_a_seed_that_is_not_an_integer(seed):
+    # neither fit restarts, so no jitter draw would read the seed: the
+    # check comes before the fits
+    spec, samples, options, seeds = bundled_replications("table1_model1_n900", range(2))
+    with pytest.raises(SmmError, match="BAD_INPUT"):
+        fit_many(spec, samples, options, [seeds[0], seed])
+
 
 @pytest.mark.parametrize(
     "field, value",
     [
         ("max_iterations", -5),
         ("max_restarts", -1),
+        ("max_iterations", 10.0),
+        ("max_restarts", 1.5),
+        ("max_restarts", True),
+        ("seed", 1.5),
+        ("seed", "7"),
         ("jitter_fraction", -0.1),
         ("jitter_fraction", 1.5),
         ("jitter_fraction", float("nan")),
@@ -1766,7 +1785,8 @@ def test_fit_many_needs_a_seed_for_every_sample():
 )
 def test_fit_options_reject_values_out_of_range(field, value):
     # max_restarts=-1 used to make no attempt at all, and the others ran
-    # every restart before reporting converged=False
+    # every restart before reporting converged=False; max_restarts=1.5 ran
+    # two restarts, and seed=1.5 raised TypeError only once a fit restarted
     with pytest.raises(SmmError, match="BAD_INPUT") as error:
         FitOptions(**{field: value})
     assert field in error.value.message
@@ -1777,6 +1797,18 @@ def test_fit_options_take_their_bounds():
     options = FitOptions(max_iterations=0, max_restarts=0, jitter_fraction=0.0)
     result = fit(reference_model_spec(), drawn_sample("model1", 300, 5), options)
     assert (result.iterations, result.retries_used, result.converged) == (0, 0, False)
+
+
+def test_an_attempt_begins_at_its_start_bit_for_bit():
+    # with no iteration the fit reports its start's evaluation, so a start
+    # of -0.0 of its own comes back as -0.0: the first trial is the start,
+    # not start + 1 * 0 (which is +0.0)
+    spec = reference_model_spec()
+    spec = replace(spec, loadings=((free(-0.0),),) + spec.loadings[1:])
+    result = fit(spec, drawn_sample("model1", 300, 5), FitOptions(max_iterations=0, max_restarts=0))
+    assert result.free_values[0] == 0.0 and np.signbit(result.free_values[0])
+    assert np.isfinite(result.f_min)
+
 
 def test_fit_reports_nonconvergence_instead_of_raising():
     sample = drawn_sample("model2", 150, 81)

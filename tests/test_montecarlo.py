@@ -290,6 +290,24 @@ def test_run_study_rejects_parallelism_below_one(parallelism):
         run_study(small_config(max_parallelism=parallelism))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("replications", 15.0),
+        ("replications", True),
+        ("sample_sizes", (150.5,)),
+        ("sample_sizes", (60, 2.0)),
+        ("max_parallelism", 1.5),
+        ("max_parallelism", True),
+    ],
+)
+def test_run_study_rejects_counts_that_are_not_integers(field, value):
+    # 15.0 and 150.5 raised TypeError inside the run, replications=True ran
+    # one replication and max_parallelism=1.5 ran as 1
+    with pytest.raises(SmmError, match="BAD_INPUT"):
+        run_study(small_config(**{field: value}))
+
+
 def test_run_study_rejects_population_spec_mismatch():
     from smm.model_spec import one_factor_spec
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from smm.rng import (
     STREAM_JITTER,
     SECTOR_BITS,
+    _open01,
     derive_seed,
     normal_chunks,
     normals,
@@ -14,8 +15,12 @@ from smm.rng import (
     splitmix64,
     uniform,
     uniform_rows,
-    uniform_open01,
 )
+
+
+def uniform_open01(seed, count):
+    """The first count uniforms on (0, 1] of the stream for seed, mapped as normals and uniform_rows map them."""
+    return _open01(raw_uint64(seed, count))
 
 
 def test_splitmix64_reference_values():
